@@ -429,8 +429,7 @@ def _explicit_grid(config: ProblemConfig):
     return np.linspace(g.xmin, g.xmax, g.points)
 
 
-def _solve_density(config: ProblemConfig) -> spc.SpectralDensity:
-    model_obj = _build_model(config)
+def _solve_density(config: ProblemConfig, model_obj) -> spc.SpectralDensity:
     xs = _explicit_grid(config)
     kwargs = dict(
         xs=xs,
@@ -509,7 +508,7 @@ def _resolve_threads(threads) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_density(config, out_dir, seed, threads):
-    density = _solve_density(config)
+    density = _solve_density(config, _build_model(config))
     diag = _density_diagnostics(density)
     path = emit(
         CsvArtifact(("x", "density"), tuple(zip(density.xs, density.ps))),
@@ -545,13 +544,13 @@ def _cmd_capacity(config, out_dir, seed, threads):
         raise ValidationError(
             "model", "capacity is defined for the nonnegative Gram laws only"
         )
-    density = _solve_density(config)
+    spec = _build_model(config)
+    density = _solve_density(config, spec)
     diag = _density_diagnostics(density)
     bits = _capacity_curve(density, config.snr)
     header = ["snr", "bits"]
     cols = [list(config.snr), bits]
     if config.mc is not None:
-        spec = _build_model(config)
         mc_cols = _mc_capacity_rows(spec, config, config.snr, threads, seed)
         for N in config.mc.N:
             header.append(f"bits_mc_N{N}")
@@ -573,9 +572,9 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
     if len(config.mc.N) != 1:
         raise ValidationError("mc.N", "mc-compare needs a single N")
     N = config.mc.N[0]
-    density = _solve_density(config)
-    diag = _density_diagnostics(density)
     spec = _build_model(config)
+    density = _solve_density(config, spec)
+    diag = _density_diagnostics(density)
     samples = _pooled_samples(spec, config, N, threads, seed)
     pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
     ks = orc.ks_distance(pooled, spc.cdf(density))
@@ -608,7 +607,7 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
 
 def _moment_table(config):
     model_obj = _build_model(config)
-    density = _solve_density(config)
+    density = _solve_density(config, model_obj)
     diag = _density_diagnostics(density)
     rows = []
     if config.model == "selfadjoint":

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -227,8 +227,69 @@ class EtaMap:
     def dim_in(self) -> int:
         return self.tensor.shape[2]
 
+    @cached_property
+    def pattern(self) -> InvariantPattern:
+        """Invariant block pattern of a square map, computed on first use."""
+        if self.dim_in != self.dim_out:
+            raise DimensionMismatch("the invariant pattern needs a square map")
+        return InvariantPattern(self.tensor)
+
     def __call__(self, D):
         return eta_apply(self, D)
+
+
+class InvariantPattern:
+    """Smallest block-diagonal sparsity pattern a square map keeps invariant.
+
+    Starting from the diagonal, supp(eta(S)), supp(S S) and S^T are added
+    until nothing changes. The result is an equivalence relation on the d
+    indices, i.e. diagonal blocks after a permutation (one block of size d
+    for a dense map, d blocks of size 1 for ISI). It contains the identity
+    and is closed under eta, products and inverses, so every fixed-point
+    and Newton iterate of z G = I + s eta(G) G stays on it.
+
+    Values on the pattern are stored flat ("compressed"), blocks grouped by
+    size: ``groups`` lists (s, n, slice) for the n blocks of size s, each
+    stored row-major in its slice. ``flat`` holds the i*d+j position of
+    every stored entry, ``eye`` the identity and ``tensor`` the m x m
+    restriction of the map to the m stored entries.
+    """
+
+    def __init__(self, tensor):
+        d = tensor.shape[0]
+        reach = (tensor != 0).reshape(d * d, d * d)
+        S = np.eye(d, dtype=bool)
+        while True:
+            grown = S | reach[:, S.ravel()].any(axis=1).reshape(d, d)
+            grown |= grown.T
+            grown |= grown @ grown
+            if (grown == S).all():
+                break
+            S = grown
+        blocks = sorted({tuple(np.flatnonzero(row).tolist()) for row in S},
+                        key=lambda b: (len(b), b))
+        self.d = d
+        self.blocks = tuple(blocks)
+        groups, flat = [], []
+        for s in sorted({len(b) for b in blocks}):
+            members = [b for b in blocks if len(b) == s]
+            groups.append((s, len(members), slice(len(flat), len(flat) + len(members) * s * s)))
+            flat += [i * d + j for b in members for i in b for j in b]
+        self.groups = tuple(groups)
+        self.flat = np.array(flat)
+        self.eye = (self.flat // d == self.flat % d).astype(float)
+        self.tensor = tensor.reshape(d * d, d * d)[np.ix_(self.flat, self.flat)]
+
+    def compress(self, G) -> np.ndarray:
+        """Pinch (..., d, d) matrices onto the pattern: their stored entries."""
+        G = np.asarray(G, dtype=complex)
+        return G.reshape(*G.shape[:-2], self.d * self.d)[..., self.flat]
+
+    def expand(self, Gc) -> np.ndarray:
+        """Compressed values back to (..., d, d), exact zeros off the pattern."""
+        out = np.zeros((*Gc.shape[:-1], self.d * self.d), dtype=complex)
+        out[..., self.flat] = Gc
+        return out.reshape(*Gc.shape[:-1], self.d, self.d)
 
 
 def eta_apply(eta: EtaMap, D) -> np.ndarray:

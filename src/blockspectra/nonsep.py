@@ -184,14 +184,11 @@ def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolut
     eta = hermitized_eta(family)
     p = family.p
     zs = np.array([complex(z)])
-    G, res, its, converged = slv._solve_points(
-        eta.tensor, zs, zs.copy(), config,
-        support=slv._block_support(p + family.q, p),
-    )
-    G1 = G[0][:p, :p]
+    out = slv._solve_points(eta, zs, zs.copy(), config)
+    G1 = eta.pattern.expand(out.G)[0][:p, :p]
     return FadingSolution(
-        complex(z), G1, complex(np.trace(G1) / p), float(res[0]), int(its[0]),
-        bool(converged[0]),
+        complex(z), G1, complex(np.trace(G1) / p), float(out.res[0]),
+        int(out.iters[0]), bool(out.converged[0]),
     )
 
 

@@ -7,8 +7,16 @@ Central equation, for z in the (closed) upper half plane:
 whose unique solution with negative-semidefinite imaginary part is the
 matrix-valued Cauchy transform of the operator-valued semicircular law
 with covariance map eta. The iteration map G -> (z*id - eta(G))^{-1}
-converges to it from any start with negative imaginary part; Newton on the
-d^2 x d^2 linearization refines quadratically near the solution.
+converges to it from any start with negative imaginary part; Newton
+refines quadratically near the solution.
+
+Every solve runs in the invariant pattern of eta (``EtaMap.pattern``): the
+smallest set of diagonal blocks, after a permutation, that contains the
+identity and is closed under eta, products and inverses. The solution and
+every iterate live there (Helton, Rashidi Far and Speicher, IMRN 2007), so
+the batched engine stores G as its m values on the pattern, inverts block
+by block and solves an m x m Newton system: m = d for the diagonal pattern
+of ISI channels, m = d^2 for a dense map.
 
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
@@ -18,6 +26,7 @@ scaled by z, so one engine serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,48 +117,84 @@ def _project_negative_imaginary(G):
 # ---------------------------------------------------------------------------
 # batched engine: equation z G = I + s * eta(G) G over a batch of points,
 # with s = 1 for the plain equation and s = z for the Gram (H) equation.
+# G is stored as its values on the map's invariant pattern, shape (P, m);
+# blockwise work runs as one batched call per block size.
 # ---------------------------------------------------------------------------
 
-def _eta_batch(tensor, G):
-    # matmul-backed contraction tensor[ij,kl] @ G[p,kl]
-    P = G.shape[0]
-    do, di = tensor.shape[0], tensor.shape[2]
-    flat = tensor.reshape(do * do, di * di) @ G.reshape(P, di * di).T
-    return np.ascontiguousarray(flat.T).reshape(P, do, do)
+class _Batch(NamedTuple):
+    G: np.ndarray          # compressed (P, m), or expanded (P, d, d) by callers
+    res: np.ndarray
+    iters: np.ndarray
+    converged: np.ndarray
+    im_max: np.ndarray     # largest eigenvalue of Im G per point
 
 
-def _residual_batch(tensor, zs, scale, G, EG=None):
-    d = G.shape[-1]
+def _block_matmul(pat, A, B):
+    """Blockwise product of two compressed batches."""
+    out = np.empty_like(B)
+    for s, n, sl in pat.groups:
+        blocks = A[:, sl].reshape(len(A), n, s, s) @ B[:, sl].reshape(len(B), n, s, s)
+        out[:, sl] = blocks.reshape(len(B), n * s * s)
+    return out
+
+
+def _block_inv(pat, A):
+    """Blockwise inverse of a compressed batch; 1x1 blocks are reciprocals."""
+    out = np.empty_like(A)
+    for s, n, sl in pat.groups:
+        if s == 1:
+            if not A[:, sl].all():
+                raise np.linalg.LinAlgError("Singular matrix")
+            out[:, sl] = 1.0 / A[:, sl]
+        else:
+            blocks = A[:, sl].reshape(len(A), n, s, s)
+            out[:, sl] = np.linalg.inv(blocks).reshape(len(A), n * s * s)
+    return out
+
+
+def _block_im_max(pat, G):
+    """Per point, the largest eigenvalue of Im G over all blocks."""
+    out = np.full(len(G), -np.inf)
+    with np.errstate(all="ignore"):
+        for s, n, sl in pat.groups:
+            im = imaginary_part(G[:, sl].reshape(len(G), n, s, s))
+            out = np.maximum(out, np.linalg.eigvalsh(im).max(axis=(1, 2)))
+    return out
+
+
+def _eta_batch(pat, G):
+    return G @ pat.tensor.T
+
+
+def _residual_batch(pat, zs, scale, G, EG=None):
     if EG is None:
-        EG = _eta_batch(tensor, G)
-    R = zs[:, None, None] * G - np.eye(d) - scale[:, None, None] * np.matmul(EG, G)
-    return np.linalg.norm(R, axis=(1, 2))
+        EG = _eta_batch(pat, G)
+    R = zs[:, None] * G - pat.eye - scale[:, None] * _block_matmul(pat, EG, G)
+    return np.linalg.norm(R, axis=1)
 
 
-def _fixed_point_batch(tensor, zs, scale, G, config, target, budget):
+def _fixed_point_batch(pat, zs, scale, G, config, target, budget):
     """Damped fixed-point sweep; damping adapts per point."""
-    P, d, _ = G.shape
+    P = len(G)
     theta = np.full(P, config.damping)
     streak = np.zeros(P, dtype=int)
-    EG = _eta_batch(tensor, G)
-    res = _residual_batch(tensor, zs, scale, G, EG)
+    EG = _eta_batch(pat, G)
+    res = _residual_batch(pat, zs, scale, G, EG)
     iters = np.zeros(P, dtype=int)
-    eye = np.eye(d)
     for _ in range(budget):
         active = res > target
         if not active.any():
             break
-        A = zs[:, None, None] * eye - scale[:, None, None] * EG
         try:
-            F = np.linalg.inv(A)
+            F = _block_inv(pat, zs[:, None] * pat.eye - scale[:, None] * EG)
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
                 "z*id - eta(G) not invertible at an iterate; "
                 "check the covariance map or move z away from the real axis"
             ) from exc
-        Gn = np.where(active[:, None, None], G + theta[:, None, None] * (F - G), G)
-        EGn = _eta_batch(tensor, Gn)
-        resn = _residual_batch(tensor, zs, scale, Gn, EGn)
+        Gn = np.where(active[:, None], G + theta[:, None] * (F - G), G)
+        EGn = _eta_batch(pat, Gn)
+        resn = _residual_batch(pat, zs, scale, Gn, EGn)
         worse = active & (resn > res)
         theta[worse] = np.maximum(theta[worse] / 2, DAMPING_FLOOR)
         streak[worse] = 0
@@ -163,55 +208,59 @@ def _fixed_point_batch(tensor, zs, scale, G, config, target, budget):
     return G, res, iters
 
 
-def _newton_batch(tensor, zs, scale, G, config, target, budget=60, support=None):
-    """Newton on the d^2 linearization with per-point backtracking.
+def _jacobian(pat, zs, scale, G, EG):
+    """Linearization on the pattern: column c is z E_c - s (eta(E_c) G + eta(G) E_c).
 
-    ``support`` optionally lists the flat (i*d+j) entries the solution lives
-    on (an exactly invariant sparsity pattern, e.g. the diagonal blocks of a
-    hermitized map); the linear system is then solved on that subspace only.
+    E_c is the pattern's c-th basis matrix; the result has shape (P, m, m).
     """
-    P, d, _ = G.shape
-    eye = np.eye(d)
-    res = _residual_batch(tensor, zs, scale, G)
+    P, m = G.shape
+    lin = np.empty((P, m, m), dtype=complex)
+    for s, n, sl in pat.groups:
+        # eta(E_c) G: sum_t eta(E_c)[i, t] G[t, j], one matmul per block
+        T = pat.tensor[sl].reshape(n, s, s, m).transpose(0, 2, 1, 3)  # [block, t, i, c]
+        Gt = G[:, sl].reshape(P, n, s, s).transpose(0, 1, 3, 2)        # [p, block, j, t]
+        prod = (Gt @ T.reshape(n, s, s * m)).reshape(P, n, s, s, m)    # [p, block, j, i, c]
+        lin[:, sl] = prod.transpose(0, 1, 3, 2, 4).reshape(P, n * s * s, m)
+        # eta(G) E_c for c = (k, j): entry (i, j) of the same block gains eta(G)[i, k]
+        base = sl.start + s * s * np.arange(n)[:, None, None, None]
+        i, j, k = np.indices((s, s, s))
+        lin[:, base + i * s + j, base + k * s + j] += EG[:, base + i * s + k]
+    J = -scale[:, None, None] * lin
+    J[:, np.arange(m), np.arange(m)] += zs[:, None]
+    return J
+
+
+def _newton_batch(pat, zs, scale, G, config, target, budget=60):
+    """Newton on the m x m linearization in the pattern's coordinates.
+
+    Each step solves one m x m system per point (m = d for a diagonal
+    pattern, d^2 for a dense map; see :func:`_jacobian`), with per-point
+    backtracking.
+    """
+    G = G.copy()
+    P, m = G.shape
+    res = _residual_batch(pat, zs, scale, G)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
-    if support is None:
-        support = np.arange(d * d)
-    support = np.asarray(support, dtype=int)
-    m = len(support)
-    rows_t = (support % d) * d + support // d  # (i,j) -> flat (j,i)
-    ri, rj = support // d, support % d
-    delta_jl = (rj[:, None] == rj[None, :]).astype(float)
-    eye_m = np.eye(m)
-    tsub = np.ascontiguousarray(tensor.reshape(d, d, d * d)[:, :, support])
     for _ in range(budget):
         active = (res > target) & ~stuck
         if not active.any():
             break
         ii = np.flatnonzero(active)
         Gi, zi, si = G[ii], zs[ii], scale[ii]
-        EG = _eta_batch(tensor, Gi)
-        Ri = zi[:, None, None] * Gi - eye - si[:, None, None] * np.matmul(EG, Gi)
-        # M1[p,(ij),(kl)] = sum_m tensor[i,m,k,l] G[p,m,j]  (eta(dG) G term)
-        M1 = np.tensordot(Gi, tsub, axes=(1, 1)).reshape(len(ii), d * d, m)[
-            :, rows_t, :
-        ]
-        # M2 = kron(eta(G), I) on the subspace  (eta(G) dG term)
-        M2 = EG[:, ri[:, None], ri[None, :]] * delta_jl
-        J = zi[:, None, None] * eye_m - si[:, None, None] * (M1 + M2)
-        rhs = -Ri.reshape(len(ii), d * d)[:, support, None]
+        EG = _eta_batch(pat, Gi)
+        Ri = zi[:, None] * Gi - pat.eye - si[:, None] * _block_matmul(pat, EG, Gi)
+        J = _jacobian(pat, zi, si, Gi, EG)
+        rhs = -Ri[:, :, None]
         try:
-            flat = np.linalg.solve(J, rhs)[..., 0]
+            step = np.linalg.solve(J, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            flat = np.zeros((len(ii), m), dtype=complex)
+            step = np.zeros((len(ii), m), dtype=complex)
             for k in range(len(ii)):
                 try:
-                    flat[k] = np.linalg.solve(J[k], rhs[k])[:, 0]
+                    step[k] = np.linalg.solve(J[k], rhs[k])[:, 0]
                 except np.linalg.LinAlgError:
                     stuck[ii[k]] = True
-        step = np.zeros((len(ii), d * d), dtype=complex)
-        step[:, support] = flat
-        step = step.reshape(len(ii), d, d)
         factor = np.ones(len(ii))
         improved = np.zeros(len(ii), dtype=bool)
         Gbest = Gi.copy()
@@ -219,8 +268,8 @@ def _newton_batch(tensor, zs, scale, G, config, target, budget=60, support=None)
             pending = ~improved
             if not pending.any():
                 break
-            trial = Gi + factor[:, None, None] * step
-            rtrial = _residual_batch(tensor, zi, si, trial)
+            trial = Gi + factor[:, None] * step
+            rtrial = _residual_batch(pat, zi, si, trial)
             good = pending & (rtrial < res[ii])
             Gbest[good] = trial[good]
             res[ii[good]] = rtrial[good]
@@ -243,42 +292,40 @@ def _epsilon_ladder(epsilon, span, factor=2.0):
     return levels
 
 
-def _solve_points(tensor, zs, scale, config, G0=None, fp_budget=None, tol=None,
-                  support=None):
-    """Solve a batch at fixed z values; returns (G, res, iters, converged)."""
-    P = len(zs)
-    d = tensor.shape[0]
+def _solve_points(eta, zs, scale, config, G0=None, fp_budget=None, tol=None):
+    """Solve a batch at fixed z values from a compressed start (default -i*I).
+
+    Returns a compressed :class:`_Batch`.
+    """
+    pat = eta.pattern
     tol = config.tol if tol is None else tol
     if G0 is None:
-        G0 = np.broadcast_to(-1j * np.eye(d), (P, d, d)).copy()
+        G0 = np.tile(-1j * pat.eye, (len(zs), 1))
     target = max(tol, NEWTON_HANDOFF) if config.newton else tol
     budget = fp_budget if fp_budget is not None else config.max_iter
-    G, res, fits = _fixed_point_batch(tensor, zs, scale, G0, config, target, budget)
-    nits = np.zeros(P, dtype=int)
+    G, res, fits = _fixed_point_batch(pat, zs, scale, G0, config, target, budget)
+    nits = np.zeros(len(zs), dtype=int)
     if config.newton:
-        G, res, nits, _ = _newton_batch(tensor, zs, scale, G, config, tol,
-                                        support=support)
-    with np.errstate(all="ignore"):
-        im_ok = np.array([max_im_eigenvalue(g) <= IM_EIG_TOL for g in G])
-    converged = (res <= tol) & im_ok
-    return G, res, fits + nits, converged
+        G, res, nits, _ = _newton_batch(pat, zs, scale, G, config, tol)
+    im_max = _block_im_max(pat, G)
+    return _Batch(G, res, fits + nits, (res <= tol) & (im_max <= IM_EIG_TOL), im_max)
 
 
-def _solve_continuation(tensor, xs, epsilon, config, scale_is_z, record=(),
-                        support=None):
+def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     """Solve a grid by stepping the offset down from a safe start.
 
     ``record`` lists extra offsets on the ladder whose solved batches the
     caller also wants (e.g. 2*epsilon for Richardson extrapolation).
-    Returns (G, res, iters, converged, snapshots) with one snapshot tuple
-    per recorded offset.
+    Returns one batch per recorded offset, then the batch at ``epsilon``
+    (whose ``iters`` count the whole ladder), each with G expanded to
+    (P, d, d).
     """
+    pat = eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
-    d = tensor.shape[0]
     span = float(xs.max() - xs.min()) if P > 1 else 1.0
     span = max(span, 1.0)
-    G = np.broadcast_to(-1j * np.eye(d), (P, d, d)).copy()
+    G = np.tile(-1j * pat.eye, (P, 1))
     total = np.zeros(P, dtype=int)
     factor = 4.0 if config.newton else 2.0
     levels = sorted(
@@ -299,14 +346,32 @@ def _solve_continuation(tensor, xs, epsilon, config, scale_is_z, record=(),
             fp_budget = config.max_iter if last else min(config.max_iter, 120)
             tol = config.tol
         fp_budget = min(fp_budget, config.max_iter)
-        G, res, its, converged = _solve_points(
-            tensor, zs, scale, config, G0=G, fp_budget=fp_budget, tol=tol,
-            support=support,
-        )
-        total += its
+        out = _solve_points(eta, zs, scale, config, G0=G, fp_budget=fp_budget, tol=tol)
+        G = out.G
+        total += out.iters
         if eps in record:
-            snapshots[eps] = (G.copy(), res.copy(), converged.copy())
-    return G, res, total, converged, [snapshots[e] for e in record]
+            snapshots[eps] = out
+    batches = [snapshots[e] for e in record] + [out._replace(iters=total)]
+    return [b._replace(G=pat.expand(b.G)) for b in batches]
+
+
+def _require_converged(xs, *batches):
+    """Raise NoConvergence naming the grid points that any batch failed.
+
+    The message lists every failing index, then x, the residual and the
+    largest eigenvalue of Im G (which must stay <= IM_EIG_TOL) of the first
+    five, worst over the batches.
+    """
+    bad = np.flatnonzero(~np.logical_and.reduce([b.converged for b in batches]))
+    if not bad.size:
+        return
+    res = np.max([b.res for b in batches], axis=0)
+    im_max = np.max([b.im_max for b in batches], axis=0)
+    detail = "; ".join(
+        f"x={xs[i]:.6g} residual={res[i]:.3g} max eig Im G={im_max[i]:.3g}"
+        for i in bad[:5]
+    )
+    raise NoConvergence(f"grid points {bad.tolist()} did not converge: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +391,10 @@ def _require_upper_half(z):
 def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
     """Solve z G = I + eta(G) G at one point by damped iteration.
 
-    Starts from -i*I (or from ``warm_start`` projected to negative imaginary
-    part) and, if ``config.newton`` is set, refines with Newton once the
+    Starts from -i*I, or from ``warm_start`` projected to negative imaginary
+    part and pinched onto the map's invariant pattern (its entries off the
+    pattern dropped); pinching keeps Im G < 0, as it compresses Im G to
+    diagonal blocks. If ``config.newton`` is set, Newton refines once the
     fixed-point residual reaches 1e-6. The best iterate is returned even on
     iteration-budget exhaustion, with ``converged=False``.
     """
@@ -335,23 +402,24 @@ def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
     _require_square(eta)
     _require_upper_half(z)
     d = eta.dim_out
+    G0 = None
     if warm_start is not None:
         W = np.asarray(warm_start, dtype=complex)
         if W.shape != (d, d):
             raise DimensionMismatch(f"warm start must be {d}x{d}")
-        G0 = _project_negative_imaginary(W)[None, :, :]
-    else:
-        G0 = None
+        G0 = eta.pattern.compress(_project_negative_imaginary(W)[None])
     zs = np.array([complex(z)])
-    scale = np.ones(1, dtype=complex)
-    G, res, its, converged = _solve_points(eta.tensor, zs, scale, config, G0=G0)
-    return CauchySolution(complex(z), G[0], float(res[0]), int(its[0]), bool(converged[0]))
+    out = _solve_points(eta, zs, np.ones(1, dtype=complex), config, G0=G0)
+    return CauchySolution(complex(z), eta.pattern.expand(out.G)[0], float(out.res[0]),
+                          int(out.iters[0]), bool(out.converged[0]))
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     """Newton refinement of an approximate solution G0.
 
-    Each step solves the d^2 x d^2 linearization
+    G0 is pinched onto the map's invariant pattern first (its entries off
+    the pattern dropped; pinching keeps Im G < 0), where the solution lives.
+    Each step then solves the m x m linearization on the pattern's m entries
     z*dG - eta(dG) G - eta(G) dG = -(z G - I - eta(G) G). Quadratic
     convergence when started in the basin (residual below ~1e-2).
     """
@@ -362,20 +430,21 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     G0 = np.asarray(G0, dtype=complex)
     if G0.shape != (d, d):
         raise DimensionMismatch(f"G0 must be {d}x{d}")
+    pat = eta.pattern
     zs = np.array([complex(z)])
-    scale = np.ones(1, dtype=complex)
-    G = G0[None, :, :].copy()
     budget = min(config.max_iter, 60)
     G, res, its, stuck = _newton_batch(
-        eta.tensor, zs, scale, G, config, config.tol, budget=budget
+        pat, zs, np.ones(1, dtype=complex), pat.compress(G0[None]), config,
+        config.tol, budget=budget,
     )
     if stuck[0] and res[0] > max(config.tol, NEWTON_HANDOFF):
         raise SingularJacobian(
             "Newton made no progress (singular or stalled linearization); "
             "fall back to solve_fixed_point"
         )
-    converged = res[0] <= config.tol and max_im_eigenvalue(G[0]) <= IM_EIG_TOL
-    return CauchySolution(complex(z), G[0], float(res[0]), int(its[0]), bool(converged))
+    converged = res[0] <= config.tol and _block_im_max(pat, G)[0] <= IM_EIG_TOL
+    return CauchySolution(complex(z), pat.expand(G)[0], float(res[0]), int(its[0]),
+                          bool(converged))
 
 
 def _check_monotone(xs):
@@ -398,8 +467,9 @@ def solve_grid(eta, xs, epsilon, config=None, strategy="continuation"):
     affect iteration counts only). Offsets below 1e-8 are rejected; recover
     the real-axis limit by extrapolation instead.
 
-    Raises NoConvergence naming the failing grid indices if any point misses
-    the residual target or the negative-imaginary-part invariant.
+    Raises NoConvergence naming the failing grid indices, with x, residual
+    and Im-margin of the first few, if any point misses the residual target
+    or the negative-imaginary-part invariant.
     """
     config = config or DEFAULT_CONFIG
     _require_square(eta)
@@ -413,33 +483,25 @@ def solve_grid(eta, xs, epsilon, config=None, strategy="continuation"):
             s = solve_fixed_point(eta, complex(x, epsilon), config, warm_start=warm)
             warm = s.G
             sols.append(s)
-        bad = [i for i, s in enumerate(sols) if not s.converged]
-        if bad:
-            raise NoConvergence(f"grid points {bad} did not converge")
+        with np.errstate(all="ignore"):
+            im_max = np.array([max_im_eigenvalue(s.G) for s in sols])
+        _require_converged(xs, _Batch(
+            None, np.array([s.residual for s in sols]), None,
+            np.array([s.converged for s in sols]), im_max,
+        ))
         return sols
     if strategy != "continuation":
         raise BadParameter(f"unknown strategy {strategy!r}")
     order = np.argsort(xs, kind="stable")
-    xs_sorted = np.asarray(xs, dtype=float)[order]
-    G, res, its, converged, _ = _solve_continuation(
-        eta.tensor, xs_sorted, float(epsilon), config, scale_is_z=False
-    )
+    (out,) = _solve_continuation(eta, xs[order], float(epsilon), config, scale_is_z=False)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(len(order))
-    sols = [
-        CauchySolution(
-            complex(xs[i], epsilon),
-            G[inverse[i]],
-            float(res[inverse[i]]),
-            int(its[inverse[i]]),
-            bool(converged[inverse[i]]),
-        )
-        for i in range(len(xs))
+    out = _Batch(*(a[inverse] for a in out))
+    _require_converged(xs, out)
+    return [
+        CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
+        for x, G, r, k in zip(xs, out.G, out.res, out.iters)
     ]
-    bad = [i for i, s in enumerate(sols) if not s.converged]
-    if bad:
-        raise NoConvergence(f"grid points {bad} did not converge")
-    return sols
 
 
 def _split_blocks(H, a):
@@ -482,11 +544,9 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     _require_upper_half(z)
     eta = cov.eta_map(cov.hermitize_covariance(spec))
     zs = np.array([complex(z)])
-    support = _block_support(spec.a + spec.b, spec.a)
-    G, res, its, converged = _solve_points(
-        eta.tensor, zs, zs.copy(), config, support=support
-    )
-    return _hh_star_solution(spec, complex(z), G[0], res[0], its[0], converged[0])
+    out = _solve_points(eta, zs, zs.copy(), config)
+    H = eta.pattern.expand(out.G)[0]
+    return _hh_star_solution(spec, complex(z), H, out.res[0], out.iters[0], out.converged[0])
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
@@ -497,20 +557,12 @@ def solve_hh_star_grid(spec, xs, epsilon, config=None):
     if epsilon < MIN_GRID_EPSILON:
         raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
     eta = cov.eta_map(cov.hermitize_covariance(spec))
-    G, res, its, converged, _ = _solve_continuation(
-        eta.tensor, xs, float(epsilon), config, scale_is_z=True,
-        support=_block_support(spec.a + spec.b, spec.a),
-    )
-    sols = [
-        _hh_star_solution(
-            spec, complex(xs[i], epsilon), G[i], res[i], its[i], converged[i]
-        )
-        for i in range(len(xs))
+    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
+    _require_converged(xs, out)
+    return [
+        _hh_star_solution(spec, complex(x, epsilon), H, r, k, True)
+        for x, H, r, k in zip(xs, out.G, out.res, out.iters)
     ]
-    bad = [i for i, s in enumerate(sols) if not s.converged]
-    if bad:
-        raise NoConvergence(f"grid points {bad} did not converge")
-    return sols
 
 
 def solve_gram_grid(eta, side, xs, epsilon, config=None):
@@ -524,18 +576,13 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     xs = _check_monotone(xs)
     if epsilon < MIN_GRID_EPSILON:
         raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
-    G, res, its, converged, _ = _solve_continuation(
-        eta.tensor, xs, float(epsilon), config, scale_is_z=True,
-        support=_block_support(eta.dim_out, side),
-    )
-    bad = list(np.flatnonzero(~converged))
-    if bad:
-        raise NoConvergence(f"grid points {bad} did not converge")
+    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
+    _require_converged(xs, out)
     sols = [
-        CauchySolution(complex(xs[i], epsilon), G[i], float(res[i]), int(its[i]), True)
-        for i in range(len(xs))
+        CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
+        for x, G, r, k in zip(xs, out.G, out.res, out.iters)
     ]
-    g = np.array([np.trace(s.G[:side, :side]) / side for s in sols])
+    g = np.trace(out.G[:, :side, :side], axis1=1, axis2=2) / side
     return sols, g
 
 
@@ -582,26 +629,6 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
         its += 1
     converged = res <= config.tol and max_im_eigenvalue(G1) <= IM_EIG_TOL
     return CauchySolution(complex(z), G1, res, its, bool(converged))
-
-
-def _block_support(d, side):
-    """Flat indices of the two diagonal blocks of a (side, d-side) split."""
-    idx = [i * d + j for i in range(side) for j in range(side)]
-    idx += [i * d + j for i in range(side, d) for j in range(side, d)]
-    return np.array(idx, dtype=int)
-
-
-def _solve_grid_pair(tensor, xs, eps2, config, scale_is_z, support=None):
-    """Solve a grid at offsets 2*eps2 and eps2 in one continuation ladder.
-
-    Returns ((G_2eps, res, conv), (G_eps, res, conv)); the inner arrays are
-    stacked over grid points. Used by the inversion pipelines.
-    """
-    eps2 = float(eps2)
-    G, res, _, conv, snaps = _solve_continuation(
-        tensor, xs, eps2, config, scale_is_z, record=(2 * eps2,), support=support
-    )
-    return snaps[0], (G, res, conv)
 
 
 @dataclass(frozen=True)

@@ -231,13 +231,11 @@ def _invert_selfadjoint(eta, xs, epsilon, config, trace_weights):
 
 def _pair_traces(eta, xs, eps2, config, scale_is_z, side=None, trace_weights=None):
     """Scalar transforms at offsets (2*eps2, eps2); raises on non-convergence."""
-    support = slv._block_support(eta.dim_out, side) if side is not None else None
-    (Ga, _, ca), (Gb, _, cb) = slv._solve_grid_pair(
-        eta.tensor, xs, eps2, config, scale_is_z, support=support
+    eps2 = float(eps2)
+    wide, narrow = slv._solve_continuation(
+        eta, xs, eps2, config, scale_is_z, record=(2 * eps2,)
     )
-    bad = list(np.flatnonzero(~(ca & cb)))
-    if bad:
-        raise slv.NoConvergence(f"grid points {bad} did not converge")
+    slv._require_converged(xs, wide, narrow)
 
     def scalarize(G):
         if side is not None:
@@ -247,7 +245,7 @@ def _pair_traces(eta, xs, eps2, config, scale_is_z, side=None, trace_weights=Non
             return np.einsum("i,pii->p", w, G)
         return np.trace(G, axis1=1, axis2=2) / G.shape[-1]
 
-    return scalarize(Ga), scalarize(Gb)
+    return scalarize(wide.G), scalarize(narrow.G)
 
 
 def density_gram(

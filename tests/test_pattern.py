@@ -1,0 +1,158 @@
+"""Invariant sparsity pattern of a covariance map and the solves that use it."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import blockspectra as bs
+from blockspectra import cli, nonsep as ns
+
+from conftest import random_hh_star_spec, random_selfadjoint_spec
+
+TIGHT = bs.SolverConfig(tol=1e-12)
+NEWTON = bs.SolverConfig(tol=1e-12, newton=True)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _mask(pattern):
+    S = np.zeros((pattern.d, pattern.d), dtype=bool)
+    for block in pattern.blocks:
+        S[np.ix_(block, block)] = True
+    return S
+
+
+def _assert_closed(eta):
+    S = _mask(eta.pattern)
+    assert S.diagonal().all()
+    assert (S == S.T).all()
+    assert not (((S.astype(int) @ S.astype(int)) > 0) & ~S).any()
+    # eta of any matrix supported on S is supported on S
+    reach = np.einsum("ijkl,kl->ij", np.abs(eta.tensor), S.astype(float)) > 0
+    assert not (reach & ~S).any()
+    assert len(eta.pattern.flat) == S.sum()
+
+
+def _hermitized(spec):
+    return bs.eta_map(bs.hermitize_covariance(spec))
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_selfadjoint_pattern_closed(d, seed):
+    _assert_closed(bs.eta_map(random_selfadjoint_spec(d, np.random.default_rng(seed))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.integers(1, 3), b=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_hh_star_pattern_within_its_two_blocks(a, b, seed):
+    eta = _hermitized(random_hh_star_spec(a, b, np.random.default_rng(seed)))
+    _assert_closed(eta)
+    for block in eta.pattern.blocks:
+        assert max(block) < a or min(block) >= a
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.integers(1, 8), L=st.integers(1, 5))
+def test_isi_pattern_is_the_diagonal(K, L):
+    eta = _hermitized(bs.isi_covariance(K, L))
+    _assert_closed(eta)
+    assert eta.pattern.blocks == tuple((i,) for i in range(2 * K + L - 1))
+    assert len(eta.pattern.flat) == 2 * K + L - 1
+
+
+def test_nonsep_t2_pattern():
+    family = cli._build_model(cli.parse_config(CONFIGS / "nonsep_t2.json"))
+    eta = ns.hermitized_eta(family)
+    _assert_closed(eta)
+    assert eta.pattern.blocks == ((0,), (1,), (2, 3))
+    assert len(eta.pattern.flat) == 6
+
+
+def test_rectangular_map_has_no_pattern(isi44):
+    with pytest.raises(bs.errors.DimensionMismatch):
+        bs.eta1_map(isi44).pattern
+
+
+def _dense_fixed_point(eta, z, iters=4000):
+    """Reference: the undamped iteration on full d x d matrices."""
+    d = eta.dim_out
+    G = -1j * np.eye(d)
+    for _ in range(iters):
+        G = np.linalg.inv(z * np.eye(d) - bs.eta_apply(eta, G))
+    return G
+
+
+@settings(max_examples=10, deadline=None)
+@given(K=st.integers(1, 4), L=st.integers(1, 3),
+       x=st.floats(0.1, 3.0), newton=st.booleans())
+def test_solution_has_exact_zeros_off_pattern(K, L, x, newton):
+    eta = _hermitized(bs.isi_covariance(K, L))
+    z = complex(x, 0.5)
+    cfg = NEWTON if newton else TIGHT
+    sol = bs.solve_fixed_point(eta, z, cfg)
+    assert sol.converged
+    off = ~_mask(eta.pattern)
+    assert (sol.G[off] == 0).all()
+    assert np.abs(sol.G - _dense_fixed_point(eta, z)).max() <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=st.integers(1, 3), b=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_hh_star_solution_zero_off_pattern(a, b, seed):
+    spec = random_hh_star_spec(a, b, np.random.default_rng(seed))
+    eta = _hermitized(spec)
+    sol = bs.solve_hh_star(spec, 1.0 + 0.2j, NEWTON)
+    assert sol.converged
+    H = np.zeros((a + b, a + b), dtype=complex)
+    H[:a, :a], H[a:, a:] = sol.G1, sol.G2
+    assert (H[~_mask(eta.pattern)] == 0).all()
+
+
+def test_warm_start_is_pinched_onto_pattern(isi44):
+    eta = _hermitized(isi44)
+    d = eta.dim_out
+    rng = np.random.default_rng(5)
+    W = -1j * np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    sol = bs.solve_fixed_point(eta, 1.0 + 0.1j, TIGHT, warm_start=W)
+    assert sol.converged
+    assert (sol.G[~np.eye(d, dtype=bool)] == 0).all()
+    nt = bs.newton_refine(eta, 1.0 + 0.1j, sol.G + 1e-4 * W, TIGHT)
+    assert nt.converged and np.abs(nt.G - sol.G).max() <= 1e-10
+
+
+def _rotated_hh_star(spec, seed):
+    """Covariance of U H V^T for seeded orthogonal U (a x a), V (b x b)."""
+    a, b = spec.a, spec.b
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((a, a)))[0]
+    V = np.linalg.qr(rng.standard_normal((b, b)))[0]
+    T = np.zeros((a * b, a * b))
+    for (i, k, j, l, v) in spec.entries:
+        T[(i - 1) * b + k - 1, (j - 1) * b + l - 1] = v.real
+    W = np.kron(U, V)
+    R = W @ T @ W.T
+    entries = [
+        (i + 1, k + 1, j + 1, l + 1, R[i * b + k, j * b + l])
+        for i in range(a) for k in range(b) for j in range(a) for l in range(b)
+    ]
+    return bs.hh_star_covariance(a, b, entries)
+
+
+def test_basis_rotation_dense_blocks_same_law():
+    spec = bs.isi_covariance(3, 2)
+    rotated = _rotated_hh_star(spec, seed=11)
+    # the rotation fills both diagonal blocks: the engine runs on 3x3 and
+    # 4x4 blocks instead of the 7 scalars of the unrotated spec
+    assert _hermitized(spec).pattern.blocks == tuple((i,) for i in range(7))
+    assert _hermitized(rotated).pattern.blocks == ((0, 1, 2), (3, 4, 5, 6))
+    xs = np.linspace(0.2, 6.0, 25)
+    eps = 1e-2
+    g_diag = [s.g for s in bs.solve_hh_star_grid(spec, xs, eps, NEWTON)]
+    g_rot = [s.g for s in bs.solve_hh_star_grid(rotated, xs, eps, NEWTON)]
+    assert np.abs(np.subtract(g_diag, g_rot)).max() <= 1e-10
+    for x, g in zip(xs, g_diag):
+        direct = bs.solve_hh_star_direct(spec, complex(x, eps), TIGHT)
+        assert direct.converged
+        assert abs(np.trace(direct.G) / spec.a - g) <= 1e-10

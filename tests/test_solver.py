@@ -153,6 +153,19 @@ class TestGrid:
         with pytest.raises(errors.NoConvergence, match=r"\[0"):
             bs.solve_grid(semicircle_eta, [0.0, 0.5], 1e-4, cfg)
 
+    def test_no_convergence_names_x_residual_and_im_margin(self, semicircle_eta):
+        cfg = bs.SolverConfig(tol=1e-12, max_iter=3)
+        xs = np.linspace(-1.0, 1.0, 7)
+        with pytest.raises(errors.NoConvergence) as info:
+            bs.solve_grid(semicircle_eta, xs[::-1], 1e-4, cfg)
+        msg = str(info.value)
+        assert msg.startswith("grid points [0, 1, 2, 3, 4, 5, 6] did not converge")
+        # details for the first five failing points only, in grid order
+        assert msg.count("residual=") == 5 and msg.count("max eig Im G=") == 5
+        assert "x=1 " in msg and "x=-0.333333 " in msg and "x=-1 " not in msg
+        with pytest.raises(errors.NoConvergence, match=r"\[0, 1, 2\].*x=0 residual="):
+            bs.density_from_eta(semicircle_eta, xs=[0.0, 0.5, 1.0], config=cfg)
+
     def test_positivity_along_grid(self, semicircle_eta):
         sols = bs.solve_grid(semicircle_eta, np.linspace(-3, 3, 50), 1e-4, NEWTON)
         for s in sols:
@@ -192,7 +205,7 @@ class TestHHStar:
 
         eta = bs.eta_map(bs.hermitize_covariance(isi44))
         zs = np.array([1.5 + 0.05j])
-        G, _, _, _ = slv._solve_points(eta.tensor, zs, zs.copy(), NEWTON)
+        G = eta.pattern.expand(slv._solve_points(eta, zs, zs.copy(), NEWTON).G)
         a = isi44.a
         assert np.abs(G[0][:a, a:]).max() == 0.0
         assert np.abs(G[0][a:, :a]).max() == 0.0
