@@ -1,0 +1,42 @@
+#!/usr/bin/env python3
+"""sha256 of every CLI artifact of every shipped config, for byte-identity checks.
+
+Runs each command on each config in ``configs/`` into a temporary directory
+and prints one line per artifact: ``config command file sha256``. A command
+a config does not support (``capacity`` without an ``snr`` list,
+``mc-compare`` without a single ``mc.N``) fails validation and is skipped.
+The package is imported from this checkout's ``src/``, so running the
+script in two checkouts and diffing the output compares their artifacts:
+
+    python scripts/artifact_digests.py > digests.txt
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from blockspectra import cli  # noqa: E402
+from blockspectra.errors import ValidationError  # noqa: E402
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            config = cli.parse_config(path)
+            for command in cli.COMMANDS:
+                out = Path(tmp) / path.stem / command
+                try:
+                    summary = cli.run(command, config, out_dir=out, threads=1)
+                except ValidationError:
+                    continue
+                for artifact in sorted(summary["artifacts"]):
+                    digest = hashlib.sha256(Path(artifact).read_bytes()).hexdigest()
+                    print(path.stem, command, Path(artifact).name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,12 @@ histogram JSON, KS summary), ``moments`` (recursion vs density table).
 Complex numbers in configs are [re, im] pairs. Unknown keys are rejected.
 Exit codes: 0 ok, 1 numerical failure, 2 usage error; failures print a
 machine-readable error JSON to stdout.
+
+Everything that differs between models (config keys and how to parse and
+dump them, the model build, the density and moment routes, whether the
+law is a Gram law and whether it can be sampled) is one row of
+``_MODELS``; parsing, serializing and the commands loop over that row.
+Each config's model is built once and cached.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,20 +45,12 @@ from .errors import (
     ValidationError,
 )
 
-MODELS = ("selfadjoint", "hh_star", "isi", "rectangular", "nonsep")
 COMMANDS = ("density", "capacity", "mc-compare", "moments")
 ENV_THREADS = "BLOCKSPECTRA_THREADS"
 
 _GRID_KEYS = {"xmin", "xmax", "points", "epsilon"}
 _SOLVER_KEYS = {"tol", "max_iter", "damping", "newton"}
 _MC_KEYS = {"N", "realizations", "seed"}
-_MODEL_KEYS = {
-    "selfadjoint": {"d", "entries"},
-    "hh_star": {"a", "b", "entries"},
-    "isi": {"K", "L", "taps"},
-    "rectangular": {"alpha", "entries"},
-    "nonsep": {"psi", "psi_hat"},
-}
 _TOP_KEYS = {"model", "grid", "solver", "snr", "mc"}
 
 
@@ -124,7 +124,7 @@ def _reject_unknown(mapping, allowed, where):
         )
 
 
-def _parse_entries(raw, model):
+def _parse_entries(raw, real):
     if not isinstance(raw, list):
         raise ValidationError("entries", "entries: expected a list")
     out = []
@@ -134,7 +134,7 @@ def _parse_entries(raw, model):
             raise ValidationError(where, f"{where}: expected [i, j, k, l, value]")
         idx = tuple(_int_value(x, where, minimum=1) for x in ent[:4])
         val = _complex_value(ent[4], where)
-        if model == "hh_star" and val.imag != 0.0:
+        if real and val.imag != 0.0:
             raise ValidationError(where, f"{where}: hh_star values must be real")
         out.append((*idx, val))
     return tuple(out)
@@ -155,6 +155,110 @@ def _parse_matrix_list(raw, where):
             rows.append(tuple(_complex_value(x, f"{here}[{r}]") for x in row))
         mats.append(tuple(rows))
     return tuple(mats)
+
+
+def _float_list(raw, key):
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(key, f"{key}: expected a nonempty list")
+    return tuple(_float_value(x, key) for x in raw)
+
+
+def _dump_entries(entries):
+    return [[*e[:4], e[4].real if e[4].imag == 0.0 else [e[4].real, e[4].imag]]
+            for e in entries]
+
+
+def _dump_matrices(mats):
+    return [[[[x.real, x.imag] for x in row] for row in m] for m in mats]
+
+
+# ---------------------------------------------------------------------------
+# the per-model table: every difference between models lives in one row.
+# Routes look package functions up as module attributes when called, so
+# wrappers installed on those modules see every call.
+# ---------------------------------------------------------------------------
+
+class _Key(NamedTuple):
+    """One model key: parse(raw JSON value, key) -> config value, dump back to JSON."""
+
+    parse: Callable
+    dump: Callable
+    required: bool = True
+
+
+class _Model(NamedTuple):
+    keys: dict[str, _Key]
+    build: Callable     # ProblemConfig -> spec or correlation family
+    density: Callable   # (model, xs=, npoints=, epsilon=, config=) -> SpectralDensity
+    moments: Callable   # model -> (eta, trace weights, (num, den) rescaling the recursion)
+    gram: bool          # a nonnegative Gram law: capacity applies, order k pairs with X^(2k)
+    sampled: bool = True  # Monte Carlo sampling is defined
+
+
+_COUNT = _Key(lambda raw, key: _int_value(raw, key, minimum=1), lambda v: v)
+_FLOATS = _Key(_float_list, list)
+_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=False), _dump_entries)
+_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=True), _dump_entries)
+_MATRICES = _Key(_parse_matrix_list, _dump_matrices)
+
+
+def _hermitized_moments(spec):
+    # X^2 splits its spectrum between the two Gram forms: HH* gets (a+b)/(2a)
+    return cov.eta_map(cov.hermitize_covariance(spec)), None, (spec.a + spec.b, 2 * spec.a)
+
+
+def _family(config):
+    return ns.validate_family(ns.CorrelationFamily(
+        psi=tuple(np.array(m, dtype=complex) for m in config.psi),
+        psi_hat=tuple(np.array(m, dtype=complex) for m in config.psi_hat),
+    ))
+
+
+def _half_trace_weights(family):
+    p, q = family.p, family.q
+    return np.concatenate((np.full(p, 0.5 / p), np.full(q, 0.5 / q)))
+
+
+_MODELS = {
+    "selfadjoint": _Model(
+        keys={"d": _COUNT, "entries": _ENTRIES},
+        build=lambda c: cov.selfadjoint_covariance(c.d, c.entries),
+        density=lambda m, **kw: spc.density_from_eta(cov.eta_map(m), **kw),
+        moments=lambda m: (cov.eta_map(m), None, (1, 1)),
+        gram=False,
+    ),
+    "hh_star": _Model(
+        keys={"a": _COUNT, "b": _COUNT, "entries": _REAL_ENTRIES},
+        build=lambda c: cov.hh_star_covariance(c.a, c.b, c.entries),
+        density=lambda m, **kw: spc.density_hh_star(m, **kw),
+        moments=_hermitized_moments,
+        gram=True,
+    ),
+    "isi": _Model(
+        keys={"K": _COUNT, "L": _COUNT, "taps": _FLOATS._replace(required=False)},
+        build=lambda c: cov.isi_covariance(c.K, c.L, tap_var=c.taps),
+        density=lambda m, **kw: spc.density_hh_star(m, **kw),
+        moments=_hermitized_moments,
+        gram=True,
+    ),
+    "rectangular": _Model(
+        keys={"alpha": _FLOATS, "entries": _ENTRIES},
+        build=lambda c: cov.rectangular_covariance(c.alpha, c.entries),
+        density=lambda m, **kw: spc.density_from_eta(
+            cov.eta_alpha_map(m), trace_weights=m.alpha, **kw),
+        moments=lambda m: (cov.eta_alpha_map(m), m.alpha, (1, 1)),
+        gram=False,
+    ),
+    "nonsep": _Model(
+        keys={"psi": _MATRICES, "psi_hat": _MATRICES},
+        build=_family,
+        density=lambda m, **kw: ns.fading_density(m, **kw),
+        moments=lambda m: (ns.hermitized_eta(m), _half_trace_weights(m), (1, 1)),
+        gram=True,
+        sampled=False,
+    ),
+}
+MODELS = tuple(_MODELS)
 
 
 def _parse_grid(raw):
@@ -232,47 +336,15 @@ def parse_config(source) -> ProblemConfig:
     model = raw["model"]
     if model not in MODELS:
         raise ValidationError("model", f"model must be one of {MODELS}, got {model!r}")
-    _reject_unknown(raw, _TOP_KEYS | _MODEL_KEYS[model], "config")
+    keys = _MODELS[model].keys
+    _reject_unknown(raw, _TOP_KEYS | set(keys), "config")
 
     fields: dict = {"model": model}
-    if model == "isi":
-        fields["K"] = _int_value(raw.get("K"), "K", minimum=1) if "K" in raw else None
-        fields["L"] = _int_value(raw.get("L"), "L", minimum=1) if "L" in raw else None
-        if fields["K"] is None or fields["L"] is None:
-            raise ValidationError("K" if fields["K"] is None else "L", "isi needs K and L")
-        if "taps" in raw:
-            if not isinstance(raw["taps"], list):
-                raise ValidationError("taps", "taps: expected a list")
-            fields["taps"] = tuple(_float_value(x, "taps") for x in raw["taps"])
-    elif model == "selfadjoint":
-        if "d" not in raw or "entries" not in raw:
-            raise ValidationError("d" if "d" not in raw else "entries",
-                                  "selfadjoint needs d and entries")
-        fields["d"] = _int_value(raw["d"], "d", minimum=1)
-        fields["entries"] = _parse_entries(raw["entries"], model)
-    elif model == "hh_star":
-        for key in ("a", "b", "entries"):
-            if key not in raw:
-                raise ValidationError(key, f"hh_star needs {key}")
-        fields["a"] = _int_value(raw["a"], "a", minimum=1)
-        fields["b"] = _int_value(raw["b"], "b", minimum=1)
-        fields["entries"] = _parse_entries(raw["entries"], model)
-    elif model == "rectangular":
-        for key in ("alpha", "entries"):
-            if key not in raw:
-                raise ValidationError(key, f"rectangular needs {key}")
-        if not isinstance(raw["alpha"], list) or len(raw["alpha"]) < 1:
-            raise ValidationError("alpha", "alpha: expected a nonempty list")
-        fields["alpha"] = tuple(_float_value(x, "alpha") for x in raw["alpha"])
-        fields["entries"] = _parse_entries(raw["entries"], model)
-    else:  # nonsep
-        for key in ("psi", "psi_hat"):
-            if key not in raw:
-                raise ValidationError(key, f"nonsep needs {key}")
-        fields["psi"] = _parse_matrix_list(raw["psi"], "psi")
-        fields["psi_hat"] = _parse_matrix_list(raw["psi_hat"], "psi_hat")
-        if len(fields["psi"]) != len(fields["psi_hat"]):
-            raise ValidationError("psi_hat", "psi and psi_hat need equal term counts")
+    for key, spec in keys.items():
+        if key in raw:
+            fields[key] = spec.parse(raw[key], key)
+        elif spec.required:
+            raise ValidationError(key, f"{model} needs {key}")
 
     fields["grid"] = _parse_grid(raw.get("grid", {}))
     fields["solver"] = _parse_solver(raw.get("solver", {}))
@@ -300,33 +372,13 @@ def _read_file(path: Path) -> str:
         raise ValidationError("config", f"cannot read config file {path}: {exc}") from exc
 
 
-def _jsonify_complex(v: complex):
-    if v.imag == 0.0:
-        return v.real
-    return [v.real, v.imag]
-
-
 def config_to_json(config: ProblemConfig) -> str:
     """Serialize a config back to JSON; parse(config_to_json(c)) == c."""
     out: dict = {"model": config.model}
-    if config.model == "isi":
-        out["K"], out["L"] = config.K, config.L
-        if config.taps is not None:
-            out["taps"] = list(config.taps)
-    elif config.model == "selfadjoint":
-        out["d"] = config.d
-        out["entries"] = [[*e[:4], _jsonify_complex(e[4])] for e in config.entries]
-    elif config.model == "hh_star":
-        out["a"], out["b"] = config.a, config.b
-        out["entries"] = [[*e[:4], e[4].real] for e in config.entries]
-    elif config.model == "rectangular":
-        out["alpha"] = list(config.alpha)
-        out["entries"] = [[*e[:4], _jsonify_complex(e[4])] for e in config.entries]
-    else:
-        out["psi"] = [[[[x.real, x.imag] for x in row] for row in m] for m in config.psi]
-        out["psi_hat"] = [
-            [[[x.real, x.imag] for x in row] for row in m] for m in config.psi_hat
-        ]
+    for key, spec in _MODELS[config.model].keys.items():
+        value = getattr(config, key)
+        if value is not None:
+            out[key] = spec.dump(value)
     out["grid"] = {
         "xmin": config.grid.xmin,
         "xmax": config.grid.xmax,
@@ -397,29 +449,15 @@ def emit(artifact, path) -> Path:
 # model assembly and law solving
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
 def _build_model(config: ProblemConfig):
+    """The config's spec or family, built and validated once per config."""
     try:
-        if config.model == "isi":
-            return cov.isi_covariance(config.K, config.L, tap_var=config.taps)
-        if config.model == "selfadjoint":
-            return cov.selfadjoint_covariance(config.d, config.entries)
-        if config.model == "hh_star":
-            return cov.hh_star_covariance(config.a, config.b, config.entries)
-        if config.model == "rectangular":
-            return cov.rectangular_covariance(config.alpha, config.entries)
-        family = ns.CorrelationFamily(
-            psi=tuple(np.array(m, dtype=complex) for m in config.psi),
-            psi_hat=tuple(np.array(m, dtype=complex) for m in config.psi_hat),
-        )
-        return ns.validate_family(family)
+        return _MODELS[config.model].build(config)
     except BlockspectraError as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(config.model, f"{config.model} model: {exc}") from exc
-
-
-def _is_gram_model(model: str) -> bool:
-    return model in ("hh_star", "isi", "nonsep")
 
 
 def _explicit_grid(config: ProblemConfig):
@@ -430,22 +468,13 @@ def _explicit_grid(config: ProblemConfig):
 
 
 def _solve_density(config: ProblemConfig, model_obj) -> spc.SpectralDensity:
-    xs = _explicit_grid(config)
-    kwargs = dict(
-        xs=xs,
+    return _MODELS[config.model].density(
+        model_obj,
+        xs=_explicit_grid(config),
         npoints=config.grid.points,
         epsilon=config.grid.epsilon,
         config=config.solver,
     )
-    if config.model == "selfadjoint":
-        return spc.density_from_eta(cov.eta_map(model_obj), **kwargs)
-    if config.model == "rectangular":
-        return spc.density_from_eta(
-            cov.eta_alpha_map(model_obj), trace_weights=model_obj.alpha, **kwargs
-        )
-    if config.model in ("hh_star", "isi"):
-        return spc.density_hh_star(model_obj, **kwargs)
-    return ns.fading_density(model_obj, **kwargs)
 
 
 def _density_diagnostics(density: spc.SpectralDensity) -> dict:
@@ -475,13 +504,16 @@ def _mc_seeds(seed: int, N: int, count: int):
     return [np.random.SeedSequence(entropy=abs(seed), spawn_key=(N, i)) for i in range(count)]
 
 
-def _pooled_samples(spec_or_family, config, N, threads, seed):
-    if config.model == "nonsep":
-        raise ValidationError("mc", "Monte Carlo sampling is not defined for nonsep models")
+def _sample_eigenvalues(spec, config, N, threads, seed):
+    """Eigenvalues of each seeded realization; the sampled matrices are dropped."""
+    if not _MODELS[config.model].sampled:
+        raise ValidationError(
+            "mc", f"Monte Carlo sampling is not defined for {config.model} models"
+        )
     seeds = _mc_seeds(seed, N, config.mc.realizations)
 
     def draw(s):
-        return orc.sample_block_gaussian(spec_or_family, N, s)
+        return orc.sample_block_gaussian(spec, N, s).eigenvalues
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -525,12 +557,10 @@ def _mc_capacity_rows(spec, config, snrs, threads, seed):
     """Median over realizations of the per-eigenvalue capacity, per N."""
     columns = {}
     for N in config.mc.N:
-        samples = _pooled_samples(spec, config, N, threads, seed)
         per_real = np.array(
             [
-                [float(np.mean(np.log2(1.0 + s * np.clip(smp.eigenvalues, 0, None))))
-                 for s in snrs]
-                for smp in samples
+                [float(np.mean(np.log2(1.0 + s * np.clip(eig, 0, None)))) for s in snrs]
+                for eig in _sample_eigenvalues(spec, config, N, threads, seed)
             ]
         )
         columns[N] = np.median(per_real, axis=0)
@@ -540,7 +570,7 @@ def _mc_capacity_rows(spec, config, snrs, threads, seed):
 def _cmd_capacity(config, out_dir, seed, threads):
     if config.snr is None:
         raise ValidationError("snr", "capacity command needs an snr list")
-    if not _is_gram_model(config.model):
+    if not _MODELS[config.model].gram:
         raise ValidationError(
             "model", "capacity is defined for the nonnegative Gram laws only"
         )
@@ -575,8 +605,7 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
     spec = _build_model(config)
     density = _solve_density(config, spec)
     diag = _density_diagnostics(density)
-    samples = _pooled_samples(spec, config, N, threads, seed)
-    pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
+    pooled = np.sort(np.concatenate(_sample_eigenvalues(spec, config, N, threads, seed)))
     ks = orc.ks_distance(pooled, spc.cdf(density))
     paths = [
         emit(
@@ -606,36 +635,16 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
 
 
 def _moment_table(config):
+    row = _MODELS[config.model]
     model_obj = _build_model(config)
     density = _solve_density(config, model_obj)
     diag = _density_diagnostics(density)
+    eta, weights, (num, den) = row.moments(model_obj)
+    step = 2 if row.gram else 1
     rows = []
-    if config.model == "selfadjoint":
-        eta = cov.eta_map(model_obj)
-        for k in (2, 4, 6, 8):
-            _, tr = orc.nc2_moment(eta, k)
-            rows.append((k, tr.real, spc.moments_from_density(density, k)))
-    elif config.model == "rectangular":
-        eta = cov.eta_alpha_map(model_obj)
-        for k in (2, 4, 6, 8):
-            _, tr = orc.nc2_moment(eta, k, trace_weights=model_obj.alpha)
-            rows.append((k, tr.real, spc.moments_from_density(density, k)))
-    elif config.model in ("hh_star", "isi"):
-        a, b = model_obj.a, model_obj.b
-        eta = cov.eta_map(cov.hermitize_covariance(model_obj))
-        for k in (1, 2, 3, 4):
-            _, tr = orc.nc2_moment(eta, 2 * k)
-            # X^2 splits its spectrum between the two Gram forms
-            rows.append((k, tr.real * (a + b) / (2 * a),
-                         spc.moments_from_density(density, k)))
-    else:
-        family = model_obj
-        p, q = family.p, family.q
-        eta = ns.hermitized_eta(family)
-        w = np.concatenate((np.full(p, 0.5 / p), np.full(q, 0.5 / q)))
-        for k in (1, 2, 3, 4):
-            _, tr = orc.nc2_moment(eta, 2 * k, trace_weights=w)
-            rows.append((k, tr.real, spc.moments_from_density(density, k)))
+    for k in ((1, 2, 3, 4) if row.gram else (2, 4, 6, 8)):
+        _, tr = orc.nc2_moment(eta, step * k, trace_weights=weights)
+        rows.append((k, tr.real * num / den, spc.moments_from_density(density, k)))
     return rows, diag
 
 

@@ -17,6 +17,11 @@ normalized trace; the representation dimensions are user parameters. G1
 stays in the algebra generated by the Psi family, and the solution depends
 only on the separate joint distributions of the two families, never on
 mixed moments.
+
+This is the eliminated Gram equation of ``solver.solve_hh_star_direct``
+with the two maps swapped, so :func:`solve_fading` runs the solver's
+eliminated routine and owns no iteration loop; the density and the
+:func:`solve_fading_block` cross-check go through the hermitized map.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from . import covariance as cov
 from . import solver as slv
 from . import spectrum as spc
-from .errors import BadParameter, DimensionMismatch, SingularResolvent
+from .errors import BadParameter, DimensionMismatch
 
 HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -125,53 +130,21 @@ class FadingSolution:
     converged: bool
 
 
-def _fading_residual(e1, e2, z, G1, p, q):
-    inner = np.linalg.inv(np.eye(q) - cov.eta_apply(e1, G1))
-    W = cov.eta_apply(e2, inner)
-    R = z * G1 - np.eye(p) - W @ G1
-    return float(np.linalg.norm(R)), W
-
-
 def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
     """Solve the non-separable fading equation at one upper-half-plane point.
 
-    Iterates G1 -> (z id - eta2((id - eta1(G1))^{-1}))^{-1} from -i*id with
-    the shared damping policy; each iterate costs one q x q and one p x p
-    inverse. The converged G1 has negative-semidefinite imaginary part.
+    Iterates G1 -> (z id - eta2((id - eta1(G1))^{-1}))^{-1} from -i*id through
+    the solver's damped loop (the eliminated Gram equation with the maps
+    swapped); each iterate costs one q x q and one p x p inverse. The
+    converged G1 has negative-semidefinite imaginary part.
     """
     config = config or slv.DEFAULT_CONFIG
     validate_family(family)
-    if complex(z).imag < 0:
-        raise BadParameter(f"z must lie in the closed upper half plane, got {z}")
+    slv._require_upper_half(z)
     z = complex(z)
     e1, e2 = build_nonsep_eta(family)
-    p, q = family.p, family.q
-    G1 = -1j * np.eye(p)
-    theta = config.damping
-    streak = 0
-    res, W = _fading_residual(e1, e2, z, G1, p, q)
-    its = 0
-    for _ in range(config.max_iter):
-        if res <= config.tol:
-            break
-        try:
-            F = np.linalg.inv(z * np.eye(p) - W)
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolvent("fading iteration hit a singular resolvent") from exc
-        Gn = G1 + theta * (F - G1)
-        resn, Wn = _fading_residual(e1, e2, z, Gn, p, q)
-        if resn > res:
-            theta = max(theta / 2, slv.DAMPING_FLOOR)
-            streak = 0
-        else:
-            streak += 1
-            if streak >= slv.DAMPING_RESET_STREAK:
-                theta = config.damping
-                streak = 0
-        G1, res, W = Gn, resn, Wn
-        its += 1
-    converged = res <= config.tol and slv.max_im_eigenvalue(G1) <= slv.IM_EIG_TOL
-    return FadingSolution(z, G1, complex(np.trace(G1) / p), res, its, bool(converged))
+    G1, res, its, converged = slv._solve_eliminated(e2, e1, z, config)
+    return FadingSolution(z, G1, complex(np.trace(G1) / family.p), res, its, converged)
 
 
 def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolution:

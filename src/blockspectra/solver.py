@@ -21,6 +21,12 @@ of ISI channels, m = d^2 for a dense map.
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
 scaled by z, so one engine serves both.
+
+One damped loop (``_damped_loop``) holds the damping policy for every
+iteration: the engine's fixed-point sweeps and the eliminated one-sided
+equation z G = I + outer((I - inner(G))^{-1}) G behind the cross-check
+routes ``solve_hh_star_direct`` and ``nonsep.solve_fading``. Each passes
+its own step and residual.
 """
 
 from __future__ import annotations
@@ -173,39 +179,58 @@ def _residual_batch(pat, zs, scale, G, EG=None):
     return np.linalg.norm(R, axis=1)
 
 
-def _fixed_point_batch(pat, zs, scale, G, config, target, budget):
-    """Damped fixed-point sweep; damping adapts per point."""
+def _damped_loop(G, residual, step, damping, target, budget):
+    """Damped iteration G <- G + theta (step(G) - G) over a batch of points.
+
+    ``residual(G)`` returns the per-point residuals and a value that
+    ``step(G, aux)`` reuses to form the undamped map. Per point, theta
+    halves on a worse residual down to DAMPING_FLOOR and returns to
+    ``damping`` after DAMPING_RESET_STREAK better steps; points whose
+    residual reaches ``target`` stop moving.
+    """
     P = len(G)
-    theta = np.full(P, config.damping)
+    shape = (P,) + (1,) * (G.ndim - 1)
+    theta = np.full(P, damping)
     streak = np.zeros(P, dtype=int)
-    EG = _eta_batch(pat, G)
-    res = _residual_batch(pat, zs, scale, G, EG)
+    res, aux = residual(G)
     iters = np.zeros(P, dtype=int)
     for _ in range(budget):
         active = res > target
         if not active.any():
             break
         try:
-            F = _block_inv(pat, zs[:, None] * pat.eye - scale[:, None] * EG)
+            F = step(G, aux)
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
                 "z*id - eta(G) not invertible at an iterate; "
                 "check the covariance map or move z away from the real axis"
             ) from exc
-        Gn = np.where(active[:, None], G + theta[:, None] * (F - G), G)
-        EGn = _eta_batch(pat, Gn)
-        resn = _residual_batch(pat, zs, scale, Gn, EGn)
+        Gn = np.where(active.reshape(shape), G + theta.reshape(shape) * (F - G), G)
+        resn, auxn = residual(Gn)
         worse = active & (resn > res)
         theta[worse] = np.maximum(theta[worse] / 2, DAMPING_FLOOR)
         streak[worse] = 0
         better = active & ~worse
         streak[better] += 1
         refresh = streak >= DAMPING_RESET_STREAK
-        theta[refresh] = config.damping
+        theta[refresh] = damping
         streak[refresh] = 0
         iters[active] += 1
-        G, res, EG = Gn, resn, EGn
+        G, res, aux = Gn, resn, auxn
     return G, res, iters
+
+
+def _fixed_point_batch(pat, zs, scale, G, config, target, budget):
+    """The damped loop on the pattern: step G -> (z I - s eta(G))^{-1}."""
+
+    def residual(G):
+        EG = _eta_batch(pat, G)
+        return _residual_batch(pat, zs, scale, G, EG), EG
+
+    def step(G, EG):
+        return _block_inv(pat, zs[:, None] * pat.eye - scale[:, None] * EG)
+
+    return _damped_loop(G, residual, step, config.damping, target, budget)
 
 
 def _jacobian(pat, zs, scale, G, EG):
@@ -447,25 +472,25 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
                           bool(converged))
 
 
-def _check_monotone(xs):
+def _check_grid(xs, epsilon):
+    """A nonempty monotone 1-d grid, and an offset at or above the floor."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
         raise BadParameter("xs must be a nonempty 1-d array")
     diffs = np.diff(xs)
     if len(xs) > 1 and not ((diffs >= 0).all() or (diffs <= 0).all()):
         raise BadParameter("xs must be monotone")
+    if epsilon < MIN_GRID_EPSILON:
+        raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
     return xs
 
 
-def solve_grid(eta, xs, epsilon, config=None, strategy="continuation"):
+def solve_grid(eta, xs, epsilon, config=None):
     """Solve along z = x + i*epsilon for every x in a monotone grid.
 
-    ``strategy="continuation"`` (default) solves all points simultaneously,
-    walking the imaginary offset down from a safe level so each level warm
-    starts the next; ``"sweep"`` walks the grid point by point, warm-starting
-    each solve from its neighbor. Both return the same values (warm starts
-    affect iteration counts only). Offsets below 1e-8 are rejected; recover
-    the real-axis limit by extrapolation instead.
+    All points are solved simultaneously, walking the imaginary offset down
+    from a safe level so each level warm starts the next. Offsets below 1e-8
+    are rejected; recover the real-axis limit by extrapolation instead.
 
     Raises NoConvergence naming the failing grid indices, with x, residual
     and Im-margin of the first few, if any point misses the residual target
@@ -473,25 +498,7 @@ def solve_grid(eta, xs, epsilon, config=None, strategy="continuation"):
     """
     config = config or DEFAULT_CONFIG
     _require_square(eta)
-    xs = _check_monotone(xs)
-    if epsilon < MIN_GRID_EPSILON:
-        raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
-    if strategy == "sweep":
-        sols = []
-        warm = None
-        for x in xs:
-            s = solve_fixed_point(eta, complex(x, epsilon), config, warm_start=warm)
-            warm = s.G
-            sols.append(s)
-        with np.errstate(all="ignore"):
-            im_max = np.array([max_im_eigenvalue(s.G) for s in sols])
-        _require_converged(xs, _Batch(
-            None, np.array([s.residual for s in sols]), None,
-            np.array([s.converged for s in sols]), im_max,
-        ))
-        return sols
-    if strategy != "continuation":
-        raise BadParameter(f"unknown strategy {strategy!r}")
+    xs = _check_grid(xs, epsilon)
     order = np.argsort(xs, kind="stable")
     (out,) = _solve_continuation(eta, xs[order], float(epsilon), config, scale_is_z=False)
     inverse = np.empty_like(order)
@@ -550,12 +557,10 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
-    """Gram-law solutions along z = x + i*epsilon; continuation strategy."""
+    """Gram-law solutions along z = x + i*epsilon, solved by continuation."""
     config = config or DEFAULT_CONFIG
     spec = cov.validate_covariance(spec) if not spec.validated else spec
-    xs = _check_monotone(xs)
-    if epsilon < MIN_GRID_EPSILON:
-        raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
+    xs = _check_grid(xs, epsilon)
     eta = cov.eta_map(cov.hermitize_covariance(spec))
     (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
     _require_converged(xs, out)
@@ -573,9 +578,7 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     """
     config = config or DEFAULT_CONFIG
     _require_square(eta)
-    xs = _check_monotone(xs)
-    if epsilon < MIN_GRID_EPSILON:
-        raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
+    xs = _check_grid(xs, epsilon)
     (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
     _require_converged(xs, out)
     sols = [
@@ -586,49 +589,44 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     return sols, g
 
 
+def _solve_eliminated(outer, inner, z, config):
+    """Solve the eliminated equation z G = I + outer((I - inner(G))^{-1}) G at z.
+
+    Runs the damped loop from -i*I with the step
+    G -> (z I - outer((I - inner(G))^{-1}))^{-1}; each step costs one inverse
+    on each side. The Gram route passes (eta1, eta2), the fading route
+    (eta2, eta1). Returns (G, residual, iterations, converged).
+    """
+    eye_out, eye_in = np.eye(outer.dim_out), np.eye(inner.dim_out)
+
+    def residual(G):
+        W = cov.eta_apply(outer, np.linalg.inv(eye_in - cov.eta_apply(inner, G[0])))
+        return np.array([np.linalg.norm(z * G[0] - eye_out - W @ G[0])]), W
+
+    def step(G, W):
+        return np.linalg.inv(z * eye_out - W)[None]
+
+    G, res, its = _damped_loop(
+        (-1j * eye_out)[None], residual, step, config.damping, config.tol, config.max_iter
+    )
+    converged = res[0] <= config.tol and max_im_eigenvalue(G[0]) <= IM_EIG_TOL
+    return G[0], float(res[0]), int(its[0]), bool(converged)
+
+
 def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
     """Verification route: solve the eliminated equation for G1 directly.
 
-    Iterates G1 -> (z I_a - eta1((I_b - eta2(G1))^{-1}))^{-1}. Kept as an
-    independent cross-check of the hermitized route; both must agree.
+    Iterates G1 -> (z I_a - eta1((I_b - eta2(G1))^{-1}))^{-1} through the
+    engine's damped loop. Kept as an independent cross-check of the
+    hermitized route; both must agree.
     """
     config = config or DEFAULT_CONFIG
     spec = cov.validate_covariance(spec) if not spec.validated else spec
     _require_upper_half(z)
-    a, b = spec.a, spec.b
-    e1, e2 = cov.eta1_map(spec), cov.eta2_map(spec)
-    eye_a, eye_b = np.eye(a), np.eye(b)
-    G1 = -1j * eye_a
-    theta = config.damping
-    streak = 0
-
-    def residual(G):
-        W = cov.eta_apply(e1, np.linalg.inv(eye_b - cov.eta_apply(e2, G)))
-        return float(np.linalg.norm(z * G - eye_a - W @ G)), W
-
-    res, W = residual(G1)
-    its = 0
-    for _ in range(config.max_iter):
-        if res <= config.tol:
-            break
-        try:
-            F = np.linalg.inv(z * eye_a - W)
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolvent("direct Gram iteration hit a singular resolvent") from exc
-        Gn = G1 + theta * (F - G1)
-        resn, Wn = residual(Gn)
-        if resn > res:
-            theta = max(theta / 2, DAMPING_FLOOR)
-            streak = 0
-        else:
-            streak += 1
-            if streak >= DAMPING_RESET_STREAK:
-                theta = config.damping
-                streak = 0
-        G1, res, W = Gn, resn, Wn
-        its += 1
-    converged = res <= config.tol and max_im_eigenvalue(G1) <= IM_EIG_TOL
-    return CauchySolution(complex(z), G1, res, its, bool(converged))
+    G1, res, its, converged = _solve_eliminated(
+        cov.eta1_map(spec), cov.eta2_map(spec), z, config
+    )
+    return CauchySolution(complex(z), G1, res, its, converged)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,21 @@ ISI_CONFIG = {
     "solver": {"tol": 1e-11, "newton": True},
 }
 
+# one small config per model, on the default 512-point grid
+MODEL_CONFIGS = {
+    "selfadjoint": {"model": "selfadjoint", "d": 2,
+                    "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0],
+                                [1, 2, 2, 1, 0.5], [2, 1, 1, 2, 0.5]]},
+    "hh_star": {"model": "hh_star", "a": 1, "b": 2,
+                "entries": [[1, 1, 1, 1, 1.0], [1, 2, 1, 2, 0.5]]},
+    "isi": {"model": "isi", "K": 2, "L": 2},
+    "rectangular": {"model": "rectangular", "alpha": [1 / 3, 2 / 3],
+                    "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0]]},
+    "nonsep": {"model": "nonsep",
+               "psi": [[[1.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 1.0]]],
+               "psi_hat": [[[1.0, 0.2], [0.2, 0.8]], [[0.6, 0.0], [0.0, [0.6, 0.0]]]]},
+}
+
 
 def _write(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -96,6 +111,8 @@ class TestParse:
          "snr": [1.0, 10.0], "mc": {"N": [2, 4], "realizations": 3, "seed": 5}},
         {"model": "rectangular", "alpha": [1 / 3, 2 / 3],
          "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0]]},
+        MODEL_CONFIGS["hh_star"],
+        MODEL_CONFIGS["nonsep"],
     ])
     def test_round_trip(self, payload):
         cfg = cli.parse_config(json.dumps(payload))
@@ -191,6 +208,28 @@ class TestCommands:
             assert dens == pytest.approx(want, rel=1e-2)
         lines = (tmp_path / "moments.csv").read_text().strip().split("\n")
         assert lines[0] == "order,moment_recursion,moment_density"
+
+    @pytest.mark.parametrize("model", cli.MODELS)
+    def test_density_and_moments_every_model(self, model, tmp_path):
+        cfg = cli.parse_config(json.dumps(MODEL_CONFIGS[model]))
+        density = cli.run("density", cfg, out_dir=tmp_path)
+        assert abs(density["diagnostics"]["mass"] - 1.0) <= 5e-3
+        moments = cli.run("moments", cfg, out_dir=tmp_path)
+        assert moments["diagnostics"] == density["diagnostics"]
+        assert len(moments["table"]) == 4
+        for _, recursion, dens in moments["table"]:
+            assert dens == pytest.approx(recursion, rel=1e-2)
+
+    def test_model_built_once_per_config(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.cov.isi_covariance
+        monkeypatch.setattr(cli.cov, "isi_covariance",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        cli._build_model.cache_clear()
+        cfg = cli.parse_config(json.dumps(ISI_CONFIG))
+        cli.run("density", cfg, out_dir=tmp_path)
+        cli.run("moments", cfg, out_dir=tmp_path)
+        assert len(calls) == 1
 
     def test_end_to_end_determinism(self, tmp_path):
         payload = dict(ISI_CONFIG)

@@ -129,16 +129,17 @@ class TestGrid:
             assert abs(s.G[0, 0] - 1.0 / (x + 1e-3j)) <= 1.1e-3
             assert s.G[0, 0] == pytest.approx(complex(semicircle_cauchy(x + 1e-3j)), abs=1e-10)
 
-    def test_sweep_and_continuation_agree_and_order_independent(self, semicircle_eta):
+    def test_continuation_matches_closed_form_single_points_and_order(self, semicircle_eta):
         xs = np.linspace(-2.5, 2.5, 200)
-        cont = bs.solve_grid(semicircle_eta, xs, 1e-3, NEWTON)
-        fwd = bs.solve_grid(semicircle_eta, xs, 1e-3, NEWTON, strategy="sweep")
-        rev = bs.solve_grid(semicircle_eta, xs[::-1], 1e-3, NEWTON, strategy="sweep")
-        g_cont = np.array([s.G[0, 0] for s in cont])
+        fwd = bs.solve_grid(semicircle_eta, xs, 1e-3, NEWTON)
+        rev = bs.solve_grid(semicircle_eta, xs[::-1], 1e-3, NEWTON)
         g_fwd = np.array([s.G[0, 0] for s in fwd])
         g_rev = np.array([s.G[0, 0] for s in rev])[::-1]
-        assert np.abs(g_cont - g_fwd).max() <= 1e-9
         assert np.abs(g_fwd - g_rev).max() <= 1e-9
+        assert np.abs(g_fwd - semicircle_cauchy(xs + 1e-3j)).max() <= 1e-9
+        for x, g in zip(xs[::8], g_fwd[::8]):
+            point = bs.solve_fixed_point(semicircle_eta, complex(x, 1e-3), NEWTON)
+            assert abs(point.G[0, 0] - g) <= 1e-9
 
     def test_epsilon_floor(self, semicircle_eta):
         with pytest.raises(errors.BadParameter):
