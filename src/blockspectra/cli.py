@@ -49,7 +49,7 @@ COMMANDS = ("density", "capacity", "mc-compare", "moments")
 ENV_THREADS = "BLOCKSPECTRA_THREADS"
 
 _GRID_KEYS = {"xmin", "xmax", "points", "epsilon"}
-_SOLVER_KEYS = {"tol", "max_iter", "damping", "newton"}
+_SOLVER_KEYS = {"tol", "max_iter", "newton"}
 _MC_KEYS = {"N", "realizations", "seed"}
 _TOP_KEYS = {"model", "grid", "solver", "snr", "mc"}
 
@@ -204,7 +204,8 @@ _MATRICES = _Key(_parse_matrix_list, _dump_matrices)
 
 def _hermitized_moments(spec):
     # X^2 splits its spectrum between the two Gram forms: HH* gets (a+b)/(2a)
-    return cov.eta_map(cov.hermitize_covariance(spec)), None, (spec.a + spec.b, 2 * spec.a)
+    eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
+    return eta, None, (spec.a + spec.b, 2 * spec.a)
 
 
 def _family(config):
@@ -283,8 +284,6 @@ def _parse_solver(raw):
         kwargs["tol"] = _float_value(raw["tol"], "solver.tol")
     if "max_iter" in raw:
         kwargs["max_iter"] = _int_value(raw["max_iter"], "solver.max_iter", minimum=1)
-    if "damping" in raw:
-        kwargs["damping"] = _float_value(raw["damping"], "solver.damping")
     if "newton" in raw:
         if not isinstance(raw["newton"], bool):
             raise ValidationError("solver.newton", "solver.newton: expected a boolean")
@@ -311,7 +310,7 @@ def _parse_mc(raw):
     return McConfig(
         N=Ns,
         realizations=_int_value(raw["realizations"], "mc.realizations", minimum=1),
-        seed=_int_value(raw["seed"], "mc.seed"),
+        seed=_int_value(raw["seed"], "mc.seed", minimum=0),
     )
 
 
@@ -388,7 +387,6 @@ def config_to_json(config: ProblemConfig) -> str:
     out["solver"] = {
         "tol": config.solver.tol,
         "max_iter": config.solver.max_iter,
-        "damping": config.solver.damping,
         "newton": config.solver.newton,
     }
     if config.snr is not None:
@@ -501,7 +499,7 @@ def _density_diagnostics(density: spc.SpectralDensity) -> dict:
 
 
 def _mc_seeds(seed: int, N: int, count: int):
-    return [np.random.SeedSequence(entropy=abs(seed), spawn_key=(N, i)) for i in range(count)]
+    return [np.random.SeedSequence(entropy=seed, spawn_key=(N, i)) for i in range(count)]
 
 
 def _sample_eigenvalues(spec, config, N, threads, seed):
@@ -673,19 +671,21 @@ _COMMANDS = {
 def run(command, config, out_dir=".", seed=None, threads=None) -> dict:
     """Run a command against a parsed config; returns the summary dict.
 
-    ``seed`` overrides the config's mc.seed; ``threads`` follows the
+    ``seed`` (>= 0) overrides the config's mc.seed; ``threads`` follows the
     --threads flag and the BLOCKSPECTRA_THREADS variable (0 = auto). All
     artifact writes are atomic and byte-deterministic for a fixed config
     and seed.
     """
     if command not in _COMMANDS:
         raise ValidationError("command", f"unknown command {command!r}")
+    eff_seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
+    if eff_seed < 0:
+        raise ValidationError("seed", f"seed must be >= 0, got {eff_seed}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    eff_seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
     return _COMMANDS[command](config, out, eff_seed, _resolve_threads(threads))
 
 

@@ -23,13 +23,17 @@ coefficient tensors:
 * eta1(D)_ij      = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl          (b -> a side)
 * eta2(D)_kl      = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij          (a -> b side)
 * eta_alpha(D)_ij = sum_kl sigma(i,k;l,j) alpha_k D_kl          (weighted)
+
+Maps are not cached: a tensor lives as long as its caller keeps it. Every
+Gram law solves on the block map :func:`_hermitized_map` assembles from
+its pair of maps.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -312,7 +316,6 @@ def choi_matrix(eta: EtaMap) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
 def eta_map(spec: CovarianceSpec) -> EtaMap:
     """Covariance map of a selfadjoint spec: eta(D)_ij = (1/d) sum sigma(i,k;l,j) D_kl."""
     if spec.kind != "selfadjoint":
@@ -322,7 +325,6 @@ def eta_map(spec: CovarianceSpec) -> EtaMap:
     return EtaMap(np.einsum("iklj->ijkl", S) / spec.d)
 
 
-@lru_cache(maxsize=None)
 def eta_alpha_map(spec: CovarianceSpec) -> EtaMap:
     """Weighted covariance map: eta_alpha(D)_ij = sum sigma(i,k;l,j) alpha_k D_kl."""
     if spec.kind != "rectangular":
@@ -332,7 +334,6 @@ def eta_alpha_map(spec: CovarianceSpec) -> EtaMap:
     return EtaMap(np.einsum("iklj,k->ijkl", S, np.asarray(spec.alpha)))
 
 
-@lru_cache(maxsize=None)
 def eta1_map(spec: CovarianceSpec) -> EtaMap:
     """eta1: M_b -> M_a, eta1(D)_ij = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl."""
     if spec.kind != "hh_star":
@@ -342,7 +343,6 @@ def eta1_map(spec: CovarianceSpec) -> EtaMap:
     return EtaMap(np.einsum("ikjl->ijkl", T) / (spec.a + spec.b))
 
 
-@lru_cache(maxsize=None)
 def eta2_map(spec: CovarianceSpec) -> EtaMap:
     """eta2: M_a -> M_b, eta2(D)_kl = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij.
 
@@ -357,6 +357,25 @@ def eta2_map(spec: CovarianceSpec) -> EtaMap:
     spec = validate_covariance(spec) if not spec.validated else spec
     T = _tau_array(spec)
     return EtaMap(np.einsum("ikjl->klij", T) / (spec.a + spec.b))
+
+
+def _hermitized_map(outer: EtaMap, inner: EtaMap) -> EtaMap:
+    """Block map of the hermitization [[0, H], [H*, 0]] from a Gram map pair.
+
+    ``outer: M_m -> M_n`` and ``inner: M_n -> M_m`` (argument order as in
+    ``solver._solve_eliminated``) act on (n+m)-indexed matrices as
+    [[D1, D3], [D4, D2]] -> [[outer(D2), 0], [0, inner(D1)]]: the corners
+    are annihilated, so block-diagonal iterates stay block-diagonal.
+    """
+    n, m = outer.dim_out, outer.dim_in
+    if (inner.dim_out, inner.dim_in) != (m, n):
+        raise DimensionMismatch(
+            f"inner map must take M_{n} to M_{m}, got M_{inner.dim_in} to M_{inner.dim_out}"
+        )
+    T = np.zeros((n + m,) * 4, dtype=complex)
+    T[:n, :n, n:, n:] = outer.tensor
+    T[n:, n:, :n, :n] = inner.tensor
+    return EtaMap(T)
 
 
 def eta1_apply(spec: CovarianceSpec, D) -> np.ndarray:
@@ -447,13 +466,13 @@ def validate_covariance(spec: CovarianceSpec) -> CovarianceSpec:
     return replace(out, choi_min_eig=min_eig)
 
 
-@lru_cache(maxsize=None)
 def hermitize_covariance(spec: CovarianceSpec) -> CovarianceSpec:
     """Selfadjoint spec of the hermitization X = [[0, H], [H*, 0]].
 
     The induced eta on d = a + b blocks splits as
     [[D1, D3], [D4, D2]] -> [[eta1(D2), 0], [0, eta2(D1)]]: the corners are
-    annihilated, so block-diagonal iterates stay block-diagonal.
+    annihilated, so block-diagonal iterates stay block-diagonal. Solvers
+    assemble this map from eta1 and eta2 instead (:func:`_hermitized_map`).
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"hermitize_covariance needs an hh_star spec, got {spec.kind}")

@@ -21,7 +21,8 @@ mixed moments.
 This is the eliminated Gram equation of ``solver.solve_hh_star_direct``
 with the two maps swapped, so :func:`solve_fading` runs the solver's
 eliminated routine and owns no iteration loop; the density and the
-:func:`solve_fading_block` cross-check go through the hermitized map.
+:func:`solve_fading_block` cross-check go through the hermitized map
+that ``covariance._hermitized_map`` assembles from the pair.
 """
 
 from __future__ import annotations
@@ -110,12 +111,7 @@ def hermitized_eta(family: CorrelationFamily) -> cov.EtaMap:
     corners are annihilated, so the Gram-law engine applies unchanged.
     """
     e1, e2 = build_nonsep_eta(family)
-    p, q = family.p, family.q
-    n = p + q
-    T = np.zeros((n, n, n, n), dtype=complex)
-    T[:p, :p, p:, p:] = e2.tensor
-    T[p:, p:, :p, :p] = e1.tensor
-    return cov.EtaMap(T)
+    return cov._hermitized_map(e2, e1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +149,10 @@ def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolut
     Solves z H = id + z eta(H) H over p+q blocks with the split map and reads
     G1 off the leading block. Must agree with :func:`solve_fading`.
     """
-    config = config or slv.DEFAULT_CONFIG
-    eta = hermitized_eta(family)
-    p = family.p
-    zs = np.array([complex(z)])
-    out = slv._solve_points(eta, zs, zs.copy(), config)
-    G1 = eta.pattern.expand(out.G)[0][:p, :p]
-    return FadingSolution(
-        complex(z), G1, complex(np.trace(G1) / p), float(out.res[0]),
-        int(out.iters[0]), bool(out.converged[0]),
-    )
+    H, res, its, converged = slv._solve_gram_point(hermitized_eta(family), z, config)
+    G1 = H[:family.p, :family.p]
+    return FadingSolution(complex(z), G1, complex(np.trace(G1) / family.p), res, its,
+                          converged)
 
 
 def fading_density(family: CorrelationFamily, **kwargs) -> spc.SpectralDensity:

@@ -20,7 +20,8 @@ of ISI channels, m = d^2 for a dense map.
 
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
-scaled by z, so one engine serves both.
+scaled by z, so one engine serves both. The hermitized map is assembled
+from the spec's pair (eta1, eta2) once per call (``cov._hermitized_map``).
 
 One damped loop (``_damped_loop``) holds the damping policy for every
 iteration: the engine's fixed-point sweeps and the eliminated one-sided
@@ -59,14 +60,11 @@ class SolverConfig:
 
     tol: float = 1e-10
     max_iter: int = 10_000
-    damping: float = 1.0
     newton: bool = False
 
     def __post_init__(self):
         if not self.tol > 0:
             raise BadParameter("tol must be positive")
-        if not 0 < self.damping <= 1:
-            raise BadParameter("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise BadParameter("max_iter must be >= 1")
 
@@ -179,18 +177,18 @@ def _residual_batch(pat, zs, scale, G, EG=None):
     return np.linalg.norm(R, axis=1)
 
 
-def _damped_loop(G, residual, step, damping, target, budget):
+def _damped_loop(G, residual, step, target, budget):
     """Damped iteration G <- G + theta (step(G) - G) over a batch of points.
 
     ``residual(G)`` returns the per-point residuals and a value that
     ``step(G, aux)`` reuses to form the undamped map. Per point, theta
-    halves on a worse residual down to DAMPING_FLOOR and returns to
-    ``damping`` after DAMPING_RESET_STREAK better steps; points whose
+    starts at 1, halves on a worse residual down to DAMPING_FLOOR and
+    returns to 1 after DAMPING_RESET_STREAK better steps; points whose
     residual reaches ``target`` stop moving.
     """
     P = len(G)
     shape = (P,) + (1,) * (G.ndim - 1)
-    theta = np.full(P, damping)
+    theta = np.ones(P)
     streak = np.zeros(P, dtype=int)
     res, aux = residual(G)
     iters = np.zeros(P, dtype=int)
@@ -213,14 +211,14 @@ def _damped_loop(G, residual, step, damping, target, budget):
         better = active & ~worse
         streak[better] += 1
         refresh = streak >= DAMPING_RESET_STREAK
-        theta[refresh] = damping
+        theta[refresh] = 1.0
         streak[refresh] = 0
         iters[active] += 1
         G, res, aux = Gn, resn, auxn
     return G, res, iters
 
 
-def _fixed_point_batch(pat, zs, scale, G, config, target, budget):
+def _fixed_point_batch(pat, zs, scale, G, target, budget):
     """The damped loop on the pattern: step G -> (z I - s eta(G))^{-1}."""
 
     def residual(G):
@@ -230,7 +228,7 @@ def _fixed_point_batch(pat, zs, scale, G, config, target, budget):
     def step(G, EG):
         return _block_inv(pat, zs[:, None] * pat.eye - scale[:, None] * EG)
 
-    return _damped_loop(G, residual, step, config.damping, target, budget)
+    return _damped_loop(G, residual, step, target, budget)
 
 
 def _jacobian(pat, zs, scale, G, EG):
@@ -328,7 +326,7 @@ def _solve_points(eta, zs, scale, config, G0=None, fp_budget=None, tol=None):
         G0 = np.tile(-1j * pat.eye, (len(zs), 1))
     target = max(tol, NEWTON_HANDOFF) if config.newton else tol
     budget = fp_budget if fp_budget is not None else config.max_iter
-    G, res, fits = _fixed_point_batch(pat, zs, scale, G0, config, target, budget)
+    G, res, fits = _fixed_point_batch(pat, zs, scale, G0, target, budget)
     nits = np.zeros(len(zs), dtype=int)
     if config.newton:
         G, res, nits, _ = _newton_batch(pat, zs, scale, G, config, tol)
@@ -499,11 +497,7 @@ def solve_grid(eta, xs, epsilon, config=None):
     config = config or DEFAULT_CONFIG
     _require_square(eta)
     xs = _check_grid(xs, epsilon)
-    order = np.argsort(xs, kind="stable")
-    (out,) = _solve_continuation(eta, xs[order], float(epsilon), config, scale_is_z=False)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    out = _Batch(*(a[inverse] for a in out))
+    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=False)
     _require_converged(xs, out)
     return [
         CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
@@ -511,19 +505,15 @@ def solve_grid(eta, xs, epsilon, config=None):
     ]
 
 
-def _split_blocks(H, a):
-    return H[:a, :a], H[a:, a:]
-
-
-def _hh_star_solution(spec, z, H, res, its, converged) -> HHStarSolution:
-    a, b = spec.a, spec.b
-    G1, G2 = _split_blocks(H, a)
+def _hh_star_solution(eta1, eta2, z, H, res, its, converged) -> HHStarSolution:
+    a, b = eta1.dim_out, eta2.dim_out
+    G1, G2 = H[:a, :a], H[a:, a:]
     g = complex(np.trace(G1) / a)
     r1 = float(
-        np.linalg.norm(z * G1 - np.eye(a) - z * cov.eta1_apply(spec, G2) @ G1)
+        np.linalg.norm(z * G1 - np.eye(a) - z * cov.eta_apply(eta1, G2) @ G1)
     )
     r2 = float(
-        np.linalg.norm(z * G2 - np.eye(b) - z * cov.eta2_apply(spec, G1) @ G2)
+        np.linalg.norm(z * G2 - np.eye(b) - z * cov.eta_apply(eta2, G1) @ G2)
     )
     return HHStarSolution(
         z=complex(z),
@@ -537,6 +527,16 @@ def _hh_star_solution(spec, z, H, res, its, converged) -> HHStarSolution:
     )
 
 
+def _solve_gram_point(eta, z, config):
+    """z H = I + z eta(H) H at one point from -i*I: (H, residual, iterations, converged)."""
+    config = config or DEFAULT_CONFIG
+    _require_upper_half(z)
+    zs = np.array([complex(z)])
+    out = _solve_points(eta, zs, zs.copy(), config)
+    return (eta.pattern.expand(out.G)[0], float(out.res[0]), int(out.iters[0]),
+            bool(out.converged[0]))
+
+
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     """Solve the Gram-law equations of an hh_star spec at one point.
 
@@ -546,27 +546,18 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     the scalar transform g = tr_a(G1), and the residuals of the two split
     equations z G1 = I + z eta1(G2) G1 and z G2 = I + z eta2(G1) G2.
     """
-    config = config or DEFAULT_CONFIG
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
-    _require_upper_half(z)
-    eta = cov.eta_map(cov.hermitize_covariance(spec))
-    zs = np.array([complex(z)])
-    out = _solve_points(eta, zs, zs.copy(), config)
-    H = eta.pattern.expand(out.G)[0]
-    return _hh_star_solution(spec, complex(z), H, out.res[0], out.iters[0], out.converged[0])
+    eta1, eta2 = cov.eta1_map(spec), cov.eta2_map(spec)
+    H, res, its, converged = _solve_gram_point(cov._hermitized_map(eta1, eta2), z, config)
+    return _hh_star_solution(eta1, eta2, complex(z), H, res, its, converged)
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
     """Gram-law solutions along z = x + i*epsilon, solved by continuation."""
-    config = config or DEFAULT_CONFIG
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
-    xs = _check_grid(xs, epsilon)
-    eta = cov.eta_map(cov.hermitize_covariance(spec))
-    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
-    _require_converged(xs, out)
+    eta1, eta2 = cov.eta1_map(spec), cov.eta2_map(spec)
+    sols, _ = solve_gram_grid(cov._hermitized_map(eta1, eta2), spec.a, xs, epsilon, config)
     return [
-        _hh_star_solution(spec, complex(x, epsilon), H, r, k, True)
-        for x, H, r, k in zip(xs, out.G, out.res, out.iters)
+        _hh_star_solution(eta1, eta2, s.z, s.G, s.residual, s.iterations, True)
+        for s in sols
     ]
 
 
@@ -607,7 +598,7 @@ def _solve_eliminated(outer, inner, z, config):
         return np.linalg.inv(z * eye_out - W)[None]
 
     G, res, its = _damped_loop(
-        (-1j * eye_out)[None], residual, step, config.damping, config.tol, config.max_iter
+        (-1j * eye_out)[None], residual, step, config.tol, config.max_iter
     )
     converged = res[0] <= config.tol and max_im_eigenvalue(G[0]) <= IM_EIG_TOL
     return G[0], float(res[0]), int(its[0]), bool(converged)
@@ -621,7 +612,6 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
     hermitized route; both must agree.
     """
     config = config or DEFAULT_CONFIG
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
     _require_upper_half(z)
     G1, res, its, converged = _solve_eliminated(
         cov.eta1_map(spec), cov.eta2_map(spec), z, config
@@ -663,8 +653,7 @@ def moment_check(eta, radii=None, config=None) -> MomentEstimates:
             f"estimate {edge:.3g}; moment extraction would be unstable"
         )
     tight = SolverConfig(
-        tol=min(config.tol, 1e-12), max_iter=config.max_iter,
-        damping=config.damping, newton=config.newton,
+        tol=min(config.tol, 1e-12), max_iter=config.max_iter, newton=config.newton
     )
     w = []
     for R in radii:

@@ -293,8 +293,7 @@ def _invert_gram(eta, side, xs, epsilon, config):
 
 def density_hh_star(spec, **kwargs) -> SpectralDensity:
     """HH*-law density of an hh_star covariance spec."""
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
-    eta = cov.eta_map(cov.hermitize_covariance(spec))
+    eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
     return density_gram(eta, spec.a, **kwargs)
 
 
@@ -305,7 +304,6 @@ def density_h_star_h(spec, **kwargs) -> SpectralDensity:
     so the atom (b-a)/b is attached exactly instead of being smeared by
     inversion. For a > b swap the roles of H and H*.
     """
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
     if spec.a > spec.b:
         raise BadParameter(
             "H*H with a > b: relabel the spec so that a <= b (transpose H)"

@@ -294,6 +294,23 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NoConvergence"
 
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        # SeedSequence must never see abs(seed): -7 and 7 would draw alike
+        payload = dict(ISI_CONFIG, mc={"N": 4, "realizations": 2, "seed": 7})
+        with pytest.raises(errors.ValidationError) as err:
+            cli.parse_config(json.dumps(dict(payload, mc=dict(payload["mc"], seed=-7))))
+        assert err.value.field == "mc.seed"
+        with pytest.raises(errors.ValidationError):
+            cli.run("mc-compare", cli.parse_config(json.dumps(payload)),
+                    out_dir=tmp_path / "run", seed=-7)
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)),
+            "--command", "mc-compare", "--seed", "-7", "--out", str(tmp_path / "main"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "main").exists()
+
     def test_argparse_usage_exit_two(self, capsys):
         assert cli.main(["--command", "density"]) == 2
         capsys.readouterr()

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
+from blockspectra import covariance as cov
 from blockspectra import errors
 from blockspectra.covariance import CovarianceSpec
 
@@ -226,6 +230,45 @@ class TestHermitize:
         spec = bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])
         with pytest.raises(errors.WrongKind):
             bs.hermitize_covariance(spec)
+
+
+def _assembled(spec):
+    return cov._hermitized_map(bs.eta1_map(spec), bs.eta2_map(spec))
+
+
+class TestHermitizedMap:
+    """The map pair assembler against the hermitized spec's map."""
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_isi_equals_hermitized_spec_map(self, K):
+        for L in range(1, 6):
+            spec = bs.isi_covariance(K, L)
+            want = bs.eta_map(bs.hermitize_covariance(spec)).tensor
+            assert np.array_equal(_assembled(spec).tensor, want), (K, L)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.integers(1, 4), b=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_random_hh_star_agrees(self, a, b, seed):
+        spec = random_hh_star_spec(a, b, np.random.default_rng(seed))
+        want = bs.eta_map(bs.hermitize_covariance(spec)).tensor
+        assert np.abs(_assembled(spec).tensor - want).max() <= 1e-15
+
+    def test_mismatched_pair_rejected(self):
+        spec = bs.isi_covariance(2, 2)
+        with pytest.raises(errors.DimensionMismatch):
+            cov._hermitized_map(bs.eta1_map(spec), bs.eta1_map(spec))
+
+    def test_gram_density_skips_choi(self, isi44, monkeypatch):
+        calls = []
+        choi = cov._choi_min_eig
+        monkeypatch.setattr(cov, "_choi_min_eig", lambda s: calls.append(s) or choi(s))
+        bs.density_hh_star(isi44)
+        assert calls == []
+
+    def test_maps_are_not_kept_alive(self, isi44):
+        ref = weakref.ref(bs.eta_map(bs.hermitize_covariance(isi44)))
+        gc.collect()
+        assert ref() is None
 
 
 class TestEtaAlpha:

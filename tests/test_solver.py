@@ -16,10 +16,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = bs.SolverConfig()
         assert cfg.tol == 1e-10 and cfg.max_iter == 10_000
-        assert cfg.damping == 1.0 and cfg.newton is False
+        assert cfg.newton is False
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(tol=0.0), dict(damping=0.0), dict(damping=1.5), dict(max_iter=0)]
+        "kwargs",
+        [dict(tol=0.0), dict(tol=-1e-3), dict(tol=float("nan")), dict(max_iter=0)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(errors.BadParameter):
