@@ -9,12 +9,20 @@ The package is imported from this checkout's ``src/``, so running the
 script in two checkouts and diffing the output compares their artifacts:
 
     python scripts/artifact_digests.py > digests.txt
+
+The BLAS thread pool is pinned to one thread before numpy loads: the
+sampled eigenvalues behind ``mc-compare`` can differ in their last bits
+with the pool's size, and the digests must not depend on the core count.
 """
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

@@ -34,7 +34,7 @@ def main():
 
     spec = bs.isi_covariance(args.K, args.L)
     dens = bs.density_hh_star(
-        spec, epsilon=1e-4, config=bs.SolverConfig(tol=1e-12, newton=True)
+        spec, epsilon=1e-4, config=bs.SolverConfig(tol=1e-12)
     )
     snrs = np.geomspace(0.05, 50.0, args.snr_points)
     asymptotic = np.array([bs.capacity(dens, s) for s in snrs])

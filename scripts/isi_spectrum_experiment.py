@@ -34,7 +34,7 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
 
     spec = bs.isi_covariance(args.K, args.L)
-    cfg = bs.SolverConfig(tol=1e-12, newton=True)
+    cfg = bs.SolverConfig(tol=1e-12)
     dens = bs.density_hh_star(spec, epsilon=args.epsilon, config=cfg)
     print(f"solved density on [{dens.xs[0]:.3g}, {dens.xs[-1]:.3g}], "
           f"mass = {bs.mass(dens):.6f}")

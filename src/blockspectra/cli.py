@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -85,21 +86,21 @@ class ProblemConfig:
     psi: tuple[tuple[tuple[complex, ...], ...], ...] | None = None
     psi_hat: tuple[tuple[tuple[complex, ...], ...], ...] | None = None
     grid: GridConfig = field(default_factory=GridConfig)
-    solver: slv.SolverConfig = field(default_factory=lambda: slv.SolverConfig(newton=True))
+    solver: slv.SolverConfig = slv.DEFAULT_CONFIG
     snr: tuple[float, ...] | None = None
     mc: McConfig | None = None
 
 
 def _complex_value(raw, where):
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if (
+        raw = [raw, 0.0]
+    if not (
         isinstance(raw, list)
         and len(raw) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
     ):
-        return complex(raw[0], raw[1])
-    raise ValidationError(where, f"{where}: expected a number or [re, im] pair")
+        raise ValidationError(where, f"{where}: expected a number or [re, im] pair")
+    return complex(_float_value(raw[0], where), _float_value(raw[1], where))
 
 
 def _int_value(raw, where, minimum=None):
@@ -113,7 +114,13 @@ def _int_value(raw, where, minimum=None):
 def _float_value(raw, where):
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ValidationError(where, f"{where}: expected a number")
-    return float(raw)
+    try:
+        val = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise ValidationError(where, f"{where}: must be finite, got {val}")
+    return val
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -284,11 +291,10 @@ def _parse_solver(raw):
         kwargs["tol"] = _float_value(raw["tol"], "solver.tol")
     if "max_iter" in raw:
         kwargs["max_iter"] = _int_value(raw["max_iter"], "solver.max_iter", minimum=1)
-    if "newton" in raw:
-        if not isinstance(raw["newton"], bool):
-            raise ValidationError("solver.newton", "solver.newton: expected a boolean")
-        kwargs["newton"] = raw["newton"]
-    kwargs.setdefault("newton", True)
+    if raw.get("newton", True) is not True:
+        raise ValidationError(
+            "solver.newton", "solver.newton: only true is accepted; Newton always refines"
+        )
     try:
         return slv.SolverConfig(**kwargs)
     except BlockspectraError as exc:
@@ -387,7 +393,6 @@ def config_to_json(config: ProblemConfig) -> str:
     out["solver"] = {
         "tol": config.solver.tol,
         "max_iter": config.solver.max_iter,
-        "newton": config.solver.newton,
     }
     if config.snr is not None:
         out["snr"] = list(config.snr)

@@ -149,7 +149,7 @@ def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolut
     Solves z H = id + z eta(H) H over p+q blocks with the split map and reads
     G1 off the leading block. Must agree with :func:`solve_fading`.
     """
-    H, res, its, converged = slv._solve_gram_point(hermitized_eta(family), z, config)
+    H, res, its, converged = slv._solve_point(hermitized_eta(family), z, config, True)
     G1 = H[:family.p, :family.p]
     return FadingSolution(complex(z), G1, complex(np.trace(G1) / family.p), res, its,
                           converged)

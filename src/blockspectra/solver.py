@@ -18,6 +18,10 @@ the batched engine stores G as its m values on the pattern, inverts block
 by block and solves an m x m Newton system: m = d for the diagonal pattern
 of ISI channels, m = d^2 for a dense map.
 
+Every solve, one point or a grid, walks the imaginary offset down a
+continuation ladder (``_solve_continuation``): on each level the damped
+fixed-point map globalizes and Newton refines.
+
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
 scaled by z, so one engine serves both. The hermitized map is assembled
@@ -32,7 +36,8 @@ its own step and residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,17 +61,24 @@ MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls shared by all solvers."""
+    """Iteration controls shared by all solvers.
+
+    ``max_iter`` bounds the iterations (fixed-point sweeps plus Newton steps)
+    that one point may take over its whole solve, ladder levels included.
+    Newton refinement is always on: ``newton`` accepts only True.
+    """
 
     tol: float = 1e-10
     max_iter: int = 10_000
-    newton: bool = False
+    newton: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise BadParameter("tol must be positive")
+        if not 0 < self.tol < float("inf"):
+            raise BadParameter("tol must be positive and finite")
         if self.max_iter < 1:
             raise BadParameter("max_iter must be >= 1")
+        if self.newton is not True:
+            raise BadParameter("newton must be True: every solve refines with Newton")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -184,7 +196,8 @@ def _damped_loop(G, residual, step, target, budget):
     ``step(G, aux)`` reuses to form the undamped map. Per point, theta
     starts at 1, halves on a worse residual down to DAMPING_FLOOR and
     returns to 1 after DAMPING_RESET_STREAK better steps; points whose
-    residual reaches ``target`` stop moving.
+    residual reaches ``target`` or whose iterations reach ``budget`` (a
+    number, or one per point) stop moving.
     """
     P = len(G)
     shape = (P,) + (1,) * (G.ndim - 1)
@@ -192,8 +205,9 @@ def _damped_loop(G, residual, step, target, budget):
     streak = np.zeros(P, dtype=int)
     res, aux = residual(G)
     iters = np.zeros(P, dtype=int)
-    for _ in range(budget):
-        active = res > target
+    budget = np.broadcast_to(budget, (P,))
+    for _ in range(budget.max()):
+        active = (res > target) & (iters < budget)
         if not active.any():
             break
         try:
@@ -253,20 +267,22 @@ def _jacobian(pat, zs, scale, G, EG):
     return J
 
 
-def _newton_batch(pat, zs, scale, G, config, target, budget=60):
+def _newton_batch(pat, zs, scale, G, target, budget):
     """Newton on the m x m linearization in the pattern's coordinates.
 
     Each step solves one m x m system per point (m = d for a diagonal
     pattern, d^2 for a dense map; see :func:`_jacobian`), with per-point
-    backtracking.
+    backtracking. A point takes at most ``budget`` steps (a number, or one
+    per point).
     """
     G = G.copy()
     P, m = G.shape
     res = _residual_batch(pat, zs, scale, G)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
-    for _ in range(budget):
-        active = (res > target) & ~stuck
+    budget = np.broadcast_to(budget, (P,))
+    for _ in range(budget.max()):
+        active = (res > target) & ~stuck & (iters < budget)
         if not active.any():
             break
         ii = np.flatnonzero(active)
@@ -304,38 +320,16 @@ def _newton_batch(pat, zs, scale, G, config, target, budget=60):
     return G, res, iters, stuck
 
 
-def _epsilon_ladder(epsilon, span, factor=2.0):
-    e0 = max(epsilon, span / 8.0, 1e-3)
-    levels = []
-    e = e0
-    while e > epsilon * (1 + 1e-9):
-        levels.append(e)
-        e /= factor
-    levels.append(epsilon)
-    return levels
+def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=(), G0=None):
+    """Solve a batch along z = x + i*epsilon by stepping the offset down.
 
-
-def _solve_points(eta, zs, scale, config, G0=None, fp_budget=None, tol=None):
-    """Solve a batch at fixed z values from a compressed start (default -i*I).
-
-    Returns a compressed :class:`_Batch`.
-    """
-    pat = eta.pattern
-    tol = config.tol if tol is None else tol
-    if G0 is None:
-        G0 = np.tile(-1j * pat.eye, (len(zs), 1))
-    target = max(tol, NEWTON_HANDOFF) if config.newton else tol
-    budget = fp_budget if fp_budget is not None else config.max_iter
-    G, res, fits = _fixed_point_batch(pat, zs, scale, G0, target, budget)
-    nits = np.zeros(len(zs), dtype=int)
-    if config.newton:
-        G, res, nits, _ = _newton_batch(pat, zs, scale, G, config, tol)
-    im_max = _block_im_max(pat, G)
-    return _Batch(G, res, fits + nits, (res <= tol) & (im_max <= IM_EIG_TOL), im_max)
-
-
-def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
-    """Solve a grid by stepping the offset down from a safe start.
+    From -i*I the offset walks down by factors of 4 from max(span, 1) / 8
+    (or epsilon, if larger), each level warm starting the next; the ladder
+    stops at MIN_GRID_EPSILON before its final level, so epsilon = 0 (a real
+    z) is reached too. A compressed start ``G0`` replaces the ladder. Each
+    level runs the damped fixed-point map (40 sweeps on the first level, 6
+    after) toward NEWTON_HANDOFF, then Newton. No point takes more than
+    ``config.max_iter`` iterations over the whole ladder.
 
     ``record`` lists extra offsets on the ladder whose solved batches the
     caller also wants (e.g. 2*epsilon for Richardson extrapolation).
@@ -346,36 +340,45 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     pat = eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
-    span = float(xs.max() - xs.min()) if P > 1 else 1.0
-    span = max(span, 1.0)
-    G = np.tile(-1j * pat.eye, (P, 1))
+    levels, G = {epsilon, *record}, G0
+    if G0 is None:
+        G = np.tile(-1j * pat.eye, (P, 1))
+        e = max(epsilon, max(float(np.ptp(xs)), 1.0) / 8.0)
+        while e > max(epsilon, MIN_GRID_EPSILON) * (1 + 1e-9):
+            levels.add(e)
+            e /= 4.0
+    levels = sorted(levels, reverse=True)
     total = np.zeros(P, dtype=int)
-    factor = 4.0 if config.newton else 2.0
-    levels = sorted(
-        set(_epsilon_ladder(epsilon, span, factor)) | set(record), reverse=True
-    )
     snapshots = {}
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
         scale = zs if scale_is_z else np.ones(P, dtype=complex)
-        last = lev == len(levels) - 1
-        wanted = last or eps in record
-        if config.newton:
-            fp_budget = 40 if lev == 0 else 6
-            # intermediate levels only feed warm starts; full accuracy is
-            # needed only where results are consumed
-            tol = config.tol if wanted else max(config.tol, 1e-7)
-        else:
-            fp_budget = config.max_iter if last else min(config.max_iter, 120)
-            tol = config.tol
-        fp_budget = min(fp_budget, config.max_iter)
-        out = _solve_points(eta, zs, scale, config, G0=G, fp_budget=fp_budget, tol=tol)
-        G = out.G
-        total += out.iters
-        if eps in record:
-            snapshots[eps] = out
-    batches = [snapshots[e] for e in record] + [out._replace(iters=total)]
+        wanted = lev == len(levels) - 1 or eps in record
+        # intermediate levels only feed warm starts; full accuracy is
+        # needed only where results are consumed
+        tol = config.tol if wanted else max(config.tol, 1e-7)
+        left = config.max_iter - total
+        G, res, fits = _fixed_point_batch(
+            pat, zs, scale, G, max(tol, NEWTON_HANDOFF), np.minimum(40 if lev == 0 else 6, left)
+        )
+        G, res, nits, _ = _newton_batch(pat, zs, scale, G, tol, np.minimum(60, left - fits))
+        total += fits + nits
+        if wanted:
+            im_max = _block_im_max(pat, G)
+            converged = (res <= tol) & (im_max <= IM_EIG_TOL)
+            snapshots[eps] = _Batch(G, res, total.copy(), converged, im_max)
+    batches = [snapshots[e] for e in (*record, levels[-1])]
     return [b._replace(G=pat.expand(b.G)) for b in batches]
+
+
+def _solve_point(eta, z, config, scale_is_z, G0=None):
+    """One point through the ladder: (G, residual, iterations, converged)."""
+    _require_upper_half(z)
+    z = complex(z)
+    (out,) = _solve_continuation(
+        eta, [z.real], z.imag, config or DEFAULT_CONFIG, scale_is_z, G0=G0
+    )
+    return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
 
 def _require_converged(xs, *batches):
@@ -407,23 +410,23 @@ def _require_square(eta):
 
 
 def _require_upper_half(z):
-    if complex(z).imag < 0:
-        raise BadParameter(f"z must lie in the closed upper half plane, got {z}")
+    z = complex(z)
+    if not (cmath.isfinite(z) and z.imag >= 0):
+        raise BadParameter(f"z must be a finite point of the closed upper half plane, got {z}")
 
 
 def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
-    """Solve z G = I + eta(G) G at one point by damped iteration.
+    """Solve z G = I + eta(G) G at one point by continuation.
 
-    Starts from -i*I, or from ``warm_start`` projected to negative imaginary
-    part and pinched onto the map's invariant pattern (its entries off the
-    pattern dropped); pinching keeps Im G < 0, as it compresses Im G to
-    diagonal blocks. If ``config.newton`` is set, Newton refines once the
-    fixed-point residual reaches 1e-6. The best iterate is returned even on
-    iteration-budget exhaustion, with ``converged=False``.
+    Starts from -i*I and walks the imaginary offset down to Im z as a grid
+    solve does (damped fixed-point sweeps, then Newton, on each level).
+    ``warm_start`` replaces that ladder: it is projected to negative
+    imaginary part, pinched onto the map's invariant pattern (its entries
+    off the pattern dropped; pinching keeps Im G < 0, as it compresses Im G
+    to diagonal blocks) and solved at z directly. The best iterate is
+    returned even when ``config.max_iter`` runs out, with ``converged=False``.
     """
-    config = config or DEFAULT_CONFIG
     _require_square(eta)
-    _require_upper_half(z)
     d = eta.dim_out
     G0 = None
     if warm_start is not None:
@@ -431,10 +434,7 @@ def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
         if W.shape != (d, d):
             raise DimensionMismatch(f"warm start must be {d}x{d}")
         G0 = eta.pattern.compress(_project_negative_imaginary(W)[None])
-    zs = np.array([complex(z)])
-    out = _solve_points(eta, zs, np.ones(1, dtype=complex), config, G0=G0)
-    return CauchySolution(complex(z), eta.pattern.expand(out.G)[0], float(out.res[0]),
-                          int(out.iters[0]), bool(out.converged[0]))
+    return CauchySolution(complex(z), *_solve_point(eta, z, config, False, G0))
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
@@ -457,8 +457,7 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     zs = np.array([complex(z)])
     budget = min(config.max_iter, 60)
     G, res, its, stuck = _newton_batch(
-        pat, zs, np.ones(1, dtype=complex), pat.compress(G0[None]), config,
-        config.tol, budget=budget,
+        pat, zs, np.ones(1, dtype=complex), pat.compress(G0[None]), config.tol, budget
     )
     if stuck[0] and res[0] > max(config.tol, NEWTON_HANDOFF):
         raise SingularJacobian(
@@ -527,16 +526,6 @@ def _hh_star_solution(eta1, eta2, z, H, res, its, converged) -> HHStarSolution:
     )
 
 
-def _solve_gram_point(eta, z, config):
-    """z H = I + z eta(H) H at one point from -i*I: (H, residual, iterations, converged)."""
-    config = config or DEFAULT_CONFIG
-    _require_upper_half(z)
-    zs = np.array([complex(z)])
-    out = _solve_points(eta, zs, zs.copy(), config)
-    return (eta.pattern.expand(out.G)[0], float(out.res[0]), int(out.iters[0]),
-            bool(out.converged[0]))
-
-
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     """Solve the Gram-law equations of an hh_star spec at one point.
 
@@ -547,7 +536,7 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     equations z G1 = I + z eta1(G2) G1 and z G2 = I + z eta2(G1) G2.
     """
     eta1, eta2 = cov.eta1_map(spec), cov.eta2_map(spec)
-    H, res, its, converged = _solve_gram_point(cov._hermitized_map(eta1, eta2), z, config)
+    H, res, its, converged = _solve_point(cov._hermitized_map(eta1, eta2), z, config, True)
     return _hh_star_solution(eta1, eta2, complex(z), H, res, its, converged)
 
 
@@ -652,9 +641,7 @@ def moment_check(eta, radii=None, config=None) -> MomentEstimates:
             f"smallest radius {radii.min():.3g} is inside 2x the support "
             f"estimate {edge:.3g}; moment extraction would be unstable"
         )
-    tight = SolverConfig(
-        tol=min(config.tol, 1e-12), max_iter=config.max_iter, newton=config.newton
-    )
+    tight = replace(config, tol=min(config.tol, 1e-12))
     w = []
     for R in radii:
         sol = solve_fixed_point(eta, 1j * R, tight)

@@ -167,9 +167,6 @@ def moments_from_density(density: SpectralDensity, k: int) -> float:
 # density pipelines
 # ---------------------------------------------------------------------------
 
-_PIPELINE_CONFIG = slv.SolverConfig(newton=True)
-
-
 def _edge_estimate(eta) -> float:
     m2 = cov.eta_apply(eta, np.eye(eta.dim_in))
     lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
@@ -198,7 +195,7 @@ def density_from_eta(
     ``trace_weights`` switches the scalar transform from tr_d to a weighted
     trace (rectangular laws).
     """
-    config = config or _PIPELINE_CONFIG
+    config = config or slv.DEFAULT_CONFIG
     if xs is not None:
         xs = np.asarray(xs, dtype=float)
         return _invert_selfadjoint(eta, xs, epsilon, config, trace_weights)
@@ -266,7 +263,7 @@ def density_gram(
     hard edge at zero whose smearing leaks mass below the axis at rate
     sqrt(epsilon).
     """
-    config = config or _PIPELINE_CONFIG
+    config = config or slv.DEFAULT_CONFIG
     if xs is not None:
         xs = np.asarray(xs, dtype=float)
         return _invert_gram(eta, side, xs, epsilon, config)

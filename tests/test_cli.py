@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -27,6 +28,20 @@ MODEL_CONFIGS = {
     "nonsep": {"model": "nonsep",
                "psi": [[[1.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 1.0]]],
                "psi_hat": [[[1.0, 0.2], [0.2, 0.8]], [[0.6, 0.0], [0.0, [0.6, 0.0]]]]},
+}
+
+
+# a non-finite number in each kind of numeric field, and the field it names
+NON_FINITE = {
+    "grid.epsilon-nan": (dict(ISI_CONFIG, grid={"epsilon": math.nan}), "grid.epsilon"),
+    "grid.epsilon-inf": (dict(ISI_CONFIG, grid={"epsilon": math.inf}), "grid.epsilon"),
+    "grid.xmin": (dict(ISI_CONFIG, grid={"xmin": -math.inf, "xmax": 2.0}), "grid.xmin"),
+    "grid.xmax": (dict(ISI_CONFIG, grid={"xmin": 0.0, "xmax": math.nan}), "grid.xmax"),
+    "solver.tol": (dict(ISI_CONFIG, solver={"tol": math.inf}), "solver.tol"),
+    "psi": (dict(MODEL_CONFIGS["nonsep"],
+                 psi=[[[math.nan, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 1.0]]]), "psi[0][0]"),
+    # an integer beyond the float range
+    "entries": (dict(MODEL_CONFIGS["selfadjoint"], entries=[[1, 1, 1, 1, 10**400]]), "entries[0]"),
 }
 
 
@@ -284,7 +299,7 @@ class TestMain:
         payload = {
             "model": "selfadjoint", "d": 1, "entries": [[1, 1, 1, 1, 1.0]],
             "grid": {"xmin": -2.5, "xmax": 2.5, "points": 16, "epsilon": 1e-4},
-            "solver": {"max_iter": 2, "newton": False},
+            "solver": {"max_iter": 2},
         }
         code = cli.main([
             "--config", str(_write(tmp_path, payload)), "--command", "density",
@@ -293,6 +308,30 @@ class TestMain:
         assert code == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NoConvergence"
+
+    def test_newton_false_exit_two(self, tmp_path, capsys):
+        payload = dict(ISI_CONFIG, solver={"newton": False})
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and "solver.newton" in err["message"]
+
+    @pytest.mark.parametrize("payload, field", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_number_exit_two(self, payload, field, tmp_path, capsys):
+        with pytest.raises(errors.ValidationError) as err:
+            cli.parse_config(json.dumps(payload))
+        assert err.value.field == field
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_refused(self, tmp_path, capsys):
         # SeedSequence must never see abs(seed): -7 and 7 would draw alike

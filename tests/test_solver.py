@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
 from blockspectra import errors
@@ -16,11 +17,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = bs.SolverConfig()
         assert cfg.tol == 1e-10 and cfg.max_iter == 10_000
-        assert cfg.newton is False
+        assert cfg.newton is True
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(tol=0.0), dict(tol=-1e-3), dict(tol=float("nan")), dict(max_iter=0)],
+        [dict(tol=0.0), dict(tol=-1e-3), dict(tol=float("nan")), dict(max_iter=0),
+         dict(tol=float("inf")), dict(newton=False)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(errors.BadParameter):
@@ -48,8 +50,9 @@ class TestFixedPoint:
         assert sol.G[0, 0].real == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-10)
 
     def test_lower_half_plane_rejected(self, semicircle_eta):
-        with pytest.raises(errors.BadParameter):
-            bs.solve_fixed_point(semicircle_eta, 1 - 1j)
+        for z in (1 - 1j, complex(np.nan, 1.0), complex(0.0, np.inf)):
+            with pytest.raises(errors.BadParameter):
+                bs.solve_fixed_point(semicircle_eta, z)
 
     def test_warm_start_projection(self, semicircle_eta):
         # a warm start with the wrong imaginary sign still lands on the
@@ -67,6 +70,15 @@ class TestFixedPoint:
         assert not sol.converged
         assert sol.iterations == 5
         assert np.isfinite(sol.residual)
+
+    @pytest.mark.parametrize("x", [0.0, 1.9])
+    def test_default_config_converges_near_the_axis(self, semicircle_eta, x):
+        # the continuation ladder with Newton on each level; the fixed-point
+        # map alone needs thousands of sweeps this close to the support
+        z = complex(x, 1e-3)
+        sol = bs.solve_fixed_point(semicircle_eta, z)
+        assert sol.converged and sol.iterations < 200
+        assert abs(sol.G[0, 0] - semicircle_cauchy(z)) <= 1e-10
 
     def test_singular_resolvent(self):
         with pytest.warns(RuntimeWarning, match="positivity"):
@@ -206,11 +218,11 @@ class TestHHStar:
         from blockspectra import solver as slv
 
         eta = bs.eta_map(bs.hermitize_covariance(isi44))
-        zs = np.array([1.5 + 0.05j])
-        G = eta.pattern.expand(slv._solve_points(eta, zs, zs.copy(), NEWTON).G)
+        G, _, _, converged = slv._solve_point(eta, 1.5 + 0.05j, NEWTON, True)
         a = isi44.a
-        assert np.abs(G[0][:a, a:]).max() == 0.0
-        assert np.abs(G[0][a:, :a]).max() == 0.0
+        assert converged
+        assert np.abs(G[:a, a:]).max() == 0.0
+        assert np.abs(G[a:, :a]).max() == 0.0
 
     def test_direct_route_agrees_with_hermitized(self, isi44):
         for z in (0.5 + 0.05j, 1.2 + 0.02j, 2.5 + 0.1j):
@@ -234,6 +246,23 @@ class TestHHStar:
             assert s.converged
             assert max(s.split_residuals) <= 5e-12
             assert max_im_eigenvalue(s.G1) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(max_iter=st.integers(1, 120), x=st.floats(0.1, 2.5))
+def test_max_iter_bounds_every_route(semicircle_eta, mp_spec, max_iter, x):
+    # max_iter counts fixed-point sweeps and Newton steps over the whole ladder
+    cfg = bs.SolverConfig(max_iter=max_iter)
+    z = complex(x, 1e-3)
+    for sol in (bs.solve_fixed_point(semicircle_eta, z, cfg), bs.solve_hh_star(mp_spec, z, cfg)):
+        assert sol.iterations <= max_iter
+        assert sol.converged or sol.iterations == max_iter
+    for xs in (np.linspace(-2.5, 2.5, 21), np.linspace(3.0, 5.0, 5)):
+        try:
+            sols = bs.solve_grid(semicircle_eta, xs, 1e-3, cfg)
+        except errors.NoConvergence:
+            continue
+        assert max(s.iterations for s in sols) <= max_iter
 
 
 class TestRectangularReduction:
