@@ -6,9 +6,11 @@ and prints one line per artifact: ``config command file sha256``. A command
 a config does not support (``capacity`` without an ``snr`` list,
 ``mc-compare`` without a single ``mc.N``) fails validation and is skipped.
 The package is imported from this checkout's ``src/``, so running the
-script in two checkouts and diffing the output compares their artifacts:
+script in two checkouts and diffing the output compares their artifacts.
+``scripts/artifact_digests.txt`` holds the digests of the current
+artifacts, so this prints nothing when they are byte-identical:
 
-    python scripts/artifact_digests.py > digests.txt
+    python scripts/artifact_digests.py | diff - scripts/artifact_digests.txt
 
 The BLAS thread pool is pinned to one thread before numpy loads: the
 sampled eigenvalues behind ``mc-compare`` can differ in their last bits

@@ -15,7 +15,9 @@ Everything that differs between models (config keys and how to parse and
 dump them, the model build, the density and moment routes, whether the
 law is a Gram law and whether it can be sampled) is one row of
 ``_MODELS``; parsing, serializing and the commands loop over that row.
-Each config's model is built once and cached.
+A :class:`ProblemConfig` builds its model when it is made, so an invalid
+model never gets past parsing and the commands read the built model from
+the config.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -72,7 +73,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """One fully validated problem: model, grid, solver, optional snr/mc."""
+    """One fully validated problem: model, grid, solver, optional snr/mc.
+
+    The constructor builds the model's spec or correlation family into
+    ``built``, which takes no part in equality; a model the package rejects
+    raises ValidationError.
+    """
 
     model: str
     K: int | None = None
@@ -89,6 +95,16 @@ class ProblemConfig:
     solver: slv.SolverConfig = slv.DEFAULT_CONFIG
     snr: tuple[float, ...] | None = None
     mc: McConfig | None = None
+    built: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            built = _MODELS[self.model].build(self)
+        except ValidationError:
+            raise
+        except BlockspectraError as exc:
+            raise ValidationError(self.model, f"{self.model} model: {exc}") from exc
+        object.__setattr__(self, "built", built)
 
 
 def _complex_value(raw, where):
@@ -216,10 +232,10 @@ def _hermitized_moments(spec):
 
 
 def _family(config):
-    return ns.validate_family(ns.CorrelationFamily(
+    return ns.CorrelationFamily(
         psi=tuple(np.array(m, dtype=complex) for m in config.psi),
         psi_hat=tuple(np.array(m, dtype=complex) for m in config.psi_hat),
-    ))
+    )
 
 
 def _half_trace_weights(family):
@@ -365,9 +381,7 @@ def parse_config(source) -> ProblemConfig:
             raise ValidationError("mc", "mc: expected an object")
         fields["mc"] = _parse_mc(raw["mc"])
 
-    config = ProblemConfig(**fields)
-    _build_model(config)  # fail early on semantically invalid model params
-    return config
+    return ProblemConfig(**fields)
 
 
 def _read_file(path: Path) -> str:
@@ -449,19 +463,8 @@ def emit(artifact, path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# model assembly and law solving
+# law solving
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _build_model(config: ProblemConfig):
-    """The config's spec or family, built and validated once per config."""
-    try:
-        return _MODELS[config.model].build(config)
-    except BlockspectraError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(config.model, f"{config.model} model: {exc}") from exc
-
 
 def _explicit_grid(config: ProblemConfig):
     g = config.grid
@@ -470,9 +473,9 @@ def _explicit_grid(config: ProblemConfig):
     return np.linspace(g.xmin, g.xmax, g.points)
 
 
-def _solve_density(config: ProblemConfig, model_obj) -> spc.SpectralDensity:
+def _solve_density(config: ProblemConfig) -> spc.SpectralDensity:
     return _MODELS[config.model].density(
-        model_obj,
+        config.built,
         xs=_explicit_grid(config),
         npoints=config.grid.points,
         epsilon=config.grid.epsilon,
@@ -507,7 +510,7 @@ def _mc_seeds(seed: int, N: int, count: int):
     return [np.random.SeedSequence(entropy=seed, spawn_key=(N, i)) for i in range(count)]
 
 
-def _sample_eigenvalues(spec, config, N, threads, seed):
+def _sample_eigenvalues(config, N, threads, seed):
     """Eigenvalues of each seeded realization; the sampled matrices are dropped."""
     if not _MODELS[config.model].sampled:
         raise ValidationError(
@@ -516,7 +519,7 @@ def _sample_eigenvalues(spec, config, N, threads, seed):
     seeds = _mc_seeds(seed, N, config.mc.realizations)
 
     def draw(s):
-        return orc.sample_block_gaussian(spec, N, s).eigenvalues
+        return orc.sample_block_gaussian(config.built, N, s).eigenvalues
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -532,6 +535,8 @@ def _resolve_threads(threads) -> int:
         except ValueError as exc:
             raise ValidationError(ENV_THREADS, f"{ENV_THREADS} must be an integer") from exc
     if threads == 0:
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 0:
         raise ValidationError("threads", "threads must be >= 0")
@@ -543,7 +548,7 @@ def _resolve_threads(threads) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_density(config, out_dir, seed, threads):
-    density = _solve_density(config, _build_model(config))
+    density = _solve_density(config)
     diag = _density_diagnostics(density)
     path = emit(
         CsvArtifact(("x", "density"), tuple(zip(density.xs, density.ps))),
@@ -556,14 +561,14 @@ def _capacity_curve(density, snrs):
     return [spc.capacity(density, s) for s in snrs]
 
 
-def _mc_capacity_rows(spec, config, snrs, threads, seed):
+def _mc_capacity_rows(config, snrs, threads, seed):
     """Median over realizations of the per-eigenvalue capacity, per N."""
     columns = {}
     for N in config.mc.N:
         per_real = np.array(
             [
                 [float(np.mean(np.log2(1.0 + s * np.clip(eig, 0, None)))) for s in snrs]
-                for eig in _sample_eigenvalues(spec, config, N, threads, seed)
+                for eig in _sample_eigenvalues(config, N, threads, seed)
             ]
         )
         columns[N] = np.median(per_real, axis=0)
@@ -577,14 +582,13 @@ def _cmd_capacity(config, out_dir, seed, threads):
         raise ValidationError(
             "model", "capacity is defined for the nonnegative Gram laws only"
         )
-    spec = _build_model(config)
-    density = _solve_density(config, spec)
+    density = _solve_density(config)
     diag = _density_diagnostics(density)
     bits = _capacity_curve(density, config.snr)
     header = ["snr", "bits"]
     cols = [list(config.snr), bits]
     if config.mc is not None:
-        mc_cols = _mc_capacity_rows(spec, config, config.snr, threads, seed)
+        mc_cols = _mc_capacity_rows(config, config.snr, threads, seed)
         for N in config.mc.N:
             header.append(f"bits_mc_N{N}")
             cols.append(list(mc_cols[N]))
@@ -605,10 +609,9 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
     if len(config.mc.N) != 1:
         raise ValidationError("mc.N", "mc-compare needs a single N")
     N = config.mc.N[0]
-    spec = _build_model(config)
-    density = _solve_density(config, spec)
+    density = _solve_density(config)
     diag = _density_diagnostics(density)
-    pooled = np.sort(np.concatenate(_sample_eigenvalues(spec, config, N, threads, seed)))
+    pooled = np.sort(np.concatenate(_sample_eigenvalues(config, N, threads, seed)))
     ks = orc.ks_distance(pooled, spc.cdf(density))
     paths = [
         emit(
@@ -639,10 +642,9 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
 
 def _moment_table(config):
     row = _MODELS[config.model]
-    model_obj = _build_model(config)
-    density = _solve_density(config, model_obj)
+    density = _solve_density(config)
     diag = _density_diagnostics(density)
-    eta, weights, (num, den) = row.moments(model_obj)
+    eta, weights, (num, den) = row.moments(config.built)
     step = 2 if row.gram else 1
     rows = []
     for k in ((1, 2, 3, 4) if row.gram else (2, 4, 6, 8)):

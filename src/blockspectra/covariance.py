@@ -10,11 +10,13 @@ ensemble sparsely, as coordinate entries over 1-based block indices:
 * ``rectangular`` -- sigma on d blocks of asymptotic relative sizes alpha_i,
   nonzero only where alpha_i = alpha_l and alpha_j = alpha_k.
 
-Validation closes the entry list under the symmetries implied by a
-realizable Hermitian ensemble and reports the minimum eigenvalue of the
-Choi matrix of the induced covariance map (positivity-preservation check;
-a deficit is flagged with a warning, not an error, so exploratory specs
-still run).
+A spec is validated when it is made, by its constructor (and so also by
+``dataclasses.replace``): indices are range-checked, the entry list is
+closed under the symmetries implied by a realizable Hermitian ensemble,
+weights are checked, and ``choi_min_eig`` is set to the minimum eigenvalue
+of the Choi matrix of the induced covariance map (positivity-preservation
+check; a deficit is flagged with a warning, not an error, so exploratory
+specs still run). Every spec in existence is therefore a valid one.
 
 The covariance maps themselves are materialized as :class:`EtaMap`
 coefficient tensors:
@@ -32,7 +34,7 @@ its pair of maps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,8 +63,9 @@ class CovarianceSpec:
 
     Entries are ``(i, j, k, l, value)`` with 1-based indices meaning
     sigma(i,j;k,l) for the selfadjoint/rectangular kinds and tau(i,k;j,l)
-    (slot order ``(i, k, j, l)``) for the hh_star kind. Instances are
-    immutable; share freely across threads.
+    (slot order ``(i, k, j, l)``) for the hh_star kind. The constructor
+    validates and closes the entries (see the module docstring) and sets
+    ``choi_min_eig``. Instances are immutable; share freely across threads.
     """
 
     kind: str
@@ -71,8 +74,7 @@ class CovarianceSpec:
     b: int = 0
     alpha: tuple[float, ...] | None = None
     entries: tuple[Entry, ...] = ()
-    validated: bool = False
-    choi_min_eig: float | None = None
+    choi_min_eig: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -92,6 +94,24 @@ class CovarianceSpec:
                 object.__setattr__(self, "alpha", (1.0 / self.d,) * self.d)
             else:
                 object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
+        _check_indices(self)
+        if self.kind == "rectangular":
+            _check_alpha(self)
+        table = _close_table(self)
+        if self.kind == "rectangular":
+            _check_alpha_pattern(self, table)
+        closed = tuple((i, j, k, l, v) for (i, j, k, l), v in sorted(table.items()))
+        object.__setattr__(self, "entries", closed)
+        min_eig = _choi_min_eig(self)
+        if min_eig < CHOI_FLAG_EIG:
+            warnings.warn(
+                f"covariance map is not positivity-preserving "
+                f"(Choi min eigenvalue {min_eig:.3e}); solving may still work, "
+                f"sampling will not",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        object.__setattr__(self, "choi_min_eig", min_eig)
 
     @property
     def dim(self) -> int:
@@ -100,21 +120,19 @@ class CovarianceSpec:
 
 
 def selfadjoint_covariance(d, entries) -> CovarianceSpec:
-    """Validated selfadjoint spec from sparse sigma entries."""
-    return validate_covariance(CovarianceSpec("selfadjoint", d=d, entries=tuple(entries)))
+    """Selfadjoint spec from sparse sigma entries."""
+    return CovarianceSpec("selfadjoint", d=d, entries=tuple(entries))
 
 
 def hh_star_covariance(a, b, entries) -> CovarianceSpec:
-    """Validated hh_star spec from sparse tau entries."""
-    return validate_covariance(CovarianceSpec("hh_star", a=a, b=b, entries=tuple(entries)))
+    """hh_star spec from sparse tau entries."""
+    return CovarianceSpec("hh_star", a=a, b=b, entries=tuple(entries))
 
 
 def rectangular_covariance(alpha, entries) -> CovarianceSpec:
-    """Validated rectangular spec; block count is len(alpha)."""
+    """Rectangular spec; block count is len(alpha)."""
     alpha = tuple(float(x) for x in alpha)
-    return validate_covariance(
-        CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
-    )
+    return CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
 
 
 def _check_indices(spec: CovarianceSpec):
@@ -320,7 +338,6 @@ def eta_map(spec: CovarianceSpec) -> EtaMap:
     """Covariance map of a selfadjoint spec: eta(D)_ij = (1/d) sum sigma(i,k;l,j) D_kl."""
     if spec.kind != "selfadjoint":
         raise WrongKind(f"eta_map needs a selfadjoint spec, got {spec.kind}")
-    spec = validate_covariance(spec) if not spec.validated else spec
     S = _sigma_array(spec)
     return EtaMap(np.einsum("iklj->ijkl", S) / spec.d)
 
@@ -329,7 +346,6 @@ def eta_alpha_map(spec: CovarianceSpec) -> EtaMap:
     """Weighted covariance map: eta_alpha(D)_ij = sum sigma(i,k;l,j) alpha_k D_kl."""
     if spec.kind != "rectangular":
         raise WrongKind(f"eta_alpha_map needs a rectangular spec, got {spec.kind}")
-    spec = validate_covariance(spec) if not spec.validated else spec
     S = _sigma_array(spec)
     return EtaMap(np.einsum("iklj,k->ijkl", S, np.asarray(spec.alpha)))
 
@@ -338,7 +354,6 @@ def eta1_map(spec: CovarianceSpec) -> EtaMap:
     """eta1: M_b -> M_a, eta1(D)_ij = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl."""
     if spec.kind != "hh_star":
         raise WrongKind(f"eta1_map needs an hh_star spec, got {spec.kind}")
-    spec = validate_covariance(spec) if not spec.validated else spec
     T = _tau_array(spec)
     return EtaMap(np.einsum("ikjl->ijkl", T) / (spec.a + spec.b))
 
@@ -354,7 +369,6 @@ def eta2_map(spec: CovarianceSpec) -> EtaMap:
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"eta2_map needs an hh_star spec, got {spec.kind}")
-    spec = validate_covariance(spec) if not spec.validated else spec
     T = _tau_array(spec)
     return EtaMap(np.einsum("ikjl->klij", T) / (spec.a + spec.b))
 
@@ -422,9 +436,9 @@ def tr_alpha(spec: CovarianceSpec, D) -> complex:
 
 def _choi_min_eig(spec: CovarianceSpec) -> float:
     if spec.kind == "selfadjoint":
-        M = choi_matrix(eta_map(replace(spec, validated=True)))
+        M = choi_matrix(eta_map(spec))
     elif spec.kind == "rectangular":
-        M = choi_matrix(eta_alpha_map(replace(spec, validated=True)))
+        M = choi_matrix(eta_alpha_map(spec))
     else:
         # entry covariance of the H blocks; PSD iff the hermitized Choi is
         T = _tau_array(spec)
@@ -436,34 +450,13 @@ def _choi_min_eig(spec: CovarianceSpec) -> float:
 
 
 def validate_covariance(spec: CovarianceSpec) -> CovarianceSpec:
-    """Validate a spec: ranges, symmetry closure, weights, positivity flag.
+    """Return ``spec``: a spec is validated and closed when it is constructed.
 
-    Returns a new spec with all symmetry-implied entries filled in and
-    ``choi_min_eig`` set to the minimum eigenvalue of the Choi matrix of the
-    induced map. A value below -1e-10 is flagged with a RuntimeWarning (the
-    map is then not positivity-preserving and the spec cannot be sampled),
-    but validation does not fail on it.
+    Kept as a public step for callers that validate explicitly; every
+    :class:`CovarianceSpec` has already passed the range, symmetry-closure
+    and weight checks and carries ``choi_min_eig``.
     """
-    _check_indices(spec)
-    if spec.kind == "rectangular":
-        _check_alpha(spec)
-    table = _close_table(spec)
-    if spec.kind == "rectangular":
-        _check_alpha_pattern(spec, table)
-    closed = tuple(
-        (i, j, k, l, v) for (i, j, k, l), v in sorted(table.items())
-    )
-    out = replace(spec, entries=closed, validated=True)
-    min_eig = _choi_min_eig(out)
-    if min_eig < CHOI_FLAG_EIG:
-        warnings.warn(
-            f"covariance map is not positivity-preserving "
-            f"(Choi min eigenvalue {min_eig:.3e}); solving may still work, "
-            f"sampling will not",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return replace(out, choi_min_eig=min_eig)
+    return spec
 
 
 def hermitize_covariance(spec: CovarianceSpec) -> CovarianceSpec:
@@ -476,15 +469,12 @@ def hermitize_covariance(spec: CovarianceSpec) -> CovarianceSpec:
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"hermitize_covariance needs an hh_star spec, got {spec.kind}")
-    spec = validate_covariance(spec) if not spec.validated else spec
     a = spec.a
     sigma: list[Entry] = []
     for (i, k, j, l, v) in spec.entries:  # tau(i,k;j,l)
         sigma.append((i, a + k, a + l, j, v))
         sigma.append((a + k, i, j, a + l, v))
-    return validate_covariance(
-        CovarianceSpec("selfadjoint", d=spec.a + spec.b, entries=tuple(sigma))
-    )
+    return CovarianceSpec("selfadjoint", d=spec.a + spec.b, entries=tuple(sigma))
 
 
 def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:
@@ -507,6 +497,4 @@ def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:
         for k in range(1, K + 1):
             for t in range(L):
                 entries.append((i, i + t, k, k + t, tap_var[t]))
-    return validate_covariance(
-        CovarianceSpec("hh_star", a=K, b=K + L - 1, entries=tuple(entries))
-    )
+    return CovarianceSpec("hh_star", a=K, b=K + L - 1, entries=tuple(entries))

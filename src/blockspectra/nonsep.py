@@ -42,7 +42,12 @@ PSD_FLOOR = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class CorrelationFamily:
-    """t Hermitian PSD correlation matrices per side, with trace states."""
+    """t Hermitian PSD correlation matrices per side, with trace states.
+
+    The constructor (and so also ``dataclasses.replace``) checks the term
+    count, shapes, Hermiticity and positive semidefiniteness, raising
+    BadParameter or DimensionMismatch: every family in existence is valid.
+    """
 
     psi: tuple[np.ndarray, ...]
     psi_hat: tuple[np.ndarray, ...]
@@ -56,6 +61,18 @@ class CorrelationFamily:
             m.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "psi_hat", psi_hat)
+        if not psi or len(psi_hat) != len(psi):
+            raise BadParameter("need t >= 1 terms with matching psi/psi_hat counts")
+        for name, mats in (("psi", psi), ("psi_hat", psi_hat)):
+            dim = mats[0].shape[0]
+            for s, m in enumerate(mats):
+                if m.ndim != 2 or m.shape != (dim, dim):
+                    raise DimensionMismatch(f"{name}[{s}] must be {dim}x{dim}")
+                scale = max(1.0, float(np.abs(m).max()))
+                if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
+                    raise BadParameter(f"{name}[{s}] is not Hermitian")
+                if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < PSD_FLOOR * scale:
+                    raise BadParameter(f"{name}[{s}] is not positive semidefinite")
 
     @property
     def t(self) -> int:
@@ -71,19 +88,12 @@ class CorrelationFamily:
 
 
 def validate_family(family: CorrelationFamily) -> CorrelationFamily:
-    """Check term count, shapes, Hermiticity and positive semidefiniteness."""
-    if family.t < 1 or len(family.psi_hat) != family.t:
-        raise BadParameter("need t >= 1 terms with matching psi/psi_hat counts")
-    for name, mats in (("psi", family.psi), ("psi_hat", family.psi_hat)):
-        dim = mats[0].shape[0]
-        for s, m in enumerate(mats):
-            if m.ndim != 2 or m.shape != (dim, dim):
-                raise DimensionMismatch(f"{name}[{s}] must be {dim}x{dim}")
-            scale = max(1.0, float(np.abs(m).max()))
-            if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
-                raise BadParameter(f"{name}[{s}] is not Hermitian")
-            if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < PSD_FLOOR * scale:
-                raise BadParameter(f"{name}[{s}] is not positive semidefinite")
+    """Return ``family``: a family is checked when it is constructed.
+
+    Kept as a public step for callers that validate explicitly; every
+    :class:`CorrelationFamily` has already passed the term-count, shape,
+    Hermiticity and positive-semidefiniteness checks.
+    """
     return family
 
 
@@ -93,7 +103,6 @@ def build_nonsep_eta(family: CorrelationFamily):
     eta1 maps the p-side into the q-side, eta2 the other way; phi is the
     normalized trace of the respective representation.
     """
-    validate_family(family)
     p, q = family.p, family.q
     T1 = np.zeros((q, q, p, p), dtype=complex)
     T2 = np.zeros((p, p, q, q), dtype=complex)
@@ -135,7 +144,6 @@ def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
     converged G1 has negative-semidefinite imaginary part.
     """
     config = config or slv.DEFAULT_CONFIG
-    validate_family(family)
     slv._require_upper_half(z)
     z = complex(z)
     e1, e2 = build_nonsep_eta(family)

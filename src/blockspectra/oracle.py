@@ -68,7 +68,7 @@ def _standard_complex(rng, shape):
 
 
 def _require_sampling_grade(spec):
-    if spec.choi_min_eig is not None and spec.choi_min_eig < SAMPLING_EIG_FLOOR:
+    if spec.choi_min_eig < SAMPLING_EIG_FLOOR:
         raise NotPSD(
             f"spec fails sampling-grade positivity (Choi min eig "
             f"{spec.choi_min_eig:.3e})"
@@ -155,7 +155,6 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     complex normals, reused across all matrix positions. The selfadjoint
     constraint X = X* holds exactly by construction.
     """
-    spec = cov.validate_covariance(spec) if not spec.validated else spec
     _require_sampling_grade(spec)
     if N < 1:
         raise BadParameter("N must be >= 1")

@@ -404,11 +404,6 @@ def _require_converged(xs, *batches):
 # public solvers
 # ---------------------------------------------------------------------------
 
-def _require_square(eta):
-    if eta.dim_in != eta.dim_out:
-        raise DimensionMismatch("the fixed-point equation needs a square map")
-
-
 def _require_upper_half(z):
     z = complex(z)
     if not (cmath.isfinite(z) and z.imag >= 0):
@@ -426,7 +421,6 @@ def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
     to diagonal blocks) and solved at z directly. The best iterate is
     returned even when ``config.max_iter`` runs out, with ``converged=False``.
     """
-    _require_square(eta)
     d = eta.dim_out
     G0 = None
     if warm_start is not None:
@@ -447,7 +441,6 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     convergence when started in the basin (residual below ~1e-2).
     """
     config = config or DEFAULT_CONFIG
-    _require_square(eta)
     _require_upper_half(z)
     d = eta.dim_out
     G0 = np.asarray(G0, dtype=complex)
@@ -494,7 +487,6 @@ def solve_grid(eta, xs, epsilon, config=None):
     or the negative-imaginary-part invariant.
     """
     config = config or DEFAULT_CONFIG
-    _require_square(eta)
     xs = _check_grid(xs, epsilon)
     (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=False)
     _require_converged(xs, out)
@@ -557,7 +549,6 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     normalized trace of the leading ``side`` x ``side`` block at grid point k.
     """
     config = config or DEFAULT_CONFIG
-    _require_square(eta)
     xs = _check_grid(xs, epsilon)
     (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
     _require_converged(xs, out)
@@ -608,6 +599,13 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
     return CauchySolution(complex(z), G1, res, its, converged)
 
 
+def _edge_estimate(eta) -> float:
+    """Support edge estimate 2 sqrt(||eta(I)||) of the law of a square map."""
+    m2 = cov.eta_apply(eta, np.eye(eta.dim_in))
+    lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
+    return 2.0 * np.sqrt(max(lam, 1e-12))
+
+
 @dataclass(frozen=True)
 class MomentEstimates:
     """Normalized-trace moments extracted from large-|z| evaluations."""
@@ -625,11 +623,8 @@ def moment_check(eta, radii=None, config=None) -> MomentEstimates:
     sit well outside the spectral support or the extraction is refused.
     """
     config = config or DEFAULT_CONFIG
-    _require_square(eta)
     d = eta.dim_out
-    m2_map = cov.eta_apply(eta, np.eye(d))
-    lam = float(np.linalg.eigvalsh((m2_map + m2_map.conj().T) / 2).max())
-    edge = 2.0 * np.sqrt(max(lam, 1e-12))
+    edge = _edge_estimate(eta)
     if radii is None:
         base = max(edge, 1.0)
         radii = base * np.array([4.0, 8.0, 16.0, 32.0, 64.0])

@@ -167,12 +167,6 @@ def moments_from_density(density: SpectralDensity, k: int) -> float:
 # density pipelines
 # ---------------------------------------------------------------------------
 
-def _edge_estimate(eta) -> float:
-    m2 = cov.eta_apply(eta, np.eye(eta.dim_in))
-    lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
-    return 2.0 * np.sqrt(max(lam, 1e-12))
-
-
 def _gram_grid(hi, npoints, eps):
     """Geometric grid on [0, hi]: resolves integrable 1/sqrt(x) edges at 0."""
     lo = max(eps / 4.0, hi * 1e-7)
@@ -199,7 +193,7 @@ def density_from_eta(
     if xs is not None:
         xs = np.asarray(xs, dtype=float)
         return _invert_selfadjoint(eta, xs, epsilon, config, trace_weights)
-    edge = _edge_estimate(eta)
+    edge = slv._edge_estimate(eta)
     lo, hi = -1.35 * edge, 1.35 * edge
     for _ in range(8):
         grid = np.linspace(lo, hi, npoints)
@@ -267,7 +261,7 @@ def density_gram(
     if xs is not None:
         xs = np.asarray(xs, dtype=float)
         return _invert_gram(eta, side, xs, epsilon, config)
-    hi = 1.8 * _edge_estimate(eta) ** 2
+    hi = 1.8 * slv._edge_estimate(eta) ** 2
     dens = None
     for _ in range(8):
         eps2 = epsilon if epsilon is not None else 1e-5 * hi

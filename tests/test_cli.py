@@ -109,7 +109,7 @@ class TestParse:
             "psi": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]],
             "psi_hat": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
         }))
-        fam = cli._build_model(cfg)
+        fam = cfg.built
         assert fam.t == 1 and fam.p == 2
 
     def test_snr_and_mc_validation(self):
@@ -240,7 +240,6 @@ class TestCommands:
         build = cli.cov.isi_covariance
         monkeypatch.setattr(cli.cov, "isi_covariance",
                             lambda *a, **kw: calls.append(a) or build(*a, **kw))
-        cli._build_model.cache_clear()
         cfg = cli.parse_config(json.dumps(ISI_CONFIG))
         cli.run("density", cfg, out_dir=tmp_path)
         cli.run("moments", cfg, out_dir=tmp_path)
@@ -373,3 +372,17 @@ class TestMain:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_auto_threads_count_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_threads(0) == 1
+        monkeypatch.setenv(cli.ENV_THREADS, "0")
+        assert cli._resolve_threads(None) == 1
+
+    def test_auto_threads_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert cli._resolve_threads(0) == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._resolve_threads(0) == 1

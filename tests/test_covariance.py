@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from conftest import random_hh_star_spec, random_selfadjoint_spec
 class TestValidation:
     def test_scalar_spec_is_valid(self):
         spec = bs.validate_covariance(CovarianceSpec("selfadjoint", d=1, entries=((1, 1, 1, 1, 1.0),)))
-        assert spec.validated
         assert spec.choi_min_eig == pytest.approx(1.0)
 
     def test_symmetry_closure_fills_conjugate_pair(self):
@@ -79,6 +79,25 @@ class TestValidation:
         with pytest.raises(errors.PatternViolation):
             # sigma(1,1;1,2) needs alpha_1 = alpha_2
             bs.rectangular_covariance((1 / 3, 2 / 3), [(1, 1, 1, 2, 1.0)])
+
+    def test_replace_checks_indices(self):
+        with pytest.raises(errors.IndexOutOfRange):
+            replace(bs.isi_covariance(2, 2), entries=((1, 9, 1, 1, 1.0),))
+
+    def test_replace_closes_entries(self):
+        base = bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])
+        # (2,1;1,2) is implied by (1,2;2,1); without it eta(I) = diag(1, 0.5)
+        spec = replace(base, d=2, entries=((1, 1, 1, 1, 1.0), (2, 2, 2, 2, 1.0),
+                                           (1, 2, 2, 1, 1.0)))
+        assert np.array_equal(bs.eta_apply(bs.eta_map(spec), np.eye(2)), np.eye(2))
+
+    def test_replace_recomputes_choi_and_sampling_refuses(self):
+        isi = bs.isi_covariance(2, 2)
+        with pytest.warns(RuntimeWarning, match="positivity"):
+            spec = replace(isi, entries=tuple((*e[:4], -e[4]) for e in isi.entries))
+        assert spec.choi_min_eig < 0
+        with pytest.raises(errors.NotPSD):
+            bs.sample_block_gaussian(spec, 4, 0)
 
 
 class TestEtaApply:

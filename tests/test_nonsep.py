@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,26 +32,27 @@ class TestFamilyValidation:
         assert fam.t == 2 and fam.p == 3 and fam.q == 4
 
     def test_rejects_non_hermitian(self):
-        fam = bs.CorrelationFamily(
-            psi=(np.array([[1.0, 1.0], [0.0, 1.0]]),), psi_hat=(np.eye(2),)
-        )
         with pytest.raises(errors.BadParameter):
-            bs.validate_family(fam)
+            bs.CorrelationFamily(
+                psi=(np.array([[1.0, 1.0], [0.0, 1.0]]),), psi_hat=(np.eye(2),)
+            )
 
     def test_rejects_indefinite(self):
-        fam = bs.CorrelationFamily(psi=(np.diag([1.0, -0.5]),), psi_hat=(np.eye(2),))
         with pytest.raises(errors.BadParameter):
-            bs.validate_family(fam)
+            bs.CorrelationFamily(psi=(np.diag([1.0, -0.5]),), psi_hat=(np.eye(2),))
 
     def test_rejects_term_mismatch(self):
-        fam = bs.CorrelationFamily(psi=(np.eye(2), np.eye(2)), psi_hat=(np.eye(2),))
         with pytest.raises(errors.BadParameter):
-            bs.validate_family(fam)
+            bs.CorrelationFamily(psi=(np.eye(2), np.eye(2)), psi_hat=(np.eye(2),))
 
     def test_rejects_shape_mismatch(self):
-        fam = bs.CorrelationFamily(psi=(np.eye(2), np.eye(3)), psi_hat=(np.eye(2), np.eye(2)))
         with pytest.raises(errors.DimensionMismatch):
-            bs.validate_family(fam)
+            bs.CorrelationFamily(psi=(np.eye(2), np.eye(3)), psi_hat=(np.eye(2), np.eye(2)))
+
+    def test_replace_revalidates(self):
+        fam = bs.CorrelationFamily(psi=(np.eye(2),), psi_hat=(np.eye(2),))
+        with pytest.raises(errors.BadParameter):
+            replace(fam, psi=(np.diag([1.0, -0.5]),))
 
 
 class TestBuildEta:

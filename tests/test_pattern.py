@@ -63,7 +63,7 @@ def test_isi_pattern_is_the_diagonal(K, L):
 
 
 def test_nonsep_t2_pattern():
-    family = cli._build_model(cli.parse_config(CONFIGS / "nonsep_t2.json"))
+    family = cli.parse_config(CONFIGS / "nonsep_t2.json").built
     eta = ns.hermitized_eta(family)
     _assert_closed(eta)
     assert eta.pattern.blocks == ((0,), (1,), (2, 3))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
 from blockspectra import errors
-from blockspectra.solver import max_im_eigenvalue
+from blockspectra.solver import max_im_eigenvalue, solve_gram_grid
 
 from conftest import random_selfadjoint_spec
 from reference_laws import mp1_cauchy, semicircle_cauchy
@@ -87,9 +87,17 @@ class TestFixedPoint:
         with pytest.raises(errors.SingularResolvent):
             bs.solve_fixed_point(eta, 1j, TIGHT)
 
-    def test_rectangular_map_rejected(self, isi44):
+    @pytest.mark.parametrize("call", [
+        lambda eta: bs.solve_fixed_point(eta, 1j),
+        lambda eta: bs.newton_refine(eta, 1j, -1j * np.eye(eta.dim_in)),
+        lambda eta: bs.solve_grid(eta, np.linspace(-1.0, 1.0, 5), 1e-2),
+        lambda eta: solve_gram_grid(eta, 1, np.linspace(0.0, 1.0, 5), 1e-2),
+        lambda eta: bs.moment_check(eta),
+    ], ids=["solve_fixed_point", "newton_refine", "solve_grid", "solve_gram_grid",
+            "moment_check"])
+    def test_rectangular_map_rejected(self, isi44, call):
         with pytest.raises(errors.DimensionMismatch):
-            bs.solve_fixed_point(bs.eta1_map(isi44), 1j)
+            call(bs.eta1_map(isi44))
 
 
 class TestNewtonRefine:
