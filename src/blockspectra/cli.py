@@ -11,10 +11,10 @@ Complex numbers in configs are [re, im] pairs. Unknown keys are rejected.
 Exit codes: 0 ok, 1 numerical failure, 2 usage error; failures print a
 machine-readable error JSON to stdout.
 
-Everything that differs between models (config keys and how to parse and
-dump them, the model build, the density and moment routes, whether the
-law is a Gram law and whether it can be sampled) is one row of
-``_MODELS``; parsing, serializing and the commands loop over that row.
+Everything that differs between models (config keys and how to parse
+them, the model build, the density and moment routes, whether the law is
+a Gram law and whether it can be sampled) is one row of ``_MODELS``;
+parsing and the commands loop over that row.
 A :class:`ProblemConfig` builds its model when it is made, so an invalid
 model never gets past parsing and the commands read the built model from
 the config.
@@ -186,15 +186,6 @@ def _float_list(raw, key):
     return tuple(_float_value(x, key) for x in raw)
 
 
-def _dump_entries(entries):
-    return [[*e[:4], e[4].real if e[4].imag == 0.0 else [e[4].real, e[4].imag]]
-            for e in entries]
-
-
-def _dump_matrices(mats):
-    return [[[[x.real, x.imag] for x in row] for row in m] for m in mats]
-
-
 # ---------------------------------------------------------------------------
 # the per-model table: every difference between models lives in one row.
 # Routes look package functions up as module attributes when called, so
@@ -202,10 +193,9 @@ def _dump_matrices(mats):
 # ---------------------------------------------------------------------------
 
 class _Key(NamedTuple):
-    """One model key: parse(raw JSON value, key) -> config value, dump back to JSON."""
+    """One model key: parse(raw JSON value, key) -> config value."""
 
     parse: Callable
-    dump: Callable
     required: bool = True
 
 
@@ -218,11 +208,11 @@ class _Model(NamedTuple):
     sampled: bool = True  # Monte Carlo sampling is defined
 
 
-_COUNT = _Key(lambda raw, key: _int_value(raw, key, minimum=1), lambda v: v)
-_FLOATS = _Key(_float_list, list)
-_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=False), _dump_entries)
-_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=True), _dump_entries)
-_MATRICES = _Key(_parse_matrix_list, _dump_matrices)
+_COUNT = _Key(lambda raw, key: _int_value(raw, key, minimum=1))
+_FLOATS = _Key(_float_list)
+_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=False))
+_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=True))
+_MATRICES = _Key(_parse_matrix_list)
 
 
 def _hermitized_moments(spec):
@@ -389,34 +379,6 @@ def _read_file(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError("config", f"cannot read config file {path}: {exc}") from exc
-
-
-def config_to_json(config: ProblemConfig) -> str:
-    """Serialize a config back to JSON; parse(config_to_json(c)) == c."""
-    out: dict = {"model": config.model}
-    for key, spec in _MODELS[config.model].keys.items():
-        value = getattr(config, key)
-        if value is not None:
-            out[key] = spec.dump(value)
-    out["grid"] = {
-        "xmin": config.grid.xmin,
-        "xmax": config.grid.xmax,
-        "points": config.grid.points,
-        "epsilon": config.grid.epsilon,
-    }
-    out["solver"] = {
-        "tol": config.solver.tol,
-        "max_iter": config.solver.max_iter,
-    }
-    if config.snr is not None:
-        out["snr"] = list(config.snr)
-    if config.mc is not None:
-        out["mc"] = {
-            "N": list(config.mc.N),
-            "realizations": config.mc.realizations,
-            "seed": config.mc.seed,
-        }
-    return json.dumps(out, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ its pair of maps.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,6 +54,8 @@ KINDS = ("selfadjoint", "hh_star", "rectangular")
 
 SYMMETRY_TOL = 1e-12
 CHOI_FLAG_EIG = -1e-10
+# a map entry counts toward the invariant pattern above this share of the largest
+PATTERN_RTOL = 1e-14
 
 Entry = tuple[int, int, int, int, complex]
 
@@ -79,11 +82,7 @@ class CovarianceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise WrongKind(f"unknown covariance kind {self.kind!r}")
-        norm = tuple(
-            (int(i), int(j), int(k), int(l), complex(v))
-            for (i, j, k, l, v) in self.entries
-        )
-        object.__setattr__(self, "entries", norm)
+        object.__setattr__(self, "entries", tuple(_entry(e) for e in self.entries))
         if self.kind == "hh_star":
             if self.a < 1 or self.b < 1:
                 raise BadParameter("hh_star spec needs block counts a >= 1, b >= 1")
@@ -133,6 +132,16 @@ def rectangular_covariance(alpha, entries) -> CovarianceSpec:
     """Rectangular spec; block count is len(alpha)."""
     alpha = tuple(float(x) for x in alpha)
     return CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
+
+
+def _entry(ent) -> Entry:
+    """One entry as (i, j, k, l, complex value), or BadParameter naming it."""
+    try:
+        if len(ent) == 5:
+            return (*(operator.index(x) for x in ent[:4]), complex(ent[4]))
+    except (TypeError, ValueError):
+        pass
+    raise BadParameter(f"entry {ent!r} must be (i, j, k, l, value) with integer indices")
 
 
 def _check_indices(spec: CovarianceSpec):
@@ -264,11 +273,14 @@ class InvariantPattern:
     """Smallest block-diagonal sparsity pattern a square map keeps invariant.
 
     Starting from the diagonal, supp(eta(S)), supp(S S) and S^T are added
-    until nothing changes. The result is an equivalence relation on the d
-    indices, i.e. diagonal blocks after a permutation (one block of size d
-    for a dense map, d blocks of size 1 for ISI). It contains the identity
-    and is closed under eta, products and inverses, so every fixed-point
-    and Newton iterate of z G = I + s eta(G) G stays on it.
+    until nothing changes. A map entry counts as nonzero when its modulus
+    exceeds ``PATTERN_RTOL`` (1e-14) times the largest modulus, so roundoff
+    does not merge blocks; the zero map keeps the diagonal. The result is an
+    equivalence relation on the d indices, i.e. diagonal blocks after a
+    permutation (one block of size d for a dense map, d blocks of size 1 for
+    ISI). It contains the identity and is closed under eta, products and
+    inverses, so every fixed-point and Newton iterate of z G = I + s eta(G) G
+    stays on it.
 
     Values on the pattern are stored flat ("compressed"), blocks grouped by
     size: ``groups`` lists (s, n, slice) for the n blocks of size s, each
@@ -279,7 +291,8 @@ class InvariantPattern:
 
     def __init__(self, tensor):
         d = tensor.shape[0]
-        reach = (tensor != 0).reshape(d * d, d * d)
+        mag = np.abs(tensor)
+        reach = (mag > PATTERN_RTOL * mag.max(initial=0.0)).reshape(d * d, d * d)
         S = np.eye(d, dtype=bool)
         while True:
             grown = S | reach[:, S.ravel()].any(axis=1).reshape(d, d)

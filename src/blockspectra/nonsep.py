@@ -45,8 +45,9 @@ class CorrelationFamily:
     """t Hermitian PSD correlation matrices per side, with trace states.
 
     The constructor (and so also ``dataclasses.replace``) checks the term
-    count, shapes, Hermiticity and positive semidefiniteness, raising
-    BadParameter or DimensionMismatch: every family in existence is valid.
+    count, shapes, finiteness, Hermiticity and positive semidefiniteness,
+    raising BadParameter or DimensionMismatch: every family in existence is
+    valid.
     """
 
     psi: tuple[np.ndarray, ...]
@@ -68,6 +69,8 @@ class CorrelationFamily:
             for s, m in enumerate(mats):
                 if m.ndim != 2 or m.shape != (dim, dim):
                     raise DimensionMismatch(f"{name}[{s}] must be {dim}x{dim}")
+                if not np.isfinite(m).all():
+                    raise BadParameter(f"{name}[{s}] has a non-finite entry")
                 scale = max(1.0, float(np.abs(m).max()))
                 if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
                     raise BadParameter(f"{name}[{s}] is not Hermitian")
@@ -92,7 +95,7 @@ def validate_family(family: CorrelationFamily) -> CorrelationFamily:
 
     Kept as a public step for callers that validate explicitly; every
     :class:`CorrelationFamily` has already passed the term-count, shape,
-    Hermiticity and positive-semidefiniteness checks.
+    finiteness, Hermiticity and positive-semidefiniteness checks.
     """
     return family
 

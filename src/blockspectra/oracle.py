@@ -27,10 +27,11 @@ MAX_MOMENT_ORDER = 16
 class EnsembleSample:
     """One seeded realization of a block ensemble.
 
-    ``matrix`` is the full Hermitian form (the hermitized X for hh_star
-    specs); ``eigenvalues`` are those of the form under study (X itself, or
-    the Gram matrix HH* of the normalized channel block). Same seed, same
-    spec, same N: bit-identical sample.
+    ``matrix`` is the Hermitian X for selfadjoint and rectangular specs and
+    the aN x bN channel H for hh_star specs (the hermitization is never
+    built); ``eigenvalues`` are the ascending eigenvalues of the form under
+    study (X itself, or the Gram matrix HH*). Same seed, same spec, same N:
+    bit-identical sample.
     """
 
     seed: int
@@ -139,12 +140,7 @@ def _sample_hh_star(spec, N, rng):
     Phi = _entry_factor(C, "hh_star")
     W = _standard_complex(rng, (a * b, N * N))
     V = (Phi @ W).reshape(a, b, N, N)
-    H = V.transpose(0, 2, 1, 3).reshape(a * N, b * N)
-    n = (a + b) * N
-    X = np.zeros((n, n), dtype=complex)
-    X[: a * N, a * N:] = H
-    X[a * N:, : a * N] = H.conj().T
-    return X
+    return V.transpose(0, 2, 1, 3).reshape(a * N, b * N)
 
 
 def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
@@ -160,39 +156,33 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
         raise BadParameter("N must be >= 1")
     rng = np.random.default_rng(seed)
     if spec.kind == "hh_star":
-        X = _sample_hh_star(spec, N, rng)
-        eig = _gram_eigenvalues(X, spec.a, N)
-        return EnsembleSample(
-            seed=seed, N=N, kind=spec.kind, matrix=X, eigenvalues=eig,
-            a=spec.a, b=spec.b, block_sizes=(N,) * (spec.a + spec.b),
-        )
-    X, sizes = _sample_hermitian(spec, N, rng)
-    eig = np.sort(np.linalg.eigvalsh(X))
+        M = _sample_hh_star(spec, N, rng)
+        eig = np.linalg.eigvalsh(M @ M.conj().T)
+        sizes = (N,) * (spec.a + spec.b)
+    else:
+        M, sizes = _sample_hermitian(spec, N, rng)
+        eig = np.linalg.eigvalsh(M)
     return EnsembleSample(
-        seed=seed, N=N, kind=spec.kind, matrix=X, eigenvalues=eig,
-        block_sizes=tuple(sizes),
+        seed=seed, N=N, kind=spec.kind, matrix=M, eigenvalues=eig,
+        a=spec.a, b=spec.b, block_sizes=tuple(sizes),
     )
 
 
-def _gram_eigenvalues(X, a, N):
-    H = X[: a * N, a * N:]
-    return np.sort(np.linalg.eigvalsh(H @ H.conj().T))
-
-
 def empirical_spectrum(sample: EnsembleSample, form="x") -> np.ndarray:
-    """Sorted eigenvalues of the requested Hermitian form.
+    """Ascending eigenvalues of the sample's own Hermitian form.
 
-    ``form="x"`` diagonalizes the stored selfadjoint matrix; ``"hh_star"``
-    diagonalizes H H* of the channel block (whose covariance normalization
-    already carries the 1/((a+b)N), so no further rescaling applies).
+    ``form="x"`` names the selfadjoint X of a selfadjoint or rectangular
+    sample; ``"hh_star"`` names the Gram matrix H H* of an hh_star sample
+    (whose covariance normalization already carries the 1/((a+b)N), so no
+    further rescaling applies). The other form raises :class:`WrongKind`:
+    an hh_star sample holds H, not its hermitization. Returns the sample's
+    own read-only ``eigenvalues`` array.
     """
-    if form == "x":
-        return np.sort(np.linalg.eigvalsh(sample.matrix))
-    if form == "hh_star":
-        if sample.kind != "hh_star":
-            raise WrongKind(f"sample of kind {sample.kind} has no channel block")
-        return _gram_eigenvalues(sample.matrix, sample.a, sample.N)
-    raise BadParameter(f"unknown spectral form {form!r}")
+    if form not in ("x", "hh_star"):
+        raise BadParameter(f"unknown spectral form {form!r}")
+    if (form == "hh_star") != (sample.kind == "hh_star"):
+        raise WrongKind(f"sample of kind {sample.kind} has no {form} form")
+    return sample.eigenvalues
 
 
 def ks_distance(eigenvalues, theoretical_cdf) -> float:

@@ -118,20 +118,34 @@ class TestParse:
         with pytest.raises(errors.ValidationError, match="mc"):
             cli.parse_config('{"model": "isi", "K": 2, "L": 2, "mc": {"N": 4}}')
 
-    @pytest.mark.parametrize("payload", [
-        ISI_CONFIG,
-        {"model": "selfadjoint", "d": 1, "entries": [[1, 1, 1, 1, 1.0]],
-         "grid": {"xmin": -2.5, "xmax": 2.5, "points": 64, "epsilon": 1e-4}},
-        {"model": "isi", "K": 2, "L": 3, "taps": [1.0, 0.5, 0.25],
-         "snr": [1.0, 10.0], "mc": {"N": [2, 4], "realizations": 3, "seed": 5}},
-        {"model": "rectangular", "alpha": [1 / 3, 2 / 3],
-         "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0]]},
-        MODEL_CONFIGS["hh_star"],
-        MODEL_CONFIGS["nonsep"],
-    ])
-    def test_round_trip(self, payload):
-        cfg = cli.parse_config(json.dumps(payload))
-        assert cli.parse_config(cli.config_to_json(cfg)) == cfg
+    @pytest.mark.parametrize("payload, fields", [
+        (ISI_CONFIG,
+         dict(model="isi", K=2, L=2, grid=cli.GridConfig(points=160),
+              solver=bs.SolverConfig(tol=1e-11))),
+        ({"model": "selfadjoint", "d": 1, "entries": [[1, 1, 1, 1, 1.0]],
+          "grid": {"xmin": -2.5, "xmax": 2.5, "points": 64, "epsilon": 1e-4}},
+         dict(model="selfadjoint", d=1, entries=((1, 1, 1, 1, 1.0 + 0j),),
+              grid=cli.GridConfig(xmin=-2.5, xmax=2.5, points=64, epsilon=1e-4))),
+        ({"model": "isi", "K": 2, "L": 3, "taps": [1.0, 0.5, 0.25],
+          "snr": [1.0, 10.0], "mc": {"N": [2, 4], "realizations": 3, "seed": 5}},
+         dict(model="isi", K=2, L=3, taps=(1.0, 0.5, 0.25), snr=(1.0, 10.0),
+              mc=cli.McConfig(N=(2, 4), realizations=3, seed=5))),
+        ({"model": "rectangular", "alpha": [1 / 3, 2 / 3],
+          "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0]]},
+         dict(model="rectangular", alpha=(1 / 3, 2 / 3),
+              entries=((1, 1, 1, 1, 1.0 + 0j), (2, 2, 2, 2, 1.0 + 0j)))),
+        (MODEL_CONFIGS["hh_star"],
+         dict(model="hh_star", a=1, b=2,
+              entries=((1, 1, 1, 1, 1.0 + 0j), (1, 2, 1, 2, 0.5 + 0j)))),
+        (MODEL_CONFIGS["nonsep"],
+         dict(model="nonsep",
+              psi=(((1, 0), (0, 0.5)), ((0.5, 0), (0, 1))),
+              psi_hat=(((1, 0.2), (0.2, 0.8)), ((0.6, 0), (0, 0.6))))),
+    ], ids=[f"payload{i}" for i in range(6)])
+    def test_round_trip(self, payload, fields):
+        """Each payload parses to exactly the config its fields spell out;
+        every field the payload leaves out keeps its default."""
+        assert cli.parse_config(json.dumps(payload)) == cli.ProblemConfig(**fields)
 
 
 class TestEmit:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -48,6 +49,16 @@ class TestValidation:
     def test_index_out_of_range(self):
         with pytest.raises(errors.IndexOutOfRange):
             bs.selfadjoint_covariance(2, [(1, 3, 1, 1, 1.0)])
+
+    @pytest.mark.parametrize("make, entry", [
+        (lambda e: bs.selfadjoint_covariance(1, [e]), (1, 1, 1, 1)),
+        (lambda e: bs.hh_star_covariance(1, 1, [e]), (1, 1, 1)),
+        (lambda e: bs.selfadjoint_covariance(1, [e]), ("a", 1, 1, 1, 1.0)),
+        (lambda e: bs.selfadjoint_covariance(2, [e]), (1.7, 1, 1, 1, 1.0)),
+    ], ids=["short", "hh_star-short", "text-index", "float-index"])
+    def test_malformed_entry_named(self, make, entry):
+        with pytest.raises(errors.BadParameter, match=re.escape(repr(entry))):
+            make(entry)
 
     def test_nonfinite_value(self):
         with pytest.raises(errors.BadParameter):
@@ -334,7 +345,7 @@ class TestEta2AgainstSampledGramForm:
         acc = np.zeros((b, b), dtype=complex)
         for r in range(n_samp):
             smp = bs.sample_block_gaussian(spec, N, rng.integers(0, 2**63))
-            H = smp.matrix[: a * N, a * N:]
+            H = smp.matrix
             M = H.conj().T @ Dbig @ H
             for k in range(b):
                 for l in range(b):

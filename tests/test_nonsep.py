@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,15 @@ class TestFamilyValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             bs.CorrelationFamily(psi=(np.eye(2), np.eye(3)), psi_hat=(np.eye(2), np.eye(2)))
+
+    @pytest.mark.parametrize("side", ["psi", "psi_hat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, side, bad):
+        P = np.eye(2)
+        P[0, 0] = bad
+        sides = {"psi": (np.eye(2),), "psi_hat": (np.eye(2),), side: (P,)}
+        with pytest.raises(errors.BadParameter, match=re.escape(f"{side}[0]")):
+            bs.CorrelationFamily(**sides)
 
     def test_replace_revalidates(self):
         fam = bs.CorrelationFamily(psi=(np.eye(2),), psi_hat=(np.eye(2),))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,7 @@ class TestSampling:
     def test_hh_star_circularity(self, mp_spec):
         N = 400
         s = bs.sample_block_gaussian(mp_spec, N, 13)
-        H = s.matrix[:N, N:]
+        H = s.matrix
         m = H.size
         second = (H**2).flatten().mean()
         # E[h^2] = 0 in law; 3 standard errors of the mean
@@ -73,6 +75,25 @@ class TestSampling:
         assert s.matrix.shape == (60, 60)
         assert np.abs(s.matrix - s.matrix.conj().T).max() == 0.0
 
+    def test_hh_star_sample_holds_channel(self, isi44):
+        N = 15
+        s = bs.sample_block_gaussian(isi44, N, 3)
+        H = s.matrix
+        assert H.shape == (isi44.a * N, isi44.b * N)
+        assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(H @ H.conj().T))
+
+    def test_hh_star_draw_never_builds_hermitization(self):
+        spec = bs.isi_covariance(2, 2)
+        N = 100
+        bs.sample_block_gaussian(spec, 4, 0)  # warm up lazy imports
+        tracemalloc.start()
+        try:
+            bs.sample_block_gaussian(spec, N, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ((spec.a + spec.b) * N) ** 2 * 16
+
     def test_not_psd_rejected(self):
         with pytest.warns(RuntimeWarning, match="positivity"):
             spec = bs.selfadjoint_covariance(1, [(1, 1, 1, 1, -1.0)])
@@ -106,6 +127,11 @@ class TestEmpiricalSpectrum:
             bs.empirical_spectrum(zero, form="hh_star")
         with pytest.raises(errors.BadParameter):
             bs.empirical_spectrum(zero, form="banana")
+
+    def test_gram_sample_has_no_x_form(self, mp_spec):
+        s = bs.sample_block_gaussian(mp_spec, 8, 1)
+        with pytest.raises(errors.WrongKind):
+            bs.empirical_spectrum(s, form="x")
 
     def test_gram_eigenvalues_nonnegative(self, isi44):
         s = bs.sample_block_gaussian(isi44, 15, 3)

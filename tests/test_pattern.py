@@ -62,6 +62,18 @@ def test_isi_pattern_is_the_diagonal(K, L):
     assert len(eta.pattern.flat) == 2 * K + L - 1
 
 
+def test_isi_pattern_survives_roundoff():
+    eta = _hermitized(bs.isi_covariance(3, 2))
+    noise = np.random.default_rng(5).standard_normal(eta.tensor.shape)
+    noisy = bs.EtaMap(eta.tensor + 1e-17 * noise)
+    assert noisy.pattern.blocks == tuple((i,) for i in range(7))
+    assert len(noisy.pattern.flat) == 7
+
+
+def test_zero_map_pattern_is_the_diagonal():
+    assert bs.EtaMap(np.zeros((3, 3, 3, 3))).pattern.blocks == ((0,), (1,), (2,))
+
+
 def test_nonsep_t2_pattern():
     family = cli.parse_config(CONFIGS / "nonsep_t2.json").built
     eta = ns.hermitized_eta(family)
