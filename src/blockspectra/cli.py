@@ -203,7 +203,7 @@ class _Model(NamedTuple):
     keys: dict[str, _Key]
     build: Callable     # ProblemConfig -> spec or correlation family
     density: Callable   # (model, xs=, npoints=, epsilon=, config=) -> SpectralDensity
-    moments: Callable   # model -> (eta, trace weights, (num, den) rescaling the recursion)
+    moments: Callable   # model -> (eta, the trace weights its density reads G with)
     gram: bool          # a nonnegative Gram law: capacity applies, order k pairs with X^(2k)
     sampled: bool = True  # Monte Carlo sampling is defined
 
@@ -216,9 +216,8 @@ _MATRICES = _Key(_parse_matrix_list)
 
 
 def _hermitized_moments(spec):
-    # X^2 splits its spectrum between the two Gram forms: HH* gets (a+b)/(2a)
     eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-    return eta, None, (spec.a + spec.b, 2 * spec.a)
+    return eta, spc._leading_weights(spec.dim, spec.a)
 
 
 def _family(config):
@@ -228,17 +227,12 @@ def _family(config):
     )
 
 
-def _half_trace_weights(family):
-    p, q = family.p, family.q
-    return np.concatenate((np.full(p, 0.5 / p), np.full(q, 0.5 / q)))
-
-
 _MODELS = {
     "selfadjoint": _Model(
         keys={"d": _COUNT, "entries": _ENTRIES},
         build=lambda c: cov.selfadjoint_covariance(c.d, c.entries),
         density=lambda m, **kw: spc.density_from_eta(cov.eta_map(m), **kw),
-        moments=lambda m: (cov.eta_map(m), None, (1, 1)),
+        moments=lambda m: (cov.eta_map(m), None),
         gram=False,
     ),
     "hh_star": _Model(
@@ -260,14 +254,14 @@ _MODELS = {
         build=lambda c: cov.rectangular_covariance(c.alpha, c.entries),
         density=lambda m, **kw: spc.density_from_eta(
             cov.eta_alpha_map(m), trace_weights=m.alpha, **kw),
-        moments=lambda m: (cov.eta_alpha_map(m), m.alpha, (1, 1)),
+        moments=lambda m: (cov.eta_alpha_map(m), m.alpha),
         gram=False,
     ),
     "nonsep": _Model(
         keys={"psi": _MATRICES, "psi_hat": _MATRICES},
         build=_family,
         density=lambda m, **kw: ns.fading_density(m, **kw),
-        moments=lambda m: (ns.hermitized_eta(m), _half_trace_weights(m), (1, 1)),
+        moments=lambda m: (ns.hermitized_eta(m), spc._leading_weights(m.p + m.q, m.p)),
         gram=True,
         sampled=False,
     ),
@@ -606,12 +600,12 @@ def _moment_table(config):
     row = _MODELS[config.model]
     density = _solve_density(config)
     diag = _density_diagnostics(density)
-    eta, weights, (num, den) = row.moments(config.built)
+    eta, weights = row.moments(config.built)
     step = 2 if row.gram else 1
     rows = []
     for k in ((1, 2, 3, 4) if row.gram else (2, 4, 6, 8)):
         _, tr = orc.nc2_moment(eta, step * k, trace_weights=weights)
-        rows.append((k, tr.real * num / den, spc.moments_from_density(density, k)))
+        rows.append((k, tr.real, spc.moments_from_density(density, k)))
     return rows, diag
 
 

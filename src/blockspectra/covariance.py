@@ -84,9 +84,12 @@ class CovarianceSpec:
             raise WrongKind(f"unknown covariance kind {self.kind!r}")
         object.__setattr__(self, "entries", tuple(_entry(e) for e in self.entries))
         if self.kind == "hh_star":
+            object.__setattr__(self, "a", _count(self.a, "block count a"))
+            object.__setattr__(self, "b", _count(self.b, "block count b"))
             if self.a < 1 or self.b < 1:
                 raise BadParameter("hh_star spec needs block counts a >= 1, b >= 1")
         else:
+            object.__setattr__(self, "d", _count(self.d, "block count d"))
             if self.d < 1:
                 raise BadParameter(f"{self.kind} spec needs block count d >= 1")
             if self.alpha is None:
@@ -132,6 +135,14 @@ def rectangular_covariance(alpha, entries) -> CovarianceSpec:
     """Rectangular spec; block count is len(alpha)."""
     alpha = tuple(float(x) for x in alpha)
     return CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
+
+
+def _count(value, what) -> int:
+    """An integer count or order as an int, or BadParameter naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{what} must be an integer, got {value!r}") from None
 
 
 def _entry(ent) -> Entry:
@@ -496,6 +507,7 @@ def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:
     tau(i, j; k, j+k-i) = tap_var[j-i+1] for 1 <= i,k <= K, i <= j <= i+L-1,
     zero elsewhere; a = K, b = K + L - 1. Unit tap variances by default.
     """
+    K, L = _count(K, "K"), _count(L, "L")
     if K < 1 or L < 1:
         raise BadParameter("K and L must be >= 1")
     if tap_var is None:

@@ -149,11 +149,15 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     Entries are jointly Gaussian with exactly the spec's covariance: one
     eigenfactorization of the d^2 x d^2 entry covariance mixes iid standard
     complex normals, reused across all matrix positions. The selfadjoint
-    constraint X = X* holds exactly by construction.
+    constraint X = X* holds exactly by construction. ``seed`` is a
+    non-negative integer or a numpy ``SeedSequence``.
     """
     _require_sampling_grade(spec)
+    N = cov._count(N, "N")
     if N < 1:
         raise BadParameter("N must be >= 1")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if spec.kind == "hh_star":
         M = _sample_hh_star(spec, N, rng)
@@ -191,6 +195,8 @@ def ks_distance(eigenvalues, theoretical_cdf) -> float:
     n = e.size
     if n == 0:
         raise BadParameter("need a nonempty eigenvalue list")
+    if not np.isfinite(e).all():
+        raise BadParameter("eigenvalues must be finite")
     F = np.asarray(theoretical_cdf(e), dtype=float)
     up = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
@@ -205,6 +211,7 @@ def nc2_moment(eta, m: int, trace_weights=None):
     matrix and its normalized (or weighted) trace. Odd orders are zero;
     orders above 16 are refused.
     """
+    m = cov._count(m, "moment order")
     if m < 0:
         raise BadParameter("moment order must be >= 0")
     if m > MAX_MOMENT_ORDER:

@@ -24,7 +24,6 @@ from .errors import BadParameter, GridError, NegativeSupport
 
 MASS_TOL = 5e-3
 CLIP_WARN = 1e-3
-BOUNDARY_DENSITY = 1e-6
 DEFAULT_POINTS = 512
 
 
@@ -155,6 +154,7 @@ def capacity(density: SpectralDensity, snr: float) -> float:
 
 def moments_from_density(density: SpectralDensity, k: int) -> float:
     """k-th moment by trapezoid quadrature, atom included."""
+    k = cov._count(k, "moment order")
     if k < 0:
         raise BadParameter("moment order must be >= 0")
     val = float(np.trapezoid(density.xs**k * density.ps, density.xs))
@@ -183,60 +183,24 @@ def density_from_eta(
 ) -> SpectralDensity:
     """Density of the selfadjoint law with covariance map eta.
 
-    The support is auto-detected (and expanded until the boundary density
-    falls below 1e-6) unless an explicit grid is given. ``epsilon`` is the
-    smaller inversion offset eps_2; it defaults to 1e-3 times the grid span.
-    ``trace_weights`` switches the scalar transform from tr_d to a weighted
-    trace (rectangular laws).
+    Without an explicit grid, ``xs`` spans [-1.35 e, 1.35 e] with
+    e = 2 ||eta(I)||^(1/2): for a positive map the 2k-th moment is at most
+    Catalan(k) ||eta(I)||^k, so the law lies in [-e, e] and one solve covers
+    it. ``epsilon`` is the smaller inversion offset eps_2; it defaults to
+    1e-3 times the grid span. ``trace_weights`` switches the scalar
+    transform from tr_d to a weighted trace (rectangular laws); the
+    ``moments`` command reads the recursion with the same weights.
     """
-    config = config or slv.DEFAULT_CONFIG
-    if xs is not None:
-        xs = np.asarray(xs, dtype=float)
-        return _invert_selfadjoint(eta, xs, epsilon, config, trace_weights)
-    edge = slv._edge_estimate(eta)
-    lo, hi = -1.35 * edge, 1.35 * edge
-    for _ in range(8):
-        grid = np.linspace(lo, hi, npoints)
-        dens = _invert_selfadjoint(eta, grid, epsilon, config, trace_weights)
-        grow_lo = dens.ps[0] > BOUNDARY_DENSITY
-        grow_hi = dens.ps[-1] > BOUNDARY_DENSITY
-        if not (grow_lo or grow_hi):
-            return dens
-        span = hi - lo
-        if grow_lo:
-            lo -= 0.25 * span
-        if grow_hi:
-            hi += 0.25 * span
-    return dens
-
-
-def _invert_selfadjoint(eta, xs, epsilon, config, trace_weights):
+    if xs is None:
+        edge = slv._edge_estimate(eta)
+        xs = np.linspace(-1.35 * edge, 1.35 * edge, npoints)
+    xs = np.asarray(xs, dtype=float)
     eps2 = epsilon if epsilon is not None else 1e-3 * float(xs[-1] - xs[0])
-    eps2 = max(eps2, slv.MIN_GRID_EPSILON)
-    g1 = _pair_traces(eta, xs, eps2, config, scale_is_z=False,
-                      trace_weights=trace_weights)
-    dens = stieltjes_invert(zip(xs, *g1), epsilons=(2 * eps2, eps2))
-    check_mass(dens)
-    return dens
-
-
-def _pair_traces(eta, xs, eps2, config, scale_is_z, side=None, trace_weights=None):
-    """Scalar transforms at offsets (2*eps2, eps2); raises on non-convergence."""
-    eps2 = float(eps2)
-    wide, narrow = slv._solve_continuation(
-        eta, xs, eps2, config, scale_is_z, record=(2 * eps2,)
-    )
-    slv._require_converged(xs, wide, narrow)
-
-    def scalarize(G):
-        if side is not None:
-            return np.trace(G[:, :side, :side], axis1=1, axis2=2) / side
-        if trace_weights is not None:
-            w = np.asarray(trace_weights, dtype=float)
-            return np.einsum("i,pii->p", w, G)
-        return np.trace(G, axis1=1, axis2=2) / G.shape[-1]
-
-    return scalarize(wide.G), scalarize(narrow.G)
+    d = eta.dim_in
+    w = np.full(d, 1.0 / d) if trace_weights is None else np.asarray(trace_weights, float)
+    if w.shape != (d,):
+        raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
+    return _invert(eta, xs, eps2, config, False, w)
 
 
 def density_gram(
@@ -251,32 +215,40 @@ def density_gram(
 
     ``eta`` acts on (a+b)-indexed matrices and must annihilate the corner
     blocks; ``side`` is the number of leading blocks whose normalized trace
-    gives the scalar transform. The grid lives on [0, hi] and clusters
+    gives the scalar transform (and the ``moments`` command's recursion).
+    Without an explicit grid, ``xs`` spans [0, 1.8 e^2], which covers the
+    law (see :func:`density_from_eta` for the bound e), and clusters
     geometrically near 0. The default offset is tighter than the
     selfadjoint one (1e-5 of the span): Gram laws often carry a 1/sqrt(x)
     hard edge at zero whose smearing leaks mass below the axis at rate
     sqrt(epsilon).
     """
-    config = config or slv.DEFAULT_CONFIG
-    if xs is not None:
-        xs = np.asarray(xs, dtype=float)
-        return _invert_gram(eta, side, xs, epsilon, config)
-    hi = 1.8 * slv._edge_estimate(eta) ** 2
-    dens = None
-    for _ in range(8):
-        eps2 = epsilon if epsilon is not None else 1e-5 * hi
-        grid = _gram_grid(hi, npoints, eps2)
-        dens = _invert_gram(eta, side, grid, epsilon, config)
-        if dens.ps[-1] <= BOUNDARY_DENSITY:
-            return dens
-        hi *= 1.3
-    return dens
-
-
-def _invert_gram(eta, side, xs, epsilon, config):
+    side = cov._count(side, "side")
+    if not 1 <= side < eta.dim_in:
+        raise BadParameter(f"side must lie in 1..{eta.dim_in - 1}, got {side}")
+    if xs is None:
+        hi = 1.8 * slv._edge_estimate(eta) ** 2
+        xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else 1e-5 * hi)
+    xs = np.asarray(xs, dtype=float)
     eps2 = epsilon if epsilon is not None else 1e-5 * float(xs[-1] - xs[0])
-    eps2 = max(eps2, slv.MIN_GRID_EPSILON)
-    g1, g2 = _pair_traces(eta, xs, eps2, config, scale_is_z=True, side=side)
+    return _invert(eta, xs, eps2, config, True, _leading_weights(eta.dim_in, side))
+
+
+def _leading_weights(d, side):
+    """Trace weights of tr_side on the leading ``side`` of d blocks."""
+    w = np.zeros(d)
+    w[:side] = 1.0 / side
+    return w
+
+
+def _invert(eta, xs, eps2, config, scale_is_z, w):
+    """Solve at offsets (2*eps2, eps2), read G off with trace weights w, invert."""
+    eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
+    wide, narrow = slv._solve_continuation(
+        eta, xs, eps2, config or slv.DEFAULT_CONFIG, scale_is_z, record=(2 * eps2,)
+    )
+    slv._require_converged(xs, wide, narrow)
+    g1, g2 = ((b.G.diagonal(axis1=1, axis2=2) * w).sum(axis=1) for b in (wide, narrow))
     dens = stieltjes_invert(zip(xs, g1, g2), epsilons=(2 * eps2, eps2))
     check_mass(dens)
     return dens

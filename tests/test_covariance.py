@@ -60,6 +60,21 @@ class TestValidation:
         with pytest.raises(errors.BadParameter, match=re.escape(repr(entry))):
             make(entry)
 
+    @pytest.mark.parametrize("call", [
+        lambda: CovarianceSpec("selfadjoint", d=1.5),
+        lambda: CovarianceSpec("hh_star", a=1.5, b=1),
+        lambda: CovarianceSpec("hh_star", a=1, b=2.0),
+        lambda: bs.isi_covariance(1.5, 2),
+        lambda: bs.isi_covariance(2, 2.5),
+        lambda: bs.sample_block_gaussian(bs.isi_covariance(1, 1), 1.5, 0),
+        lambda: bs.nc2_moment(bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])), 2.5),
+        lambda: bs.moments_from_density(
+            bs.SpectralDensity(xs=np.array([-1.0, 1.0]), ps=np.array([0.5, 0.5])), 1.5),
+    ], ids=["d", "a", "b", "isi_K", "isi_L", "sample_N", "nc2_order", "density_order"])
+    def test_non_integer_count_or_order(self, call):
+        with pytest.raises(errors.BadParameter, match="must be an integer"):
+            call()
+
     def test_nonfinite_value(self):
         with pytest.raises(errors.BadParameter):
             bs.selfadjoint_covariance(1, [(1, 1, 1, 1, float("nan"))])

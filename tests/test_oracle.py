@@ -104,6 +104,11 @@ class TestSampling:
         with pytest.raises(errors.BadParameter):
             bs.sample_block_gaussian(mp_spec, 0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_rejected(self, mp_spec, seed):
+        with pytest.raises(errors.BadParameter, match="seed"):
+            bs.sample_block_gaussian(mp_spec, 4, seed)
+
 
 class TestEmpiricalSpectrum:
     def test_constant_matrices(self):
@@ -157,6 +162,11 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(errors.BadParameter):
             bs.ks_distance([], semicircle_cdf)
+
+    @pytest.mark.parametrize("sample", [[np.nan], [0.1, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_rejected(self, sample):
+        with pytest.raises(errors.BadParameter, match="finite"):
+            bs.ks_distance(sample, semicircle_cdf)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000), n=st.integers(1, 200))

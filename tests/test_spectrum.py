@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-import blockspectra as bs
-from blockspectra import errors
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_selfadjoint_spec
+import blockspectra as bs
+from blockspectra import covariance as cov
+from blockspectra import errors
+from blockspectra import solver as slv
+from blockspectra import spectrum as spc
+
+from conftest import random_hh_star_spec, random_selfadjoint_spec
 from reference_laws import (
     catalan,
     mp1_cauchy,
@@ -198,10 +203,63 @@ class TestPipelines:
         )
         assert bs.mass(dens) == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("weights", [(1.0,), (0.2, 0.3, 0.5)])
+    def test_trace_weights_must_match_dimension(self, weights):
+        eta = bs.eta_map(bs.selfadjoint_covariance(2, [(1, 1, 1, 1, 1.0), (2, 2, 2, 2, 1.0)]))
+        with pytest.raises(errors.BadParameter, match="trace_weights"):
+            bs.density_from_eta(eta, trace_weights=weights)
+
     def test_mass_warning_on_truncated_grid(self, semicircle_eta):
         with pytest.warns(RuntimeWarning, match="mass"):
             bs.density_from_eta(semicircle_eta, xs=np.linspace(-1.0, 1.0, 64),
                                 epsilon=1e-3)
+
+
+class TestGridFromBound:
+    @pytest.mark.parametrize("var", [1e-3, 1.0, 1e2])
+    def test_semicircle_solved_once_on_scaled_grid(self, var, semicircle_eta, monkeypatch):
+        unit = bs.density_from_eta(semicircle_eta)
+        calls = []
+        solve = slv._solve_continuation
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(slv, "_solve_continuation", counted)
+        eta = bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, var)]))
+        dens = bs.density_from_eta(eta)
+        assert len(calls) == 1
+        np.testing.assert_allclose(dens.xs, np.sqrt(var) * unit.xs, rtol=1e-12)
+        assert bs.mass(dens) == pytest.approx(1.0, abs=spc.MASS_TOL)
+
+
+@settings(max_examples=20, deadline=None)
+@given(gram=st.booleans(), a=st.integers(1, 3), b=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_even_moments_within_grid_bound(gram, a, b, seed):
+    # the 2k-th moment of a positive map is at most Catalan(k) ||eta(I)||^k,
+    # so the law lies in [-e, e] with e = 2 ||eta(I)||^(1/2), inside the grid
+    rng = np.random.default_rng(seed)
+    if gram:
+        spec = random_hh_star_spec(a, b, rng)
+        eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
+        weights = spc._leading_weights(spec.dim, spec.a)
+    else:
+        eta = bs.eta_map(random_selfadjoint_spec(a, rng))
+        weights = None
+    half_edge = slv._edge_estimate(eta) / 2
+    for k in range(1, 9):
+        _, tr = bs.nc2_moment(eta, 2 * k, trace_weights=weights)
+        assert tr.real <= catalan(k) * half_edge ** (2 * k) * (1 + 1e-12)
+
+
+class TestGramSide:
+    @pytest.mark.parametrize("side", [0, 2, 1.5])
+    def test_side_must_split_the_blocks(self, mp_spec, side):
+        eta = cov._hermitized_map(cov.eta1_map(mp_spec), cov.eta2_map(mp_spec))
+        with pytest.raises(errors.BadParameter, match="side"):
+            bs.density_gram(eta, side)
 
 
 class TestHStarH:
