@@ -132,15 +132,62 @@ def _sample_hermitian(spec, N, rng):
 
 
 def _sample_hh_star(spec, N, rng):
-    """hh_star sampler: circular complex Gaussian blocks, E[h^2] = 0 in law."""
+    """hh_star sampler: the channel H and its (a, b) mask of nonzero blocks.
+
+    Circular complex Gaussian blocks, E[h^2] = 0 in law. The normals are
+    drawn for every block, real parts then imaginary parts, so a seed names
+    the same realization whatever the spec's zero pattern. A block (i,k)
+    with tau(i,k;i,k) = 0 has a zero row in the PSD entry covariance, so it
+    is zero in law: it is stored as an exact zero, and only the
+    eigencomponents with nonzero weight on the other blocks are mixed. The
+    mask lets :func:`_gram_lower` form HH* from its lower block triangle
+    over the nonzero blocks.
+    """
     a, b = spec.a, spec.b
     _guard_memory(a * b, N)
     T = cov._tau_array(spec)
     C = T.reshape(a * b, a * b) / ((a + b) * N)
     Phi = _entry_factor(C, "hh_star")
-    W = _standard_complex(rng, (a * b, N * N))
-    V = (Phi @ W).reshape(a, b, N, N)
-    return V.transpose(0, 2, 1, 3).reshape(a * N, b * N)
+    re = rng.standard_normal((a * b, N * N))
+    im = rng.standard_normal((a * b, N * N))
+    live = np.diagonal(C).reshape(a, b) > 0
+    P = Phi[live.ravel()]
+    used = P.any(axis=0)
+    # tau is real, so the complex mix splits into two real products
+    P = P[:, used] / np.sqrt(2.0)
+    H = np.zeros((a * N, b * N), dtype=complex)
+    blocks = H.reshape(a, N, b, N).swapaxes(1, 2)
+    blocks.real[live] = (P @ re[used]).reshape(-1, N, N)
+    blocks.imag[live] = (P @ im[used]).reshape(-1, N, N)
+    return H, live
+
+
+def _block_columns(ks, N):
+    """Columns of the column blocks ``ks``: a slice when they are contiguous."""
+    if ks[-1] - ks[0] + 1 == ks.size:
+        return slice(ks[0] * N, (ks[-1] + 1) * N)
+    return (ks[:, None] * N + np.arange(N)).ravel()
+
+
+def _gram_lower(H, live, N):
+    """Lower block triangle of HH*, from the nonzero blocks of H only.
+
+    Block (i,j), i >= j, is H[i, S] H[j, S]* over the column blocks S that
+    are nonzero in both block rows; the upper block triangle stays zero, so
+    read the result with ``UPLO="L"``.
+    """
+    a = live.shape[0]
+    G = np.zeros((a * N, a * N), dtype=complex)
+    for j in range(a):
+        Hj = H[j * N:(j + 1) * N].conj()
+        for i in range(j, a):
+            ks = np.flatnonzero(live[i] & live[j])
+            if ks.size:
+                cols = _block_columns(ks, N)
+                G[i * N:(i + 1) * N, j * N:(j + 1) * N] = (
+                    H[i * N:(i + 1) * N, cols] @ Hj[:, cols].T
+                )
+    return G
 
 
 def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
@@ -149,7 +196,11 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     Entries are jointly Gaussian with exactly the spec's covariance: one
     eigenfactorization of the d^2 x d^2 entry covariance mixes iid standard
     complex normals, reused across all matrix positions. The selfadjoint
-    constraint X = X* holds exactly by construction. ``seed`` is a
+    constraint X = X* holds exactly by construction. For hh_star specs,
+    blocks of H with zero variance are exact zeros and the Gram matrix HH*
+    is formed from its lower block triangle, over H's nonzero blocks only;
+    the normals are drawn as for a dense H, so a seed names the same
+    realization as the dense product did, up to roundoff. ``seed`` is a
     non-negative integer or a numpy ``SeedSequence``.
     """
     _require_sampling_grade(spec)
@@ -160,8 +211,8 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
         raise BadParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if spec.kind == "hh_star":
-        M = _sample_hh_star(spec, N, rng)
-        eig = np.linalg.eigvalsh(M @ M.conj().T)
+        M, live = _sample_hh_star(spec, N, rng)
+        eig = np.linalg.eigvalsh(_gram_lower(M, live, N), UPLO="L")
         sizes = (N,) * (spec.a + spec.b)
     else:
         M, sizes = _sample_hermitian(spec, N, rng)

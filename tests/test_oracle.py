@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
-from blockspectra import errors
+from blockspectra import covariance as cov, errors
 from blockspectra.oracle import EnsembleSample
 
 from conftest import random_hh_star_spec, random_selfadjoint_spec
@@ -80,7 +80,63 @@ class TestSampling:
         s = bs.sample_block_gaussian(isi44, N, 3)
         H = s.matrix
         assert H.shape == (isi44.a * N, isi44.b * N)
-        assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(H @ H.conj().T))
+        want = np.linalg.eigvalsh(H @ H.conj().T)
+        assert np.abs(s.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_variance_blocks_exactly_zero(self, isi44):
+        N = 15
+        H = bs.sample_block_gaussian(isi44, N, 3).matrix
+        var = np.diagonal(cov._tau_array(isi44).reshape(isi44.a * isi44.b, -1))
+        blocks = H.reshape(isi44.a, N, isi44.b, N).swapaxes(1, 2)
+        zero = (var == 0).reshape(isi44.a, isi44.b)
+        assert zero.any() and not zero.all()
+        assert np.all(blocks[zero] == 0)
+        assert np.all(np.abs(blocks[~zero]).max(axis=(1, 2)) > 0)
+
+    def test_gram_over_non_contiguous_blocks(self):
+        # row 1 of H has blocks 1 and 3 only, so the (2,1) block of HH* sums
+        # over a non-contiguous set of column blocks
+        spec = bs.hh_star_covariance(2, 3, [
+            (1, 1, 1, 1, 1.0), (1, 3, 1, 3, 2.0),
+            (2, 1, 2, 1, 1.5), (2, 2, 2, 2, 1.0), (2, 3, 2, 3, 0.5),
+        ])
+        N = 6
+        s = bs.sample_block_gaussian(spec, N, 2)
+        H = s.matrix
+        assert np.all(H[:N, N:2 * N] == 0)
+        want = np.linalg.eigvalsh(H @ H.conj().T)
+        assert np.abs(s.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("which", ["isi22", "random23"])
+    def test_seeded_stream_pinned(self, which):
+        # a seed names the realization that the dense mixing of the same
+        # normals (real parts, then imaginary parts) gave
+        if which == "isi22":
+            spec = bs.isi_covariance(2, 2)
+        else:
+            spec = random_hh_star_spec(2, 3, np.random.default_rng(4))
+        a, b, N, seed = spec.a, spec.b, 9, 17
+        C = cov._tau_array(spec).reshape(a * b, a * b) / ((a + b) * N)
+        w, U = np.linalg.eigh(C)
+        Phi = U * np.sqrt(np.clip(w, 0.0, None))
+        rng = np.random.default_rng(seed)
+        re = rng.standard_normal((a * b, N * N))
+        im = rng.standard_normal((a * b, N * N))
+        V = (Phi @ ((re + 1j * im) / np.sqrt(2.0))).reshape(a, b, N, N)
+        want = V.transpose(0, 2, 1, 3).reshape(a * N, b * N)
+        H = bs.sample_block_gaussian(spec, N, seed).matrix
+        assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_oversized_draw_refused_before_allocating(self):
+        spec = bs.isi_covariance(2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.BadParameter, match="GB of scratch"):
+                bs.sample_block_gaussian(spec, 10**5, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_hh_star_draw_never_builds_hermitization(self):
         spec = bs.isi_covariance(2, 2)
