@@ -12,11 +12,8 @@ from .covariance import (
     CovarianceSpec,
     EtaMap,
     choi_matrix,
-    eta1_apply,
     eta1_map,
-    eta2_apply,
     eta2_map,
-    eta_alpha_apply,
     eta_alpha_map,
     eta_apply,
     eta_map,
@@ -25,7 +22,6 @@ from .covariance import (
     isi_covariance,
     rectangular_covariance,
     selfadjoint_covariance,
-    tr_alpha,
     validate_covariance,
 )
 from .nonsep import (

@@ -416,48 +416,6 @@ def _hermitized_map(outer: EtaMap, inner: EtaMap) -> EtaMap:
     return EtaMap(T)
 
 
-def eta1_apply(spec: CovarianceSpec, D) -> np.ndarray:
-    """Apply eta1 of an hh_star spec to a b x b matrix."""
-    return eta_apply(eta1_map(spec), D)
-
-
-def eta2_apply(spec: CovarianceSpec, D) -> np.ndarray:
-    """Apply eta2 of an hh_star spec to an a x a matrix."""
-    return eta_apply(eta2_map(spec), D)
-
-
-def eta_alpha_apply(spec: CovarianceSpec, D) -> np.ndarray:
-    """Apply the weighted map to a matrix in M_alpha.
-
-    Raises PatternViolation if D has support where alpha_i != alpha_j.
-    """
-    if spec.kind != "rectangular":
-        raise WrongKind(f"eta_alpha_apply needs a rectangular spec, got {spec.kind}")
-    D = np.asarray(D, dtype=complex)
-    if D.shape != (spec.d, spec.d):
-        raise DimensionMismatch(f"expected {spec.d}x{spec.d}, got {D.shape}")
-    alpha = spec.alpha
-    scale = max(1.0, float(np.abs(D).max()))
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if alpha[i] != alpha[j] and abs(D[i, j]) > 1e-12 * scale:
-                raise PatternViolation(
-                    f"D[{i + 1},{j + 1}] nonzero outside the alpha pattern"
-                )
-    return eta_apply(eta_alpha_map(spec), D)
-
-
-def tr_alpha(spec: CovarianceSpec, D) -> complex:
-    """Weighted trace sum_i alpha_i D_ii (uniform weights unless rectangular)."""
-    D = np.asarray(D, dtype=complex)
-    dim = spec.dim
-    if D.shape != (dim, dim):
-        raise DimensionMismatch(f"expected {dim}x{dim}, got {D.shape}")
-    if spec.alpha is None:
-        return complex(np.trace(D) / dim)
-    return complex(np.dot(np.asarray(spec.alpha), np.diagonal(D)))
-
-
 def _choi_min_eig(spec: CovarianceSpec) -> float:
     if spec.kind == "selfadjoint":
         M = choi_matrix(eta_map(spec))

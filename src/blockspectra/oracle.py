@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance as cov
-from .errors import BadParameter, NotPSD, OrderTooLarge, WrongKind
+from .errors import BadParameter, NotPSD, OrderTooLarge
 
 SAMPLING_EIG_FLOOR = -1e-10
 MAX_MOMENT_ORDER = 16
@@ -223,20 +223,14 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     )
 
 
-def empirical_spectrum(sample: EnsembleSample, form="x") -> np.ndarray:
+def empirical_spectrum(sample: EnsembleSample) -> np.ndarray:
     """Ascending eigenvalues of the sample's own Hermitian form.
 
-    ``form="x"`` names the selfadjoint X of a selfadjoint or rectangular
-    sample; ``"hh_star"`` names the Gram matrix H H* of an hh_star sample
-    (whose covariance normalization already carries the 1/((a+b)N), so no
-    further rescaling applies). The other form raises :class:`WrongKind`:
-    an hh_star sample holds H, not its hermitization. Returns the sample's
-    own read-only ``eigenvalues`` array.
+    That form is X for a selfadjoint or rectangular sample and the Gram
+    matrix H H* for an hh_star sample (whose covariance normalization
+    already carries the 1/((a+b)N), so no further rescaling applies).
+    Returns the sample's own read-only ``eigenvalues`` array.
     """
-    if form not in ("x", "hh_star"):
-        raise BadParameter(f"unknown spectral form {form!r}")
-    if (form == "hh_star") != (sample.kind == "hh_star"):
-        raise WrongKind(f"sample of kind {sample.kind} has no {form} form")
     return sample.eigenvalues
 
 

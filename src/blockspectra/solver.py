@@ -182,11 +182,15 @@ def _eta_batch(pat, G):
     return G @ pat.tensor.T
 
 
+def _residual(pat, zs, scale, G, EG):
+    """Residual z G - I - s eta(G) G per point, on the pattern."""
+    return zs[:, None] * G - pat.eye - scale[:, None] * _block_matmul(pat, EG, G)
+
+
 def _residual_batch(pat, zs, scale, G, EG=None):
     if EG is None:
         EG = _eta_batch(pat, G)
-    R = zs[:, None] * G - pat.eye - scale[:, None] * _block_matmul(pat, EG, G)
-    return np.linalg.norm(R, axis=1)
+    return np.linalg.norm(_residual(pat, zs, scale, G, EG), axis=1)
 
 
 def _damped_loop(G, residual, step, target, budget):
@@ -288,9 +292,8 @@ def _newton_batch(pat, zs, scale, G, target, budget):
         ii = np.flatnonzero(active)
         Gi, zi, si = G[ii], zs[ii], scale[ii]
         EG = _eta_batch(pat, Gi)
-        Ri = zi[:, None] * Gi - pat.eye - si[:, None] * _block_matmul(pat, EG, Gi)
         J = _jacobian(pat, zi, si, Gi, EG)
-        rhs = -Ri[:, :, None]
+        rhs = -_residual(pat, zi, si, Gi, EG)[:, :, None]
         try:
             step = np.linalg.solve(J, rhs)[..., 0]
         except np.linalg.LinAlgError:
@@ -463,15 +466,17 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
 
 
 def _check_grid(xs, epsilon):
-    """A nonempty monotone 1-d grid, and an offset at or above the floor."""
+    """A nonempty finite monotone 1-d grid, and a finite offset at or above the floor."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
         raise BadParameter("xs must be a nonempty 1-d array")
+    if not np.isfinite(xs).all():
+        raise BadParameter("xs must be finite")
     diffs = np.diff(xs)
     if len(xs) > 1 and not ((diffs >= 0).all() or (diffs <= 0).all()):
         raise BadParameter("xs must be monotone")
-    if epsilon < MIN_GRID_EPSILON:
-        raise BadParameter(f"epsilon {epsilon} below the {MIN_GRID_EPSILON} floor")
+    if not MIN_GRID_EPSILON <= epsilon < np.inf:
+        raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
     return xs
 
 
@@ -481,6 +486,7 @@ def solve_grid(eta, xs, epsilon, config=None):
     All points are solved simultaneously, walking the imaginary offset down
     from a safe level so each level warm starts the next. Offsets below 1e-8
     are rejected; recover the real-axis limit by extrapolation instead.
+    Non-finite offsets or grid points are rejected too.
 
     Raises NoConvergence naming the failing grid indices, with x, residual
     and Im-margin of the first few, if any point misses the residual target

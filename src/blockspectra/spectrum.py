@@ -59,30 +59,18 @@ class SpectralDensity:
         object.__setattr__(self, "ps", np.clip(ps, 0.0, None))
 
 
-def stieltjes_invert(g_values, epsilons=None, atom_at_zero=0.0) -> SpectralDensity:
-    """Invert scalar Cauchy-transform samples to a density.
+def stieltjes_invert(xs, g_wide, g_narrow, eps2=None, atom_at_zero=0.0) -> SpectralDensity:
+    """Invert scalar Cauchy-transform samples on a grid to a density.
 
-    ``g_values`` is a sequence of triples (x, G(x + i eps1), G(x + i eps2))
-    with eps1 = 2*eps2, already traced to scalars. Negative excursions beyond
-    1e-3 before clipping indicate solver failure and are reported as a
-    warning with diagnostics.
+    ``g_wide`` and ``g_narrow`` hold the traced transform at x + 2i eps2
+    and x + i eps2 for every x in the strictly increasing ``xs``; ``eps2``
+    is recorded in ``epsilon_used``. Negative excursions beyond 1e-3 before
+    clipping indicate solver failure and are reported as a warning with
+    diagnostics.
     """
-    triples = list(g_values)
-    if not triples:
-        raise GridError("empty inversion input")
-    xs = np.array([float(t[0]) for t in triples])
-    g1 = np.array([complex(t[1]) for t in triples])
-    g2 = np.array([complex(t[2]) for t in triples])
-    if np.any(np.diff(xs) <= 0):
-        raise GridError("inversion grid must be strictly increasing")
-    if epsilons is not None:
-        e1, e2 = (float(epsilons[0]), float(epsilons[1]))
-        if abs(e1 - 2 * e2) > 1e-9 * max(e1, e2):
-            raise BadParameter(f"offsets must satisfy eps1 = 2*eps2, got {epsilons}")
-    else:
-        e1, e2 = float("nan"), float("nan")
-    raw = -(2.0 * g2 - g1).imag / np.pi
-    worst = float(raw.min())
+    xs = np.asarray(xs, dtype=float)
+    raw = -(2.0 * np.asarray(g_narrow) - np.asarray(g_wide)).imag / np.pi
+    worst = float(np.min(raw, initial=0.0))
     if worst < -CLIP_WARN:
         warnings.warn(
             f"density clipped from {worst:.3e} at x = {xs[int(raw.argmin())]:.6g}; "
@@ -90,11 +78,12 @@ def stieltjes_invert(g_values, epsilons=None, atom_at_zero=0.0) -> SpectralDensi
             RuntimeWarning,
             stacklevel=2,
         )
+    e2 = float("nan") if eps2 is None else float(eps2)
     return SpectralDensity(
         xs=xs,
         ps=np.clip(raw, 0.0, None),
         atom_at_zero=float(atom_at_zero),
-        epsilon_used=(e1, e2),
+        epsilon_used=(2 * e2, e2),
         clip_excursion=max(0.0, -worst),
     )
 
@@ -187,10 +176,12 @@ def density_from_eta(
     e = 2 ||eta(I)||^(1/2): for a positive map the 2k-th moment is at most
     Catalan(k) ||eta(I)||^k, so the law lies in [-e, e] and one solve covers
     it. ``epsilon`` is the smaller inversion offset eps_2; it defaults to
-    1e-3 times the grid span. ``trace_weights`` switches the scalar
+    1e-3 times the grid span, and an explicit one must be finite and
+    positive (offsets below 1e-8 are raised to 1e-8). ``trace_weights`` switches the scalar
     transform from tr_d to a weighted trace (rectangular laws); the
     ``moments`` command reads the recursion with the same weights.
     """
+    _check_offset(epsilon)
     if xs is None:
         edge = slv._edge_estimate(eta)
         xs = np.linspace(-1.35 * edge, 1.35 * edge, npoints)
@@ -226,12 +217,19 @@ def density_gram(
     side = cov._count(side, "side")
     if not 1 <= side < eta.dim_in:
         raise BadParameter(f"side must lie in 1..{eta.dim_in - 1}, got {side}")
+    _check_offset(epsilon)
     if xs is None:
         hi = 1.8 * slv._edge_estimate(eta) ** 2
         xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else 1e-5 * hi)
     xs = np.asarray(xs, dtype=float)
     eps2 = epsilon if epsilon is not None else 1e-5 * float(xs[-1] - xs[0])
     return _invert(eta, xs, eps2, config, True, _leading_weights(eta.dim_in, side))
+
+
+def _check_offset(epsilon):
+    """An explicit offset must be finite and positive; _invert floors small ones."""
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def _leading_weights(d, side):
@@ -244,12 +242,13 @@ def _leading_weights(d, side):
 def _invert(eta, xs, eps2, config, scale_is_z, w):
     """Solve at offsets (2*eps2, eps2), read G off with trace weights w, invert."""
     eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
+    xs = slv._check_grid(xs, eps2)
     wide, narrow = slv._solve_continuation(
         eta, xs, eps2, config or slv.DEFAULT_CONFIG, scale_is_z, record=(2 * eps2,)
     )
     slv._require_converged(xs, wide, narrow)
     g1, g2 = ((b.G.diagonal(axis1=1, axis2=2) * w).sum(axis=1) for b in (wide, narrow))
-    dens = stieltjes_invert(zip(xs, g1, g2), epsilons=(2 * eps2, eps2))
+    dens = stieltjes_invert(xs, g1, g2, eps2)
     check_mass(dens)
     return dens
 

@@ -182,21 +182,24 @@ class TestEmpiricalSpectrum:
         assert -2.1 <= s.eigenvalues.min() <= -1.9
 
     def test_gram_form_requires_hh_star(self):
-        zero = EnsembleSample(seed=0, N=2, kind="selfadjoint",
-                              matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2))
-        with pytest.raises(errors.WrongKind):
-            bs.empirical_spectrum(zero, form="hh_star")
-        with pytest.raises(errors.BadParameter):
-            bs.empirical_spectrum(zero, form="banana")
+        # a selfadjoint sample's spectrum is X's own, with its negative half
+        spec = bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])
+        s = bs.sample_block_gaussian(spec, 40, 5)
+        eig = bs.empirical_spectrum(s)
+        assert np.array_equal(eig, np.linalg.eigvalsh(s.matrix))
+        assert eig.min() < -1.0
 
     def test_gram_sample_has_no_x_form(self, mp_spec):
+        # an hh_star sample holds H; its spectrum is HH*'s, not the hermitization's
         s = bs.sample_block_gaussian(mp_spec, 8, 1)
-        with pytest.raises(errors.WrongKind):
-            bs.empirical_spectrum(s, form="x")
+        H = s.matrix
+        eig = bs.empirical_spectrum(s)
+        assert eig.shape == (H.shape[0],)
+        assert np.allclose(eig, np.linalg.eigvalsh(H @ H.conj().T), atol=1e-12)
 
     def test_gram_eigenvalues_nonnegative(self, isi44):
         s = bs.sample_block_gaussian(isi44, 15, 3)
-        eig = bs.empirical_spectrum(s, form="hh_star")
+        eig = bs.empirical_spectrum(s)
         assert eig.min() >= -1e-12
         assert np.all(np.diff(eig) >= 0)
 

@@ -27,7 +27,7 @@ def _invert_closed_form(transform, xs, eps2, **kwargs):
     """Inversion fed with exact transform values (solver-independent)."""
     g1 = transform(np.asarray(xs) + 2j * eps2)
     g2 = transform(np.asarray(xs) + 1j * eps2)
-    return bs.stieltjes_invert(zip(xs, g1, g2), epsilons=(2 * eps2, eps2), **kwargs)
+    return bs.stieltjes_invert(xs, g1, g2, eps2, **kwargs)
 
 
 class TestStieltjesInvert:
@@ -46,17 +46,19 @@ class TestStieltjesInvert:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(errors.GridError):
-            bs.stieltjes_invert([(1.0, 0j, 0j), (0.5, 0j, 0j)])
+            bs.stieltjes_invert([1.0, 0.5], [0j, 0j], [0j, 0j])
 
     def test_offset_ratio_enforced(self):
-        with pytest.raises(errors.BadParameter):
-            bs.stieltjes_invert([(0.0, 0j, 0j), (1.0, 0j, 0j)], epsilons=(3e-4, 1e-4))
+        # the wide offset is twice the narrow one by construction
+        dens = bs.stieltjes_invert([0.0, 1.0], [0j, 0j], [0j, 0j], eps2=1e-4)
+        assert dens.epsilon_used == (2e-4, 1e-4)
 
     def test_large_negative_excursion_warns(self):
-        vals = [(0.0, 0j, 0.5j), (1.0, 0j, 0.5j)]  # Im > 0 forces p < 0
         with pytest.warns(RuntimeWarning, match="clipped"):
-            dens = bs.stieltjes_invert(vals)
+            # Im > 0 forces p < 0
+            dens = bs.stieltjes_invert([0.0, 1.0], [0j, 0j], [0.5j, 0.5j])
         assert dens.ps.min() >= 0.0
+        assert dens.clip_excursion == pytest.approx(1 / np.pi)
 
     def test_density_validation(self):
         with pytest.raises(errors.GridError):
@@ -64,6 +66,32 @@ class TestStieltjesInvert:
         with pytest.raises(errors.BadParameter):
             bs.SpectralDensity(xs=np.array([0.0, 1.0]), ps=np.array([0.0, 0.0]),
                                atom_at_zero=1.5)
+
+
+@pytest.mark.parametrize("route", [
+    "solve_grid", "solve_gram_grid", "density_from_eta", "density_gram",
+])
+@pytest.mark.parametrize("epsilon, xs", [
+    (-1.0, None), (0.0, None), (np.nan, None), (np.inf, None),
+    (1e-4, [np.nan]),
+], ids=["negative", "zero", "nan", "inf", "nan-x"])
+def test_bad_offset_or_grid_refused_before_solving(
+    route, epsilon, xs, semicircle_eta, mp_spec, monkeypatch
+):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the input")
+
+    monkeypatch.setattr(slv, "_solve_continuation", solve)
+    gram = cov._hermitized_map(bs.eta1_map(mp_spec), bs.eta2_map(mp_spec))
+    grid = np.linspace(0.1, 1.0, 5) if xs is None else xs
+    call = {
+        "solve_grid": lambda: bs.solve_grid(semicircle_eta, grid, epsilon),
+        "solve_gram_grid": lambda: slv.solve_gram_grid(gram, 1, grid, epsilon),
+        "density_from_eta": lambda: bs.density_from_eta(semicircle_eta, xs=xs, epsilon=epsilon),
+        "density_gram": lambda: bs.density_gram(gram, 1, xs=xs, epsilon=epsilon),
+    }[route]
+    with pytest.raises(errors.BadParameter):
+        call()
 
 
 class TestCdf:
@@ -286,7 +314,7 @@ class TestHStarH:
         b = spec.b
         g1 = [np.trace(s.G2) / b for s in sols1]
         g2 = [np.trace(s.G2) / b for s in sols2]
-        direct = bs.stieltjes_invert(zip(xs, g1, g2), epsilons=(2 * eps2, eps2))
+        direct = bs.stieltjes_invert(xs, g1, g2, eps2)
         F_direct = bs.cdf(direct)
         F_analytic = bs.cdf(hsh)
         probe = np.linspace(0.1, hsh.xs[-1], 60)
