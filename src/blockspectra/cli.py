@@ -11,10 +11,16 @@ Complex numbers in configs are [re, im] pairs. Unknown keys are rejected.
 Exit codes: 0 ok, 1 numerical failure, 2 usage error; failures print a
 machine-readable error JSON to stdout.
 
-Everything that differs between models (config keys and how to parse
-them, the model build, the density and moment routes, whether the law is
-a Gram law and whether it can be sampled) is one row of ``_MODELS``;
-parsing and the commands loop over that row.
+Every run is one pipeline: parse the config, check the command against
+it, solve and check the density once, then write the command's
+artifacts. Every usage error is raised by the first two steps, before an
+output directory is made or a solve starts.
+
+Parsing reads every JSON object (the top level, ``grid``, ``solver``,
+``mc``) through one function and a table of ``_Key`` rows. Everything
+that differs between models (config keys and how to parse them, the
+model build, the density and moment routes, whether the law is a Gram
+law and whether it can be sampled) is one row of ``_MODELS``.
 A :class:`ProblemConfig` builds its model when it is made, so an invalid
 model never gets past parsing and the commands read the built model from
 the config.
@@ -40,6 +46,7 @@ from . import oracle as orc
 from . import solver as slv
 from . import spectrum as spc
 from .errors import (
+    BadParameter,
     BlockspectraError,
     InvariantViolation,
     IoError,
@@ -47,13 +54,7 @@ from .errors import (
     ValidationError,
 )
 
-COMMANDS = ("density", "capacity", "mc-compare", "moments")
 ENV_THREADS = "BLOCKSPECTRA_THREADS"
-
-_GRID_KEYS = {"xmin", "xmax", "points", "epsilon"}
-_SOLVER_KEYS = {"tol", "max_iter", "newton"}
-_MC_KEYS = {"N", "realizations", "seed"}
-_TOP_KEYS = {"model", "grid", "solver", "snr", "mc"}
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,12 @@ class GridConfig:
     xmax: float | None = None
     points: int = 512
     epsilon: float | None = None
+
+    def __post_init__(self):
+        if (self.xmin is None) != (self.xmax is None):
+            raise BadParameter("give both xmin and xmax or neither")
+        if self.xmin is not None and self.xmax <= self.xmin:
+            raise BadParameter("xmax must exceed xmin")
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,11 @@ class ProblemConfig:
         object.__setattr__(self, "built", built)
 
 
+# ---------------------------------------------------------------------------
+# values: each parser takes (raw JSON value, field name) and returns the
+# config value, or raises ValidationError naming the field
+# ---------------------------------------------------------------------------
+
 def _complex_value(raw, where):
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         raw = [raw, 0.0]
@@ -119,10 +131,10 @@ def _complex_value(raw, where):
     return complex(_float_value(raw[0], where), _float_value(raw[1], where))
 
 
-def _int_value(raw, where, minimum=None):
+def _int_value(raw, where, minimum):
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise ValidationError(where, f"{where}: expected an integer")
-    if minimum is not None and raw < minimum:
+    if raw < minimum:
         raise ValidationError(where, f"{where}: must be >= {minimum}")
     return raw
 
@@ -139,26 +151,45 @@ def _float_value(raw, where):
     return val
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValidationError(
-            sorted(unknown)[0], f"{where}: unknown key(s) {sorted(unknown)}"
-        )
+def _positive(raw, where):
+    val = _float_value(raw, where)
+    if val <= 0:
+        raise ValidationError(where, f"{where} must be positive")
+    return val
 
 
-def _parse_entries(raw, real):
+def _count(raw, where):
+    return _int_value(raw, where, minimum=1)
+
+
+def _list(raw, where, value):
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(where, f"{where}: expected a nonempty list")
+    return tuple(value(x, where) for x in raw)
+
+
+def _nullable(value):
+    return lambda raw, where: None if raw is None else value(raw, where)
+
+
+def _only_true(raw, where):
+    if raw is not True:
+        raise ValidationError(where, f"{where}: only true is accepted; Newton always refines")
+    return raw
+
+
+def _parse_entries(raw, where, real):
     if not isinstance(raw, list):
-        raise ValidationError("entries", "entries: expected a list")
+        raise ValidationError(where, f"{where}: expected a list")
     out = []
     for pos, ent in enumerate(raw):
-        where = f"entries[{pos}]"
+        here = f"{where}[{pos}]"
         if not isinstance(ent, list) or len(ent) != 5:
-            raise ValidationError(where, f"{where}: expected [i, j, k, l, value]")
-        idx = tuple(_int_value(x, where, minimum=1) for x in ent[:4])
-        val = _complex_value(ent[4], where)
+            raise ValidationError(here, f"{here}: expected [i, j, k, l, value]")
+        idx = tuple(_int_value(x, here, minimum=1) for x in ent[:4])
+        val = _complex_value(ent[4], here)
         if real and val.imag != 0.0:
-            raise ValidationError(where, f"{where}: hh_star values must be real")
+            raise ValidationError(here, f"{here}: hh_star values must be real")
         out.append((*idx, val))
     return tuple(out)
 
@@ -180,10 +211,67 @@ def _parse_matrix_list(raw, where):
     return tuple(mats)
 
 
-def _float_list(raw, key):
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(key, f"{key}: expected a nonempty list")
-    return tuple(_float_value(x, key) for x in raw)
+# ---------------------------------------------------------------------------
+# key tables: one row per config key, for the model keys and every section
+# ---------------------------------------------------------------------------
+
+class _Key(NamedTuple):
+    """One config key: parse(raw JSON value, field name) -> config value."""
+
+    parse: Callable
+    required: bool = True
+
+
+def _parse_object(raw, keys, section=None) -> dict:
+    """The values of a JSON object's keys by their rows, named ``section.key``."""
+    label = section or "config"
+    if not isinstance(raw, dict):
+        raise ValidationError(label, f"{label}: expected an object")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ValidationError(label, f"{label}: unknown key(s) {unknown}")
+    out = {}
+    for key, row in keys.items():
+        name = f"{section}.{key}" if section else key
+        if key in raw:
+            out[key] = row.parse(raw[key], name)
+        elif row.required:
+            raise ValidationError(name, f"{name} is required")
+    return out
+
+
+def _section(make, keys):
+    """Row parser of a JSON object section: make(**its values), errors as ValidationError."""
+    def parse(raw, where):
+        fields = _parse_object(raw, keys, where)
+        try:
+            return make(**fields)
+        except ValidationError:
+            raise
+        except BlockspectraError as exc:
+            raise ValidationError(where, f"{where}: {exc}") from exc
+    return parse
+
+
+_SECTIONS = {
+    "grid": _Key(_section(GridConfig, {
+        "xmin": _Key(_nullable(_float_value), False),
+        "xmax": _Key(_nullable(_float_value), False),
+        "points": _Key(lambda raw, key: _int_value(raw, key, minimum=2), False),
+        "epsilon": _Key(_nullable(_positive), False),
+    }), False),
+    "solver": _Key(_section(slv.SolverConfig, {
+        "tol": _Key(_float_value, False),
+        "max_iter": _Key(_count, False),
+        "newton": _Key(_only_true, False),
+    }), False),
+    "snr": _Key(lambda raw, key: _list(raw, key, _positive), False),
+    "mc": _Key(_section(McConfig, {
+        "N": _Key(lambda raw, key: _list(raw if isinstance(raw, list) else [raw], key, _count)),
+        "realizations": _Key(_count),
+        "seed": _Key(lambda raw, key: _int_value(raw, key, minimum=0)),
+    }), False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +279,6 @@ def _float_list(raw, key):
 # Routes look package functions up as module attributes when called, so
 # wrappers installed on those modules see every call.
 # ---------------------------------------------------------------------------
-
-class _Key(NamedTuple):
-    """One model key: parse(raw JSON value, key) -> config value."""
-
-    parse: Callable
-    required: bool = True
-
 
 class _Model(NamedTuple):
     keys: dict[str, _Key]
@@ -208,10 +289,10 @@ class _Model(NamedTuple):
     sampled: bool = True  # Monte Carlo sampling is defined
 
 
-_COUNT = _Key(lambda raw, key: _int_value(raw, key, minimum=1))
-_FLOATS = _Key(_float_list)
-_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=False))
-_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, real=True))
+_COUNT = _Key(_count)
+_FLOATS = _Key(lambda raw, key: _list(raw, key, _float_value))
+_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, key, real=False))
+_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, key, real=True))
 _MATRICES = _Key(_parse_matrix_list)
 
 
@@ -269,57 +350,6 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 
-def _parse_grid(raw):
-    _reject_unknown(raw, _GRID_KEYS, "grid")
-    xmin = None if raw.get("xmin") is None else _float_value(raw["xmin"], "grid.xmin")
-    xmax = None if raw.get("xmax") is None else _float_value(raw["xmax"], "grid.xmax")
-    points = _int_value(raw.get("points", 512), "grid.points", minimum=2)
-    eps = None if raw.get("epsilon") is None else _float_value(raw["epsilon"], "grid.epsilon")
-    if (xmin is None) != (xmax is None):
-        raise ValidationError("grid", "grid: give both xmin and xmax or neither")
-    if xmin is not None and xmax <= xmin:
-        raise ValidationError("grid", "grid: xmax must exceed xmin")
-    if eps is not None and eps <= 0:
-        raise ValidationError("grid.epsilon", "grid.epsilon must be positive")
-    return GridConfig(xmin=xmin, xmax=xmax, points=points, epsilon=eps)
-
-
-def _parse_solver(raw):
-    _reject_unknown(raw, _SOLVER_KEYS, "solver")
-    kwargs = {}
-    if "tol" in raw:
-        kwargs["tol"] = _float_value(raw["tol"], "solver.tol")
-    if "max_iter" in raw:
-        kwargs["max_iter"] = _int_value(raw["max_iter"], "solver.max_iter", minimum=1)
-    if raw.get("newton", True) is not True:
-        raise ValidationError(
-            "solver.newton", "solver.newton: only true is accepted; Newton always refines"
-        )
-    try:
-        return slv.SolverConfig(**kwargs)
-    except BlockspectraError as exc:
-        raise ValidationError("solver", f"solver: {exc}") from exc
-
-
-def _parse_mc(raw):
-    _reject_unknown(raw, _MC_KEYS, "mc")
-    for key in ("N", "realizations", "seed"):
-        if key not in raw:
-            raise ValidationError(f"mc.{key}", f"mc.{key} is required")
-    rawN = raw["N"]
-    if isinstance(rawN, list):
-        Ns = tuple(_int_value(x, "mc.N", minimum=1) for x in rawN)
-        if not Ns:
-            raise ValidationError("mc.N", "mc.N: empty list")
-    else:
-        Ns = (_int_value(rawN, "mc.N", minimum=1),)
-    return McConfig(
-        N=Ns,
-        realizations=_int_value(raw["realizations"], "mc.realizations", minimum=1),
-        seed=_int_value(raw["seed"], "mc.seed", minimum=0),
-    )
-
-
 def parse_config(source) -> ProblemConfig:
     """Parse and validate a problem config from JSON text or a file path."""
     if isinstance(source, Path):
@@ -336,36 +366,11 @@ def parse_config(source) -> ProblemConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ValidationError("config", "config: top level must be an object")
-    if "model" not in raw:
-        raise ValidationError("model", "model is required")
-    model = raw["model"]
+    model = raw.get("model")
     if model not in MODELS:
         raise ValidationError("model", f"model must be one of {MODELS}, got {model!r}")
-    keys = _MODELS[model].keys
-    _reject_unknown(raw, _TOP_KEYS | set(keys), "config")
-
-    fields: dict = {"model": model}
-    for key, spec in keys.items():
-        if key in raw:
-            fields[key] = spec.parse(raw[key], key)
-        elif spec.required:
-            raise ValidationError(key, f"{model} needs {key}")
-
-    fields["grid"] = _parse_grid(raw.get("grid", {}))
-    fields["solver"] = _parse_solver(raw.get("solver", {}))
-    if "snr" in raw:
-        if not isinstance(raw["snr"], list) or not raw["snr"]:
-            raise ValidationError("snr", "snr: expected a nonempty list")
-        snr = tuple(_float_value(x, "snr") for x in raw["snr"])
-        if any(s <= 0 for s in snr):
-            raise ValidationError("snr", "snr values must be positive")
-        fields["snr"] = snr
-    if "mc" in raw:
-        if not isinstance(raw["mc"], dict):
-            raise ValidationError("mc", "mc: expected an object")
-        fields["mc"] = _parse_mc(raw["mc"])
-
-    return ProblemConfig(**fields)
+    keys = {"model": _Key(lambda raw, key: raw), **_MODELS[model].keys, **_SECTIONS}
+    return ProblemConfig(**_parse_object(raw, keys))
 
 
 def _read_file(path: Path) -> str:
@@ -422,19 +427,13 @@ def emit(artifact, path) -> Path:
 # law solving
 # ---------------------------------------------------------------------------
 
-def _explicit_grid(config: ProblemConfig):
-    g = config.grid
-    if g.xmin is None:
-        return None
-    return np.linspace(g.xmin, g.xmax, g.points)
-
-
 def _solve_density(config: ProblemConfig) -> spc.SpectralDensity:
+    g = config.grid
     return _MODELS[config.model].density(
         config.built,
-        xs=_explicit_grid(config),
-        npoints=config.grid.points,
-        epsilon=config.grid.epsilon,
+        xs=None if g.xmin is None else np.linspace(g.xmin, g.xmax, g.points),
+        npoints=g.points,
+        epsilon=g.epsilon,
         config=config.solver,
     )
 
@@ -462,22 +461,15 @@ def _density_diagnostics(density: spc.SpectralDensity) -> dict:
     return diag
 
 
-def _mc_seeds(seed: int, N: int, count: int):
-    return [np.random.SeedSequence(entropy=seed, spawn_key=(N, i)) for i in range(count)]
-
-
 def _sample_eigenvalues(config, N, threads, seed):
     """Eigenvalues of each seeded realization; the sampled matrices are dropped."""
-    if not _MODELS[config.model].sampled:
-        raise ValidationError(
-            "mc", f"Monte Carlo sampling is not defined for {config.model} models"
-        )
-    seeds = _mc_seeds(seed, N, config.mc.realizations)
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(N, i))
+             for i in range(config.mc.realizations)]
 
     def draw(s):
         return orc.sample_block_gaussian(config.built, N, s).eigenvalues
 
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(draw, seeds))
     return [draw(s) for s in seeds]
@@ -500,73 +492,36 @@ def _resolve_threads(threads) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its artifacts from the checked density and returns
+# (artifact paths, its own summary keys)
 # ---------------------------------------------------------------------------
 
-def _cmd_density(config, out_dir, seed, threads):
-    density = _solve_density(config)
-    diag = _density_diagnostics(density)
+def _cmd_density(config, density, out_dir, seed, threads):
     path = emit(
         CsvArtifact(("x", "density"), tuple(zip(density.xs, density.ps))),
         out_dir / "density.csv",
     )
-    return {"command": "density", "artifacts": [str(path)], "diagnostics": diag}
+    return [path], {}
 
 
-def _capacity_curve(density, snrs):
-    return [spc.capacity(density, s) for s in snrs]
-
-
-def _mc_capacity_rows(config, snrs, threads, seed):
-    """Median over realizations of the per-eigenvalue capacity, per N."""
-    columns = {}
-    for N in config.mc.N:
-        per_real = np.array(
-            [
-                [float(np.mean(np.log2(1.0 + s * np.clip(eig, 0, None)))) for s in snrs]
-                for eig in _sample_eigenvalues(config, N, threads, seed)
-            ]
-        )
-        columns[N] = np.median(per_real, axis=0)
-    return columns
-
-
-def _cmd_capacity(config, out_dir, seed, threads):
-    if config.snr is None:
-        raise ValidationError("snr", "capacity command needs an snr list")
-    if not _MODELS[config.model].gram:
-        raise ValidationError(
-            "model", "capacity is defined for the nonnegative Gram laws only"
-        )
-    density = _solve_density(config)
-    diag = _density_diagnostics(density)
-    bits = _capacity_curve(density, config.snr)
+def _cmd_capacity(config, density, out_dir, seed, threads):
+    bits = [spc.capacity(density, s) for s in config.snr]
     header = ["snr", "bits"]
     cols = [list(config.snr), bits]
-    if config.mc is not None:
-        mc_cols = _mc_capacity_rows(config, config.snr, threads, seed)
-        for N in config.mc.N:
-            header.append(f"bits_mc_N{N}")
-            cols.append(list(mc_cols[N]))
-    rows = tuple(zip(*cols))
-    path = emit(CsvArtifact(tuple(header), rows), out_dir / "capacity.csv")
-    return {
-        "command": "capacity",
-        "artifacts": [str(path)],
-        "diagnostics": diag,
-        "snr": list(config.snr),
-        "bits": [float(b) for b in bits],
-    }
+    for N in config.mc.N if config.mc is not None else ():
+        # median over realizations of the per-eigenvalue capacity at each snr
+        per_real = [
+            [float(np.mean(np.log2(1.0 + s * np.clip(eig, 0, None)))) for s in config.snr]
+            for eig in _sample_eigenvalues(config, N, threads, seed)
+        ]
+        header.append(f"bits_mc_N{N}")
+        cols.append(list(np.median(np.array(per_real), axis=0)))
+    path = emit(CsvArtifact(tuple(header), tuple(zip(*cols))), out_dir / "capacity.csv")
+    return [path], {"snr": list(config.snr), "bits": [float(b) for b in bits]}
 
 
-def _cmd_mc_compare(config, out_dir, seed, threads):
-    if config.mc is None:
-        raise ValidationError("mc", "mc-compare command needs an mc block")
-    if len(config.mc.N) != 1:
-        raise ValidationError("mc.N", "mc-compare needs a single N")
+def _cmd_mc_compare(config, density, out_dir, seed, threads):
     N = config.mc.N[0]
-    density = _solve_density(config)
-    diag = _density_diagnostics(density)
     pooled = np.sort(np.concatenate(_sample_eigenvalues(config, N, threads, seed)))
     ks = orc.ks_distance(pooled, spc.cdf(density))
     paths = [
@@ -588,39 +543,22 @@ def _cmd_mc_compare(config, out_dir, seed, threads):
             out_dir / "ks_summary.json",
         ),
     ]
-    return {
-        "command": "mc-compare",
-        "artifacts": [str(p) for p in paths],
-        "diagnostics": diag,
-        "ks_distance": ks,
-    }
+    return paths, {"ks_distance": ks}
 
 
-def _moment_table(config):
+def _cmd_moments(config, density, out_dir, seed, threads):
     row = _MODELS[config.model]
-    density = _solve_density(config)
-    diag = _density_diagnostics(density)
     eta, weights = row.moments(config.built)
     step = 2 if row.gram else 1
     rows = []
     for k in ((1, 2, 3, 4) if row.gram else (2, 4, 6, 8)):
         _, tr = orc.nc2_moment(eta, step * k, trace_weights=weights)
         rows.append((k, tr.real, spc.moments_from_density(density, k)))
-    return rows, diag
-
-
-def _cmd_moments(config, out_dir, seed, threads):
-    rows, diag = _moment_table(config)
     path = emit(
         CsvArtifact(("order", "moment_recursion", "moment_density"), tuple(rows)),
         out_dir / "moments.csv",
     )
-    return {
-        "command": "moments",
-        "artifacts": [str(path)],
-        "diagnostics": diag,
-        "table": [[int(k), float(r), float(d)] for (k, r, d) in rows],
-    }
+    return [path], {"table": [[int(k), float(r), float(d)] for (k, r, d) in rows]}
 
 
 _COMMANDS = {
@@ -629,27 +567,53 @@ _COMMANDS = {
     "mc-compare": _cmd_mc_compare,
     "moments": _cmd_moments,
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _check_command(command, config, seed, threads):
+    """Every usage error of a command on a config; returns (seed, threads) to run with."""
+    if command not in _COMMANDS:
+        raise ValidationError("command", f"unknown command {command!r}")
+    row = _MODELS[config.model]
+    if command == "capacity" and config.snr is None:
+        raise ValidationError("snr", "capacity command needs an snr list")
+    if command == "capacity" and not row.gram:
+        raise ValidationError("model", "capacity is defined for the nonnegative Gram laws only")
+    if command == "mc-compare" and config.mc is None:
+        raise ValidationError("mc", "mc-compare command needs an mc block")
+    if command == "mc-compare" and len(config.mc.N) != 1:
+        raise ValidationError("mc.N", "mc-compare needs a single N")
+    draws = command in ("capacity", "mc-compare") and config.mc is not None
+    if draws and not row.sampled:
+        raise ValidationError(
+            "mc", f"Monte Carlo sampling is not defined for {config.model} models"
+        )
+    seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
+    if seed < 0:
+        raise ValidationError("seed", f"seed must be >= 0, got {seed}")
+    return seed, _resolve_threads(threads)
 
 
 def run(command, config, out_dir=".", seed=None, threads=None) -> dict:
     """Run a command against a parsed config; returns the summary dict.
 
     ``seed`` (>= 0) overrides the config's mc.seed; ``threads`` follows the
-    --threads flag and the BLOCKSPECTRA_THREADS variable (0 = auto). All
-    artifact writes are atomic and byte-deterministic for a fixed config
-    and seed.
+    --threads flag and the BLOCKSPECTRA_THREADS variable (0 = auto). Every
+    usage error is raised before the output directory is made or the
+    density is solved. All artifact writes are atomic and
+    byte-deterministic for a fixed config and seed.
     """
-    if command not in _COMMANDS:
-        raise ValidationError("command", f"unknown command {command!r}")
-    eff_seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
-    if eff_seed < 0:
-        raise ValidationError("seed", f"seed must be >= 0, got {eff_seed}")
+    seed, threads = _check_command(command, config, seed, threads)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    return _COMMANDS[command](config, out, eff_seed, _resolve_threads(threads))
+    density = _solve_density(config)
+    diagnostics = _density_diagnostics(density)
+    paths, extra = _COMMANDS[command](config, density, out, seed, threads)
+    return {"command": command, "artifacts": [str(p) for p in paths],
+            "diagnostics": diagnostics, **extra}
 
 
 def main(argv=None) -> int:
@@ -674,12 +638,9 @@ def main(argv=None) -> int:
         summary = run(
             args.command, config, out_dir=args.out, seed=args.seed, threads=args.threads
         )
-    except (ParseError, ValidationError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
     except BlockspectraError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

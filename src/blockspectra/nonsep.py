@@ -65,6 +65,8 @@ class CorrelationFamily:
         if not psi or len(psi_hat) != len(psi):
             raise BadParameter("need t >= 1 terms with matching psi/psi_hat counts")
         for name, mats in (("psi", psi), ("psi_hat", psi_hat)):
+            if mats[0].size == 0:
+                raise BadParameter(f"{name}[0] is empty")
             dim = mats[0].shape[0]
             for s, m in enumerate(mats):
                 if m.ndim != 2 or m.shape != (dim, dim):

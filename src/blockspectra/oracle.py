@@ -264,6 +264,9 @@ def nc2_moment(eta, m: int, trace_weights=None):
     if eta.dim_in != eta.dim_out:
         raise BadParameter("nc2_moment needs a square covariance map")
     d = eta.dim_in
+    w = None if trace_weights is None else np.asarray(trace_weights)
+    if w is not None and w.shape != (d,):
+        raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
     M = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
     for order in range(2, m + 1):
         acc = np.zeros((d, d), dtype=complex)
@@ -271,10 +274,10 @@ def nc2_moment(eta, m: int, trace_weights=None):
             acc += cov.eta_apply(eta, M[j]) @ M[order - 2 - j]
         M.append(acc)
     out = M[m]
-    if trace_weights is None:
+    if w is None:
         tr = complex(np.trace(out) / d)
     else:
-        tr = complex(np.dot(np.asarray(trace_weights), np.diagonal(out)))
+        tr = complex(np.dot(w, np.diagonal(out)))
     return out, tr
 
 

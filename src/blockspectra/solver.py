@@ -37,6 +37,7 @@ its own step and residual.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -73,9 +74,9 @@ class SolverConfig:
     newton: bool = True
 
     def __post_init__(self):
-        if not 0 < self.tol < float("inf"):
-            raise BadParameter("tol must be positive and finite")
-        if self.max_iter < 1:
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < float("inf")):
+            raise BadParameter(f"tol must be a positive finite number, got {self.tol!r}")
+        if cov._count(self.max_iter, "max_iter") < 1:
             raise BadParameter("max_iter must be >= 1")
         if self.newton is not True:
             raise BadParameter("newton must be True: every solve refines with Newton")

@@ -127,8 +127,8 @@ def capacity(density: SpectralDensity, snr: float) -> float:
 
     The support must lie in [0, inf); the atom at zero contributes nothing.
     """
-    if snr <= 0:
-        raise BadParameter("snr must be positive")
+    if not 0 < snr < np.inf:
+        raise BadParameter(f"snr must be positive and finite, got {snr}")
     xs, ps = density.xs, density.ps
     neg = xs < 0
     if neg.any():
@@ -156,10 +156,18 @@ def moments_from_density(density: SpectralDensity, k: int) -> float:
 # density pipelines
 # ---------------------------------------------------------------------------
 
+def _points(npoints) -> int:
+    """The point count of a default grid: an integer of at least 2."""
+    npoints = cov._count(npoints, "npoints")
+    if npoints < 2:
+        raise GridError(f"npoints must be >= 2, got {npoints}")
+    return npoints
+
+
 def _gram_grid(hi, npoints, eps):
     """Geometric grid on [0, hi]: resolves integrable 1/sqrt(x) edges at 0."""
     lo = max(eps / 4.0, hi * 1e-7)
-    return np.concatenate(([0.0], np.geomspace(lo, hi, npoints - 1)))
+    return np.concatenate(([0.0], np.geomspace(lo, hi, _points(npoints) - 1)))
 
 
 def density_from_eta(
@@ -184,14 +192,12 @@ def density_from_eta(
     _check_offset(epsilon)
     if xs is None:
         edge = slv._edge_estimate(eta)
-        xs = np.linspace(-1.35 * edge, 1.35 * edge, npoints)
-    xs = np.asarray(xs, dtype=float)
-    eps2 = epsilon if epsilon is not None else 1e-3 * float(xs[-1] - xs[0])
+        xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
     d = eta.dim_in
     w = np.full(d, 1.0 / d) if trace_weights is None else np.asarray(trace_weights, float)
     if w.shape != (d,):
         raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
-    return _invert(eta, xs, eps2, config, False, w)
+    return _invert(eta, xs, epsilon, 1e-3, config, False, w)
 
 
 def density_gram(
@@ -221,9 +227,7 @@ def density_gram(
     if xs is None:
         hi = 1.8 * slv._edge_estimate(eta) ** 2
         xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else 1e-5 * hi)
-    xs = np.asarray(xs, dtype=float)
-    eps2 = epsilon if epsilon is not None else 1e-5 * float(xs[-1] - xs[0])
-    return _invert(eta, xs, eps2, config, True, _leading_weights(eta.dim_in, side))
+    return _invert(eta, xs, epsilon, 1e-5, config, True, _leading_weights(eta.dim_in, side))
 
 
 def _check_offset(epsilon):
@@ -239,10 +243,17 @@ def _leading_weights(d, side):
     return w
 
 
-def _invert(eta, xs, eps2, config, scale_is_z, w):
-    """Solve at offsets (2*eps2, eps2), read G off with trace weights w, invert."""
+def _invert(eta, xs, epsilon, rel_offset, config, scale_is_z, w):
+    """Solve at offsets (2*eps2, eps2), read G off with trace weights w, invert.
+
+    eps2 is ``epsilon``, or ``rel_offset`` times the grid's span, raised to
+    the solver's floor. The grid is checked before anything is solved.
+    """
+    xs = slv._check_grid(xs, slv.MIN_GRID_EPSILON)
+    if len(xs) < 2 or (np.diff(xs) <= 0).any():
+        raise GridError("xs must be strictly increasing, with at least two points")
+    eps2 = epsilon if epsilon is not None else rel_offset * float(xs[-1] - xs[0])
     eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
-    xs = slv._check_grid(xs, eps2)
     wide, narrow = slv._solve_continuation(
         eta, xs, eps2, config or slv.DEFAULT_CONFIG, scale_is_z, record=(2 * eps2,)
     )

@@ -118,6 +118,20 @@ class TestParse:
         with pytest.raises(errors.ValidationError, match="mc"):
             cli.parse_config('{"model": "isi", "K": 2, "L": 2, "mc": {"N": 4}}')
 
+    @pytest.mark.parametrize("section", ["grid", "solver", "mc"])
+    @pytest.mark.parametrize("value", [None, 5, "ab", [1]], ids=["null", "number", "text", "list"])
+    def test_section_must_be_an_object(self, section, value, tmp_path, capsys):
+        payload = dict(ISI_CONFIG, **{section: value})
+        with pytest.raises(errors.ValidationError) as err:
+            cli.parse_config(json.dumps(payload))
+        assert err.value.field == section
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
     @pytest.mark.parametrize("payload, fields", [
         (ISI_CONFIG,
          dict(model="isi", K=2, L=2, grid=cli.GridConfig(points=160),
@@ -285,6 +299,43 @@ class TestCommands:
         cli.run("mc-compare", cfg, out_dir=tmp_path / "b", threads=4)
         assert (tmp_path / "a" / "eigenvalues.csv").read_bytes() == (
             tmp_path / "b" / "eigenvalues.csv").read_bytes()
+
+
+# every usage error of run: (command, config, run keywords, BLOCKSPECTRA_THREADS)
+USAGE_ERRORS = {
+    "capacity-no-snr": ("capacity", ISI_CONFIG, {}, None),
+    "capacity-selfadjoint": ("capacity", dict(MODEL_CONFIGS["selfadjoint"], snr=[1.0]), {}, None),
+    "mc-compare-no-mc": ("mc-compare", ISI_CONFIG, {}, None),
+    "mc-compare-two-n": ("mc-compare",
+                         dict(ISI_CONFIG, mc={"N": [2, 4], "realizations": 2, "seed": 0}), {}, None),
+    "mc-compare-nonsep": ("mc-compare",
+                          dict(MODEL_CONFIGS["nonsep"], mc={"N": 4, "realizations": 2, "seed": 0}),
+                          {}, None),
+    "capacity-mc-nonsep": ("capacity",
+                           dict(MODEL_CONFIGS["nonsep"], snr=[1.0],
+                                mc={"N": 4, "realizations": 2, "seed": 0}), {}, None),
+    "negative-seed": ("density", ISI_CONFIG, {"seed": -7}, None),
+    "bad-env-threads": ("density", ISI_CONFIG, {}, "soup"),
+    "negative-threads": ("density", ISI_CONFIG, {"threads": -1}, None),
+    "unknown-command": ("spectrum", ISI_CONFIG, {}, None),
+}
+
+
+@pytest.mark.parametrize("command, payload, kwargs, env_threads",
+                         USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_before_any_output_or_solve(
+    command, payload, kwargs, env_threads, tmp_path, monkeypatch
+):
+    def solve(config):
+        raise AssertionError("solved before refusing the command")
+
+    monkeypatch.setattr(cli, "_solve_density", solve)
+    if env_threads is not None:
+        monkeypatch.setenv(cli.ENV_THREADS, env_threads)
+    cfg = cli.parse_config(json.dumps(payload))
+    with pytest.raises(errors.ValidationError):
+        cli.run(command, cfg, out_dir=tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
 
 
 class TestMain:

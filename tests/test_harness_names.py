@@ -1,15 +1,20 @@
-"""Every function the benchmark harness traces exists on its module.
+"""The benchmark harness's calls into the package still work.
 
 ``perfbench/tracing.py`` wraps the names listed in its ``TRACED`` table;
-a name that is missing makes a traced benchmark run fail. This check runs
-the same lookup, so removing a traced name fails here first.
+a name that is missing makes a traced benchmark run fail. The first check
+runs the same lookup, so removing a traced name fails here first. The
+second runs the set-up of every workload in ``perfbench/workloads.py``,
+which calls the package outside that table. Both load the harness files
+by path and only read them.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _traced_table():
@@ -27,3 +32,24 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(modname), name, None))
     ]
     assert missing == []
+
+
+def test_harness_set_up_runs_on_the_package(tmp_path):
+    """Every workload's inputs parse and build through the calls the harness makes.
+
+    The harness also calls names it does not trace (``validate_covariance``,
+    ``validate_family``, ``hermitize_covariance``, ``eta_apply``,
+    ``SolverConfig(newton=True)``), reads ``ProblemConfig`` attributes and
+    writes ``"newton": true`` into the configs it generates. A reduced-size
+    set-up of every workload runs all of them.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        out = tmp_path / name
+        out.mkdir()
+        inputs = workloads.make_inputs(name, 1, ROOT, 0.1, out)
+        ctx = workloads.setup(inputs, build=True)
+        if name == "point-queries":
+            assert len(workloads._point_calls(inputs, ctx)) == len(inputs["order"])

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
 from blockspectra import errors
+from blockspectra import solver as slv
 from blockspectra.solver import max_im_eigenvalue, solve_gram_grid
 
 from conftest import random_selfadjoint_spec
@@ -27,6 +28,22 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(errors.BadParameter):
             bs.SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bs.SolverConfig(max_iter=2.5),
+    lambda: bs.SolverConfig(max_iter="5"),
+    lambda: bs.SolverConfig(tol="1e-10"),
+    lambda: bs.capacity(bs.SpectralDensity(xs=np.array([0.0, 1.0]), ps=np.ones(2)), np.nan),
+    lambda: bs.capacity(bs.SpectralDensity(xs=np.array([0.0, 1.0]), ps=np.ones(2)), np.inf),
+    lambda: bs.CorrelationFamily(psi=(np.zeros((0, 0)),), psi_hat=(np.zeros((0, 0)),)),
+    lambda: bs.nc2_moment(bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])), 2,
+                          trace_weights=[1, 2]),
+], ids=["max_iter-float", "max_iter-text", "tol-text", "snr-nan", "snr-inf",
+        "empty-family", "trace-weights-shape"])
+def test_bad_argument_is_bad_parameter(call):
+    with pytest.raises(errors.BadParameter):
+        call()
 
 
 class TestFixedPoint:
@@ -135,6 +152,19 @@ class TestNewtonRefine:
             assert fp.converged and nt.converged
             assert np.abs(fp.G - nt.G).max() <= 1e-8
             assert max_im_eigenvalue(fp.G) <= 1e-8
+
+
+def test_newton_batch_falls_back_to_each_point_when_one_jacobian_is_singular(semicircle_eta):
+    # at z = 0 from G = 0 the semicircle Jacobian z - 2 G is exactly zero, so the
+    # batched solve fails; the other point must still converge on its own
+    G, res, its, stuck = slv._newton_batch(
+        semicircle_eta.pattern, np.array([0j, 1j]), np.ones(2, dtype=complex),
+        np.array([[0j], [-0.5j]]), 1e-12, 60,
+    )
+    assert stuck.tolist() == [True, False]
+    assert its[0] == 0 and G[0, 0] == 0
+    assert G[1, 0] == pytest.approx(semicircle_cauchy(1j), abs=1e-12)
+    assert res[1] <= 1e-12
 
 
 class TestGrid:

@@ -68,6 +68,15 @@ class TestStieltjesInvert:
                                atom_at_zero=1.5)
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make every grid solve fail, so a test sees whether inputs are refused first."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the input")
+
+    monkeypatch.setattr(slv, "_solve_continuation", solve)
+
+
 @pytest.mark.parametrize("route", [
     "solve_grid", "solve_gram_grid", "density_from_eta", "density_gram",
 ])
@@ -76,12 +85,8 @@ class TestStieltjesInvert:
     (1e-4, [np.nan]),
 ], ids=["negative", "zero", "nan", "inf", "nan-x"])
 def test_bad_offset_or_grid_refused_before_solving(
-    route, epsilon, xs, semicircle_eta, mp_spec, monkeypatch
+    route, epsilon, xs, semicircle_eta, mp_spec, no_solve
 ):
-    def solve(*args, **kwargs):
-        raise AssertionError("solved before refusing the input")
-
-    monkeypatch.setattr(slv, "_solve_continuation", solve)
     gram = cov._hermitized_map(bs.eta1_map(mp_spec), bs.eta2_map(mp_spec))
     grid = np.linspace(0.1, 1.0, 5) if xs is None else xs
     call = {
@@ -92,6 +97,25 @@ def test_bad_offset_or_grid_refused_before_solving(
     }[route]
     with pytest.raises(errors.BadParameter):
         call()
+
+
+@pytest.mark.parametrize("route", ["density_from_eta", "density_gram"])
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(xs=np.linspace(2.5, -2.5, 512)), errors.GridError),
+    (dict(xs=[0.5]), errors.GridError),
+    (dict(npoints=1), errors.GridError),
+    (dict(npoints=0), errors.GridError),
+    (dict(npoints=2.5), errors.BadParameter),
+], ids=["decreasing", "one-point", "npoints-1", "npoints-0", "npoints-2.5"])
+def test_grid_the_density_cannot_invert_refused_before_solving(
+    route, kwargs, error, semicircle_eta, mp_spec, no_solve
+):
+    gram = cov._hermitized_map(bs.eta1_map(mp_spec), bs.eta2_map(mp_spec))
+    with pytest.raises(error):
+        if route == "density_from_eta":
+            bs.density_from_eta(semicircle_eta, **kwargs)
+        else:
+            bs.density_gram(gram, 1, **kwargs)
 
 
 class TestCdf:
