@@ -396,8 +396,6 @@ class JsonArtifact:
 
 
 def _format_cell(x) -> str:
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.17g" % float(x)

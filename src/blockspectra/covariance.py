@@ -33,6 +33,7 @@ its pair of maps.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -66,7 +67,8 @@ class CovarianceSpec:
 
     Entries are ``(i, j, k, l, value)`` with 1-based indices meaning
     sigma(i,j;k,l) for the selfadjoint/rectangular kinds and tau(i,k;j,l)
-    (slot order ``(i, k, j, l)``) for the hh_star kind. The constructor
+    (slot order ``(i, k, j, l)``) for the hh_star kind. ``alpha``, the
+    block weights, is given for the rectangular kind only. The constructor
     validates and closes the entries (see the module docstring) and sets
     ``choi_min_eig``. Instances are immutable; share freely across threads.
     """
@@ -92,13 +94,11 @@ class CovarianceSpec:
             object.__setattr__(self, "d", _count(self.d, "block count d"))
             if self.d < 1:
                 raise BadParameter(f"{self.kind} spec needs block count d >= 1")
-            if self.alpha is None:
-                object.__setattr__(self, "alpha", (1.0 / self.d,) * self.d)
-            else:
-                object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
         _check_indices(self)
         if self.kind == "rectangular":
             _check_alpha(self)
+        elif self.alpha is not None:
+            raise WeightError(f"alpha weighs rectangular blocks; a {self.kind} spec takes none")
         table = _close_table(self)
         if self.kind == "rectangular":
             _check_alpha_pattern(self, table)
@@ -133,7 +133,7 @@ def hh_star_covariance(a, b, entries) -> CovarianceSpec:
 
 def rectangular_covariance(alpha, entries) -> CovarianceSpec:
     """Rectangular spec; block count is len(alpha)."""
-    alpha = tuple(float(x) for x in alpha)
+    alpha = tuple(alpha)
     return CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
 
 
@@ -143,6 +143,13 @@ def _count(value, what) -> int:
         return operator.index(value)
     except TypeError:
         raise BadParameter(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value, what) -> float:
+    """A real number as a float, or BadParameter naming it."""
+    if not isinstance(value, numbers.Real):
+        raise BadParameter(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _entry(ent) -> Entry:
@@ -205,8 +212,12 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
 
 
 def _check_alpha(spec: CovarianceSpec):
-    alpha = spec.alpha
-    if alpha is None or len(alpha) != spec.d:
+    """Store a rectangular spec's weights as floats: d of them in (0, 1), summing to 1."""
+    if spec.alpha is None:
+        raise WeightError("a rectangular spec needs block weights alpha")
+    alpha = tuple(_real(x, "alpha entry") for x in spec.alpha)
+    object.__setattr__(spec, "alpha", alpha)
+    if len(alpha) != spec.d:
         raise WeightError(f"alpha must have {spec.d} entries")
     if any(not 0.0 < x < 1.0 for x in alpha) and spec.d > 1:
         raise WeightError("alpha entries must lie in (0, 1)")
@@ -275,9 +286,6 @@ class EtaMap:
         if self.dim_in != self.dim_out:
             raise DimensionMismatch("the invariant pattern needs a square map")
         return InvariantPattern(self.tensor)
-
-    def __call__(self, D):
-        return eta_apply(self, D)
 
 
 class InvariantPattern:
@@ -468,9 +476,7 @@ def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:
     K, L = _count(K, "K"), _count(L, "L")
     if K < 1 or L < 1:
         raise BadParameter("K and L must be >= 1")
-    if tap_var is None:
-        tap_var = [1.0] * L
-    tap_var = [float(t) for t in tap_var]
+    tap_var = [1.0] * L if tap_var is None else [_real(t, "tap variance") for t in tap_var]
     if len(tap_var) != L:
         raise BadParameter(f"tap_var must have L={L} entries")
     if any(t <= 0 for t in tap_var):

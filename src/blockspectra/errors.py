@@ -47,10 +47,6 @@ class SingularJacobian(BlockspectraError):
     """Newton linearization was singular."""
 
 
-class IllConditioned(BlockspectraError):
-    """Requested extraction is numerically unstable for these inputs."""
-
-
 # spectra
 class GridError(BlockspectraError):
     """Inversion grid is unsorted or inconsistent."""

@@ -281,7 +281,7 @@ def nc2_moment(eta, m: int, trace_weights=None):
     return out, tr
 
 
-def histogram(values, bins="fd"):
-    """Histogram payload (Freedman-Diaconis bins by default) for artifacts."""
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
+def histogram(values):
+    """Histogram payload with Freedman-Diaconis bins, for artifacts."""
+    counts, edges = np.histogram(np.asarray(values, dtype=float), bins="fd")
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

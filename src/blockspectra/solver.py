@@ -18,9 +18,10 @@ the batched engine stores G as its m values on the pattern, inverts block
 by block and solves an m x m Newton system: m = d for the diagonal pattern
 of ISI channels, m = d^2 for a dense map.
 
-Every solve, one point or a grid, walks the imaginary offset down a
-continuation ladder (``_solve_continuation``): on each level the damped
-fixed-point map globalizes and Newton refines.
+Every solve, one point or a grid, starts from -i*I and walks the imaginary
+offset down a continuation ladder (``_solve_continuation``): on each level
+the damped fixed-point map globalizes and Newton refines. Only
+``newton_refine`` starts from a caller's approximation.
 
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
@@ -37,7 +38,6 @@ its own step and residual.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -47,7 +47,6 @@ from . import covariance as cov
 from .errors import (
     BadParameter,
     DimensionMismatch,
-    IllConditioned,
     NoConvergence,
     SingularJacobian,
     SingularResolvent,
@@ -74,7 +73,7 @@ class SolverConfig:
     newton: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < float("inf")):
+        if not 0 < cov._real(self.tol, "tol") < float("inf"):
             raise BadParameter(f"tol must be a positive finite number, got {self.tol!r}")
         if cov._count(self.max_iter, "max_iter") < 1:
             raise BadParameter("max_iter must be >= 1")
@@ -119,16 +118,6 @@ def imaginary_part(G) -> np.ndarray:
 def max_im_eigenvalue(G) -> float:
     """Largest eigenvalue of the imaginary part; <= 0 selects the physical branch."""
     return float(np.linalg.eigvalsh(imaginary_part(G)).max())
-
-
-def _project_negative_imaginary(G):
-    """Clip the imaginary part to strictly negative eigenvalues."""
-    G = np.asarray(G, dtype=complex)
-    A = (G + G.conj().T) / 2
-    B = imaginary_part(G)
-    w, U = np.linalg.eigh(B)
-    w = np.minimum(w, -1e-12)
-    return A + 1j * (U * w) @ U.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +313,15 @@ def _newton_batch(pat, zs, scale, G, target, budget):
     return G, res, iters, stuck
 
 
-def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=(), G0=None):
+def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     """Solve a batch along z = x + i*epsilon by stepping the offset down.
 
-    From -i*I the offset walks down by factors of 4 from max(span, 1) / 8
-    (or epsilon, if larger), each level warm starting the next; the ladder
-    stops at MIN_GRID_EPSILON before its final level, so epsilon = 0 (a real
-    z) is reached too. A compressed start ``G0`` replaces the ladder. Each
-    level runs the damped fixed-point map (40 sweeps on the first level, 6
-    after) toward NEWTON_HANDOFF, then Newton. No point takes more than
+    Every point starts from -i*I, and the offset walks down by factors of 4
+    from max(span, 1) / 8 (or epsilon, if larger), each level warm starting
+    the next; the ladder stops at MIN_GRID_EPSILON before its final level,
+    so epsilon = 0 (a real z) is reached too. Each level runs the damped
+    fixed-point map (40 sweeps on the first level, 6 after) toward
+    NEWTON_HANDOFF, then Newton. No point takes more than
     ``config.max_iter`` iterations over the whole ladder.
 
     ``record`` lists extra offsets on the ladder whose solved batches the
@@ -344,13 +333,12 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=(), G0=None
     pat = eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
-    levels, G = {epsilon, *record}, G0
-    if G0 is None:
-        G = np.tile(-1j * pat.eye, (P, 1))
-        e = max(epsilon, max(float(np.ptp(xs)), 1.0) / 8.0)
-        while e > max(epsilon, MIN_GRID_EPSILON) * (1 + 1e-9):
-            levels.add(e)
-            e /= 4.0
+    G = np.tile(-1j * pat.eye, (P, 1))
+    levels = {epsilon, *record}
+    e = max(epsilon, max(float(np.ptp(xs)), 1.0) / 8.0)
+    while e > max(epsilon, MIN_GRID_EPSILON) * (1 + 1e-9):
+        levels.add(e)
+        e /= 4.0
     levels = sorted(levels, reverse=True)
     total = np.zeros(P, dtype=int)
     snapshots = {}
@@ -375,13 +363,11 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=(), G0=None
     return [b._replace(G=pat.expand(b.G)) for b in batches]
 
 
-def _solve_point(eta, z, config, scale_is_z, G0=None):
+def _solve_point(eta, z, config, scale_is_z):
     """One point through the ladder: (G, residual, iterations, converged)."""
     _require_upper_half(z)
     z = complex(z)
-    (out,) = _solve_continuation(
-        eta, [z.real], z.imag, config or DEFAULT_CONFIG, scale_is_z, G0=G0
-    )
+    (out,) = _solve_continuation(eta, [z.real], z.imag, config or DEFAULT_CONFIG, scale_is_z)
     return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
 
@@ -414,25 +400,16 @@ def _require_upper_half(z):
         raise BadParameter(f"z must be a finite point of the closed upper half plane, got {z}")
 
 
-def solve_fixed_point(eta, z, config=None, warm_start=None) -> CauchySolution:
+def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     """Solve z G = I + eta(G) G at one point by continuation.
 
     Starts from -i*I and walks the imaginary offset down to Im z as a grid
-    solve does (damped fixed-point sweeps, then Newton, on each level).
-    ``warm_start`` replaces that ladder: it is projected to negative
-    imaginary part, pinched onto the map's invariant pattern (its entries
-    off the pattern dropped; pinching keeps Im G < 0, as it compresses Im G
-    to diagonal blocks) and solved at z directly. The best iterate is
-    returned even when ``config.max_iter`` runs out, with ``converged=False``.
+    solve does (damped fixed-point sweeps, then Newton, on each level). To
+    polish an approximate solution instead, use :func:`newton_refine`. The
+    best iterate is returned even when ``config.max_iter`` runs out, with
+    ``converged=False``.
     """
-    d = eta.dim_out
-    G0 = None
-    if warm_start is not None:
-        W = np.asarray(warm_start, dtype=complex)
-        if W.shape != (d, d):
-            raise DimensionMismatch(f"warm start must be {d}x{d}")
-        G0 = eta.pattern.compress(_project_negative_imaginary(W)[None])
-    return CauchySolution(complex(z), *_solve_point(eta, z, config, False, G0))
+    return CauchySolution(complex(z), *_solve_point(eta, z, config, False))
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
@@ -476,7 +453,7 @@ def _check_grid(xs, epsilon):
     diffs = np.diff(xs)
     if len(xs) > 1 and not ((diffs >= 0).all() or (diffs <= 0).all()):
         raise BadParameter("xs must be monotone")
-    if not MIN_GRID_EPSILON <= epsilon < np.inf:
+    if not MIN_GRID_EPSILON <= cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
     return xs
 
@@ -622,27 +599,17 @@ class MomentEstimates:
     m4: float
 
 
-def moment_check(eta, radii=None, config=None) -> MomentEstimates:
+def moment_check(eta, config=None) -> MomentEstimates:
     """Extract m0, m2, m4 from the Laurent tail of G along the imaginary axis.
 
-    Fits Re tr_d(z G(i R)) as a polynomial in 1/R^2 over several radii; the
-    expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms. Radii must
-    sit well outside the spectral support or the extraction is refused.
+    Fits Re tr_d(z G(i R)) as a polynomial in 1/R^2 over the radii
+    R = max(e, 1) * (4, 8, 16, 32, 64), with e the support edge estimate
+    2 ||eta(I)||^(1/2): all lie at least 4e out, well outside the support.
+    The expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
     """
     config = config or DEFAULT_CONFIG
     d = eta.dim_out
-    edge = _edge_estimate(eta)
-    if radii is None:
-        base = max(edge, 1.0)
-        radii = base * np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < 3:
-        raise BadParameter("need at least three radii")
-    if radii.min() < 2.0 * edge:
-        raise IllConditioned(
-            f"smallest radius {radii.min():.3g} is inside 2x the support "
-            f"estimate {edge:.3g}; moment extraction would be unstable"
-        )
+    radii = max(_edge_estimate(eta), 1.0) * np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     tight = replace(config, tol=min(config.tol, 1e-12))
     w = []
     for R in radii:

@@ -51,15 +51,17 @@ class SpectralDensity:
             raise GridError("xs must be strictly increasing")
         if ps.min() < -1e-8:
             raise GridError(f"density has a negative sample {ps.min():.3e}")
-        if not 0.0 <= self.atom_at_zero <= 1.0:
+        atom = cov._real(self.atom_at_zero, "atom_at_zero")
+        if not 0.0 <= atom <= 1.0:
             raise BadParameter("atom_at_zero must lie in [0, 1]")
         xs.setflags(write=False)
         ps.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", np.clip(ps, 0.0, None))
+        object.__setattr__(self, "atom_at_zero", atom)
 
 
-def stieltjes_invert(xs, g_wide, g_narrow, eps2=None, atom_at_zero=0.0) -> SpectralDensity:
+def stieltjes_invert(xs, g_wide, g_narrow, eps2) -> SpectralDensity:
     """Invert scalar Cauchy-transform samples on a grid to a density.
 
     ``g_wide`` and ``g_narrow`` hold the traced transform at x + 2i eps2
@@ -78,12 +80,11 @@ def stieltjes_invert(xs, g_wide, g_narrow, eps2=None, atom_at_zero=0.0) -> Spect
             RuntimeWarning,
             stacklevel=2,
         )
-    e2 = float("nan") if eps2 is None else float(eps2)
+    eps2 = float(eps2)
     return SpectralDensity(
         xs=xs,
         ps=np.clip(raw, 0.0, None),
-        atom_at_zero=float(atom_at_zero),
-        epsilon_used=(2 * e2, e2),
+        epsilon_used=(2 * eps2, eps2),
         clip_excursion=max(0.0, -worst),
     )
 
@@ -93,12 +94,12 @@ def mass(density: SpectralDensity) -> float:
     return float(np.trapezoid(density.ps, density.xs)) + density.atom_at_zero
 
 
-def check_mass(density: SpectralDensity, where="density") -> float:
+def check_mass(density: SpectralDensity) -> float:
     """Warn (with diagnostics) if total mass strays from 1 by more than 5e-3."""
     m = mass(density)
     if abs(m - 1.0) > MASS_TOL:
         warnings.warn(
-            f"{where}: total mass {m:.6f} outside 1 +/- {MASS_TOL}; "
+            f"density: total mass {m:.6f} outside 1 +/- {MASS_TOL}; "
             f"grid [{density.xs[0]:.4g}, {density.xs[-1]:.4g}] may not cover "
             f"the support, or the solver failed",
             RuntimeWarning,
@@ -127,7 +128,7 @@ def capacity(density: SpectralDensity, snr: float) -> float:
 
     The support must lie in [0, inf); the atom at zero contributes nothing.
     """
-    if not 0 < snr < np.inf:
+    if not 0 < cov._real(snr, "snr") < np.inf:
         raise BadParameter(f"snr must be positive and finite, got {snr}")
     xs, ps = density.xs, density.ps
     neg = xs < 0
@@ -232,7 +233,7 @@ def density_gram(
 
 def _check_offset(epsilon):
     """An explicit offset must be finite and positive; _invert floors small ones."""
-    if epsilon is not None and not 0 < epsilon < np.inf:
+    if epsilon is not None and not 0 < cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
 
 

@@ -1,11 +1,15 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import blockspectra as bs
 from blockspectra import cli, errors
 
+ROOT = Path(__file__).resolve().parent.parent
 
 ISI_CONFIG = {
     "model": "isi",
@@ -373,6 +377,24 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NoConvergence"
 
+    def test_mass_pin_exit_one(self, tmp_path, capsys):
+        # the semicircle cut to [-1, 1] keeps 0.609 of its mass
+        payload = json.loads((ROOT / "configs" / "semicircle.json").read_text())
+        payload["grid"].update(xmin=-1.0, xmax=1.0)
+        cfg_path = _write(tmp_path, payload)
+        with pytest.warns(RuntimeWarning, match="mass"):
+            with pytest.raises(errors.InvariantViolation, match=r"mass 0\.60\d+ violates"):
+                cli.run("density", cli.parse_config(cfg_path), out_dir=tmp_path / "run")
+        with pytest.warns(RuntimeWarning, match="mass"):
+            code = cli.main([
+                "--config", str(cfg_path), "--command", "density",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "InvariantViolation"
+        assert not list(tmp_path.glob("*/density.csv"))
+
     def test_newton_false_exit_two(self, tmp_path, capsys):
         payload = dict(ISI_CONFIG, solver={"newton": False})
         code = cli.main([
@@ -451,3 +473,16 @@ class TestMain:
         assert cli._resolve_threads(0) == 3
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._resolve_threads(0) == 1
+
+
+def test_artifacts_match_checked_in_digests():
+    """Every shipped config's artifacts hash to scripts/artifact_digests.txt.
+
+    The script runs in its own process, so its one-thread BLAS pin applies
+    before numpy loads.
+    """
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == (ROOT / "scripts" / "artifact_digests.txt").read_text()

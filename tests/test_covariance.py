@@ -101,6 +101,23 @@ class TestValidation:
         with pytest.raises(errors.WeightError):
             bs.rectangular_covariance((1.2, -0.2), [(1, 1, 1, 1, 1.0)])
 
+    @pytest.mark.parametrize("make", [
+        lambda: CovarianceSpec("selfadjoint", d=1, alpha=(0.3, 0.2, 9.0),
+                               entries=((1, 1, 1, 1, 1.0),)),
+        lambda: CovarianceSpec("hh_star", a=1, b=1, alpha=(1.0,), entries=((1, 1, 1, 1, 1.0),)),
+        lambda: replace(bs.rectangular_covariance((1.0,), [(1, 1, 1, 1, 1.0)]),
+                        kind="selfadjoint"),
+    ], ids=["selfadjoint", "hh_star", "replace-kind"])
+    def test_alpha_only_on_rectangular_specs(self, make):
+        with pytest.raises(errors.WeightError, match="rectangular"):
+            make()
+
+    def test_unweighted_kinds_carry_no_alpha(self):
+        spec = bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])
+        grown = replace(spec, d=2, entries=((2, 2, 2, 2, 1.0),))
+        assert spec.alpha is None and grown.alpha is None
+        assert bs.isi_covariance(2, 2).alpha is None
+
     def test_alpha_pattern_enforced(self):
         with pytest.raises(errors.PatternViolation):
             # sigma(1,1;1,2) needs alpha_1 = alpha_2

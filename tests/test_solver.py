@@ -46,6 +46,23 @@ def test_bad_argument_is_bad_parameter(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda eta: bs.density_from_eta(eta, epsilon="1e-3"),
+    lambda eta: bs.capacity(bs.SpectralDensity(xs=[0.0, 1.0], ps=[1.0, 1.0]), "1"),
+    lambda eta: bs.solve_grid(eta, [0.0, 1.0], "1e-3"),
+    lambda eta: bs.SpectralDensity(xs=[0, 1], ps=[0, 0], atom_at_zero="0.5"),
+    lambda eta: bs.isi_covariance(2, 2, tap_var=["a", 1]),
+    lambda eta: bs.isi_covariance(2, 2, tap_var=["1", 1]),
+    lambda eta: bs.rectangular_covariance(("a", 0.5), []),
+    lambda eta: bs.rectangular_covariance(("0.5", 0.5), []),
+], ids=["density-epsilon", "capacity-snr", "grid-epsilon", "atom", "tap-word",
+        "tap-numeral", "alpha-word", "alpha-numeral"])
+def test_real_argument_of_wrong_type_is_bad_parameter(semicircle_eta, call):
+    # text is refused, even text that float() would read as a number
+    with pytest.raises(errors.BadParameter, match="must be a real number"):
+        call(semicircle_eta)
+
+
 class TestFixedPoint:
     def test_semicircle_at_i(self, semicircle_eta):
         sol = bs.solve_fixed_point(semicircle_eta, 1j, TIGHT)
@@ -70,15 +87,6 @@ class TestFixedPoint:
         for z in (1 - 1j, complex(np.nan, 1.0), complex(0.0, np.inf)):
             with pytest.raises(errors.BadParameter):
                 bs.solve_fixed_point(semicircle_eta, z)
-
-    def test_warm_start_projection(self, semicircle_eta):
-        # a warm start with the wrong imaginary sign still lands on the
-        # physical branch
-        sol = bs.solve_fixed_point(
-            semicircle_eta, 1j, TIGHT, warm_start=np.array([[0.5 + 0.9j]])
-        )
-        assert sol.converged
-        assert sol.G[0, 0] == pytest.approx(-0.6180339887j, abs=1e-9)
 
     def test_unconverged_returns_best_iterate(self, semicircle_eta):
         sol = bs.solve_fixed_point(
@@ -118,6 +126,11 @@ class TestFixedPoint:
 
 
 class TestNewtonRefine:
+    def test_singular_jacobian(self, semicircle_eta):
+        # at z = 0 and G = 0 the linearization z dG - eta(dG) G - eta(G) dG is zero
+        with pytest.raises(errors.SingularJacobian):
+            bs.newton_refine(semicircle_eta, 0, [[0]])
+
     def test_converges_from_nearby_start(self, semicircle_eta):
         sol = bs.newton_refine(semicircle_eta, 1j, np.array([[-0.6j]]), TIGHT)
         assert sol.converged and sol.iterations <= 5
@@ -329,6 +342,6 @@ class TestMomentCheck:
         assert m.m0 == pytest.approx(1.0, abs=1e-6)
         assert m.m2 == pytest.approx(m2.real, abs=1e-3)
 
-    def test_small_radii_refused(self, semicircle_eta):
-        with pytest.raises(errors.IllConditioned):
-            bs.moment_check(semicircle_eta, radii=[3.0, 3.5, 4.0])
+    def test_unconverged_probe_raises(self, semicircle_eta):
+        with pytest.raises(errors.NoConvergence, match="moment probe"):
+            bs.moment_check(semicircle_eta, config=bs.SolverConfig(max_iter=1))

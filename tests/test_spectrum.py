@@ -46,7 +46,7 @@ class TestStieltjesInvert:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(errors.GridError):
-            bs.stieltjes_invert([1.0, 0.5], [0j, 0j], [0j, 0j])
+            bs.stieltjes_invert([1.0, 0.5], [0j, 0j], [0j, 0j], 1e-4)
 
     def test_offset_ratio_enforced(self):
         # the wide offset is twice the narrow one by construction
@@ -56,7 +56,7 @@ class TestStieltjesInvert:
     def test_large_negative_excursion_warns(self):
         with pytest.warns(RuntimeWarning, match="clipped"):
             # Im > 0 forces p < 0
-            dens = bs.stieltjes_invert([0.0, 1.0], [0j, 0j], [0.5j, 0.5j])
+            dens = bs.stieltjes_invert([0.0, 1.0], [0j, 0j], [0.5j, 0.5j], 1e-4)
         assert dens.ps.min() >= 0.0
         assert dens.clip_excursion == pytest.approx(1 / np.pi)
 
