@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,23 +134,45 @@ def hh_star_covariance(a, b, entries) -> CovarianceSpec:
 
 def rectangular_covariance(alpha, entries) -> CovarianceSpec:
     """Rectangular spec; block count is len(alpha)."""
-    alpha = tuple(alpha)
-    return CovarianceSpec("rectangular", d=len(alpha), alpha=alpha, entries=tuple(entries))
+    alpha = _numbers(alpha, "alpha")
+    if alpha.ndim != 1:
+        raise BadParameter(f"alpha must be a sequence of block weights, got {alpha}")
+    return CovarianceSpec("rectangular", d=len(alpha), alpha=tuple(alpha), entries=tuple(entries))
 
 
 def _count(value, what) -> int:
     """An integer count or order as an int, or BadParameter naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise BadParameter(f"{what} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameter(f"{what} must be an integer, got {value!r}")
 
 
 def _real(value, what) -> float:
     """A real number as a float, or BadParameter naming it."""
-    if not isinstance(value, numbers.Real):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise BadParameter(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, what, dtype=float) -> np.ndarray:
+    """Real (``dtype=complex``: complex) numbers as an array, or BadParameter naming them.
+
+    Text, booleans, objects and ragged sequences are refused, even text
+    that float() would read as a number.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = np.asarray(None)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "complex" if dtype is complex else "real"
+        raise BadParameter(
+            f"{what} must be a {kind} number or an array of them, got {reprlib.repr(value)}"
+        )
+    return arr.astype(dtype, copy=False)
 
 
 def _entry(ent) -> Entry:
@@ -266,7 +289,7 @@ class EtaMap:
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.tensor, dtype=complex))
+        t = np.ascontiguousarray(_numbers(self.tensor, "eta tensor", complex))
         if t.ndim != 4 or t.shape[0] != t.shape[1] or t.shape[2] != t.shape[3]:
             raise DimensionMismatch(f"eta tensor has invalid shape {t.shape}")
         t.setflags(write=False)
@@ -348,7 +371,7 @@ class InvariantPattern:
 
 def eta_apply(eta: EtaMap, D) -> np.ndarray:
     """Evaluate the covariance map on one matrix."""
-    D = np.asarray(D, dtype=complex)
+    D = _numbers(D, "D", complex)
     if D.shape != (eta.dim_in, eta.dim_in):
         raise DimensionMismatch(
             f"expected a {eta.dim_in}x{eta.dim_in} matrix, got {D.shape}"
@@ -476,8 +499,8 @@ def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:
     K, L = _count(K, "K"), _count(L, "L")
     if K < 1 or L < 1:
         raise BadParameter("K and L must be >= 1")
-    tap_var = [1.0] * L if tap_var is None else [_real(t, "tap variance") for t in tap_var]
-    if len(tap_var) != L:
+    tap_var = np.ones(L) if tap_var is None else _numbers(tap_var, "tap_var")
+    if tap_var.shape != (L,):
         raise BadParameter(f"tap_var must have L={L} entries")
     if any(t <= 0 for t in tap_var):
         raise BadParameter("tap variances must be positive")

@@ -54,9 +54,9 @@ class CorrelationFamily:
     psi_hat: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        psi = tuple(np.ascontiguousarray(np.asarray(m, dtype=complex)) for m in self.psi)
-        psi_hat = tuple(
-            np.ascontiguousarray(np.asarray(m, dtype=complex)) for m in self.psi_hat
+        psi, psi_hat = (
+            tuple(np.ascontiguousarray(cov._numbers(m, name, complex)) for m in mats)
+            for name, mats in (("psi", self.psi), ("psi_hat", self.psi_hat))
         )
         for m in psi + psi_hat:
             m.setflags(write=False)
@@ -149,8 +149,7 @@ def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
     converged G1 has negative-semidefinite imaginary part.
     """
     config = config or slv.DEFAULT_CONFIG
-    slv._require_upper_half(z)
-    z = complex(z)
+    z = slv._upper_half(z)
     e1, e2 = build_nonsep_eta(family)
     G1, res, its, converged = slv._solve_eliminated(e2, e1, z, config)
     return FadingSolution(z, G1, complex(np.trace(G1) / family.p), res, its, converged)

@@ -8,11 +8,16 @@ operator-valued semicircular element,
     M_m = sum_{j+k=m-2} eta(M_j) M_k,    M_0 = I,  odd moments zero,
 
 which enumerates non-crossing pairings without ever touching the solver.
+
+Every ensemble is drawn by one function, :func:`_draw_blocks`: a block
+matrix whose N x N blocks mix iid circular normals with a factor of the
+entry covariance. The Gram channel H is that draw Y; the selfadjoint X is
+(Y + Y*)/sqrt(2), its Hermitian part scaled to keep the entry variances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +35,12 @@ class EnsembleSample:
     ``matrix`` is the Hermitian X for selfadjoint and rectangular specs and
     the aN x bN channel H for hh_star specs (the hermitization is never
     built); ``eigenvalues`` are the ascending eigenvalues of the form under
-    study (X itself, or the Gram matrix HH*). Same seed, same spec, same N:
-    bit-identical sample.
+    study (X itself, or the Gram matrix HH*). Both are read-only. Same
+    seed, same spec, same N: bit-identical sample.
     """
 
-    seed: int
-    N: int
-    kind: str
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    a: int = 0
-    b: int = 0
-    block_sizes: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         for name in ("matrix", "eigenvalues"):
@@ -63,11 +62,6 @@ def _entry_factor(C, what):
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _standard_complex(rng, shape):
-    """Circular standard complex normals: two real N(0, 1/2) components."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _require_sampling_grade(spec):
     if spec.choi_min_eig < SAMPLING_EIG_FLOOR:
         raise NotPSD(
@@ -87,94 +81,68 @@ def _guard_memory(pairs, nmax):
         )
 
 
-def _block_sizes(spec, N):
-    if spec.kind != "rectangular":
-        return (N,) * spec.dim
-    # equal weights must get equal integer sizes or cross-covariances
-    # between transpose-partner blocks would not line up
-    target = spec.d * N
-    sizes = []
-    for w in spec.alpha:
-        sizes.append(max(1, round(w * target)))
-    return tuple(sizes)
+def _draw_blocks(C, rows, cols, N, rng, what):
+    """A (rows N) x (cols N) block Gaussian matrix Y and its mask of nonzero blocks.
+
+    Block (i,k) holds circular complex Gaussian entries, iid over the N x N
+    positions, with E[Y_(i,k) conj Y_(j,l)] = C[(i,k),(j,l)] at each position
+    and E[Y^2] = 0. The normals are drawn for every block, real parts then
+    imaginary parts, so a seed names the same realization whatever C's zero
+    pattern. A block with zero variance C[(i,k),(i,k)] has a zero row in the
+    PSD C, so it is zero in law: it is stored as an exact zero, and only the
+    eigencomponents with nonzero weight on the other blocks are mixed.
+    """
+    _guard_memory(rows * cols, N)
+    Phi = _entry_factor(C, what)
+    re = rng.standard_normal((rows * cols, N * N))
+    im = rng.standard_normal((rows * cols, N * N))
+    live = np.diagonal(C).real.reshape(rows, cols) > 0
+    P = Phi[live.ravel()]
+    used = P.any(axis=0)
+    P = P[:, used] / np.sqrt(2.0)
+    Y = np.zeros((rows * N, cols * N), dtype=complex)
+    blocks = Y.reshape(rows, N, cols, N).swapaxes(1, 2)
+    if np.iscomplexobj(P):
+        blocks[live] = (P @ (re[used] + 1j * im[used])).reshape(-1, N, N)
+    else:
+        # a real factor splits the complex mix into two real products
+        blocks.real[live] = (P @ re[used]).reshape(-1, N, N)
+        blocks.imag[live] = (P @ im[used]).reshape(-1, N, N)
+    return Y, live
 
 
 def _sample_hermitian(spec, N, rng):
-    """Selfadjoint/rectangular sampler; exact Hermitian constraint."""
-    d = spec.dim
-    sizes = _block_sizes(spec, N)
-    _guard_memory(d * d, max(sizes))
-    n = sum(sizes)
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    S = cov._sigma_array(spec)
-    # E[v_(ij) conj(v_(kl))] = sigma(i,j;l,k)/n for the free (r<p) positions
-    C = np.einsum("ijlk->ijkl", S).reshape(d * d, d * d) / n
-    Phi = _entry_factor(C, spec.kind)
-    m = max(sizes)
-    W = _standard_complex(rng, (d * d, m * m))
-    V = (Phi @ W).reshape(d, d, m, m)
-    Wd = _standard_complex(rng, (d * d, m))
-    Vd = (Phi @ Wd).reshape(d, d, m)
-    # diagonal positions carry the Hermitian constraint u_(ij) = conj(u_(ji))
-    Ud = (Vd + np.conj(np.swapaxes(Vd, 0, 1))) / np.sqrt(2.0)
-    X = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        si = sizes[i]
-        for j in range(d):
-            sj = sizes[j]
-            upper = np.triu(V[i, j][:si, :sj], 1)
-            lower = np.tril(np.conj(V[j, i][:sj, :si]).T, -1)
-            block = upper + lower
-            r = np.arange(min(si, sj))
-            block[r, r] = Ud[i, j][: len(r)]
-            X[offs[i]:offs[i] + si, offs[j]:offs[j] + sj] = block
-    return X, sizes
+    """Selfadjoint/rectangular sampler: X = (Y + Y*)/sqrt(2), exactly Hermitian.
 
-
-def _sample_hh_star(spec, N, rng):
-    """hh_star sampler: the channel H and its (a, b) mask of nonzero blocks.
-
-    Circular complex Gaussian blocks, E[h^2] = 0 in law. The normals are
-    drawn for every block, real parts then imaginary parts, so a seed names
-    the same realization whatever the spec's zero pattern. A block (i,k)
-    with tau(i,k;i,k) = 0 has a zero row in the PSD entry covariance, so it
-    is zero in law: it is stored as an exact zero, and only the
-    eigencomponents with nonzero weight on the other blocks are mixed. The
-    mask lets :func:`_gram_lower` form HH* from its lower block triangle
-    over the nonzero blocks.
+    Y is the block draw with entry covariance C[(i,j),(k,l)] = sigma(i,j;l,k)/n,
+    n the size of X, so E[X_(i,j),rs conj X_(k,l),rs] is
+    (C[(i,j),(k,l)] + conj C[(j,i),(l,k)])/2 = C[(i,j),(k,l)]: every spec is
+    closed under sigma(i,j;k,l) = conj sigma(j,i;l,k). A rectangular spec's
+    blocks are cut, before the sum, from m x m blocks, m the largest size.
     """
-    a, b = spec.a, spec.b
-    _guard_memory(a * b, N)
-    T = cov._tau_array(spec)
-    C = T.reshape(a * b, a * b) / ((a + b) * N)
-    Phi = _entry_factor(C, "hh_star")
-    re = rng.standard_normal((a * b, N * N))
-    im = rng.standard_normal((a * b, N * N))
-    live = np.diagonal(C).reshape(a, b) > 0
-    P = Phi[live.ravel()]
-    used = P.any(axis=0)
-    # tau is real, so the complex mix splits into two real products
-    P = P[:, used] / np.sqrt(2.0)
-    H = np.zeros((a * N, b * N), dtype=complex)
-    blocks = H.reshape(a, N, b, N).swapaxes(1, 2)
-    blocks.real[live] = (P @ re[used]).reshape(-1, N, N)
-    blocks.imag[live] = (P @ im[used]).reshape(-1, N, N)
-    return H, live
-
-
-def _block_columns(ks, N):
-    """Columns of the column blocks ``ks``: a slice when they are contiguous."""
-    if ks[-1] - ks[0] + 1 == ks.size:
-        return slice(ks[0] * N, (ks[-1] + 1) * N)
-    return (ks[:, None] * N + np.arange(N)).ravel()
+    d = spec.d
+    if spec.kind == "rectangular":
+        # equal weights must get equal integer sizes or cross-covariances
+        # between transpose-partner blocks would not line up
+        sizes = [max(1, round(w * (d * N))) for w in spec.alpha]
+    else:
+        sizes = [N] * d
+    n, m = sum(sizes), max(sizes)
+    C = np.einsum("ijlk->ijkl", cov._sigma_array(spec)).reshape(d * d, d * d) / n
+    Y, _ = _draw_blocks(C, d, d, m, rng, spec.kind)
+    if n < d * m:
+        keep = np.concatenate([i * m + np.arange(s) for i, s in enumerate(sizes)])
+        Y = Y[np.ix_(keep, keep)]
+    return (Y + Y.conj().T) / np.sqrt(2.0)
 
 
 def _gram_lower(H, live, N):
     """Lower block triangle of HH*, from the nonzero blocks of H only.
 
-    Block (i,j), i >= j, is H[i, S] H[j, S]* over the column blocks S that
-    are nonzero in both block rows; the upper block triangle stays zero, so
-    read the result with ``UPLO="L"``.
+    Block (i,j), i >= j, is H[i, S] H[j, S]* over the column blocks S from
+    the first to the last that is nonzero in both block rows (a block between
+    them is zero in one row and adds exact zeros); the upper block triangle
+    stays zero, so read the result with ``UPLO="L"``.
     """
     a = live.shape[0]
     G = np.zeros((a * N, a * N), dtype=complex)
@@ -183,7 +151,7 @@ def _gram_lower(H, live, N):
         for i in range(j, a):
             ks = np.flatnonzero(live[i] & live[j])
             if ks.size:
-                cols = _block_columns(ks, N)
+                cols = slice(ks[0] * N, (ks[-1] + 1) * N)
                 G[i * N:(i + 1) * N, j * N:(j + 1) * N] = (
                     H[i * N:(i + 1) * N, cols] @ Hj[:, cols].T
                 )
@@ -194,33 +162,30 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     """Draw one realization of the Gaussian block ensemble of a spec.
 
     Entries are jointly Gaussian with exactly the spec's covariance: one
-    eigenfactorization of the d^2 x d^2 entry covariance mixes iid standard
-    complex normals, reused across all matrix positions. The selfadjoint
-    constraint X = X* holds exactly by construction. For hh_star specs,
-    blocks of H with zero variance are exact zeros and the Gram matrix HH*
-    is formed from its lower block triangle, over H's nonzero blocks only;
-    the normals are drawn as for a dense H, so a seed names the same
-    realization as the dense product did, up to roundoff. ``seed`` is a
-    non-negative integer or a numpy ``SeedSequence``.
+    eigenfactorization of the entry covariance mixes iid standard normals,
+    reused across all matrix positions (:func:`_draw_blocks`). For hh_star
+    specs the draw is the channel H, its zero-variance blocks exact zeros,
+    and the Gram matrix HH* is formed from its lower block triangle over
+    H's nonzero blocks. For selfadjoint and rectangular specs X is
+    (Y + Y*)/sqrt(2) from the draw Y, so X = X* holds exactly. ``seed`` is
+    a non-negative integer or a numpy ``SeedSequence``.
     """
     _require_sampling_grade(spec)
     N = cov._count(N, "N")
     if N < 1:
         raise BadParameter("N must be >= 1")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    if not isinstance(seed, np.random.SeedSequence) and cov._count(seed, "seed") < 0:
         raise BadParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if spec.kind == "hh_star":
-        M, live = _sample_hh_star(spec, N, rng)
+        a, b = spec.a, spec.b
+        C = cov._tau_array(spec).reshape(a * b, a * b) / ((a + b) * N)
+        M, live = _draw_blocks(C, a, b, N, rng, "hh_star")
         eig = np.linalg.eigvalsh(_gram_lower(M, live, N), UPLO="L")
-        sizes = (N,) * (spec.a + spec.b)
     else:
-        M, sizes = _sample_hermitian(spec, N, rng)
+        M = _sample_hermitian(spec, N, rng)
         eig = np.linalg.eigvalsh(M)
-    return EnsembleSample(
-        seed=seed, N=N, kind=spec.kind, matrix=M, eigenvalues=eig,
-        a=spec.a, b=spec.b, block_sizes=tuple(sizes),
-    )
+    return EnsembleSample(M, eig)
 
 
 def empirical_spectrum(sample: EnsembleSample) -> np.ndarray:
@@ -236,7 +201,7 @@ def empirical_spectrum(sample: EnsembleSample) -> np.ndarray:
 
 def ks_distance(eigenvalues, theoretical_cdf) -> float:
     """Kolmogorov-Smirnov distance of a sample against a CDF callable."""
-    e = np.sort(np.asarray(eigenvalues, dtype=float))
+    e = np.sort(cov._numbers(eigenvalues, "eigenvalues"))
     n = e.size
     if n == 0:
         raise BadParameter("need a nonempty eigenvalue list")
@@ -264,7 +229,7 @@ def nc2_moment(eta, m: int, trace_weights=None):
     if eta.dim_in != eta.dim_out:
         raise BadParameter("nc2_moment needs a square covariance map")
     d = eta.dim_in
-    w = None if trace_weights is None else np.asarray(trace_weights)
+    w = None if trace_weights is None else cov._numbers(trace_weights, "trace_weights")
     if w is not None and w.shape != (d,):
         raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
     M = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
@@ -283,5 +248,5 @@ def nc2_moment(eta, m: int, trace_weights=None):
 
 def histogram(values):
     """Histogram payload with Freedman-Diaconis bins, for artifacts."""
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins="fd")
+    counts, edges = np.histogram(cov._numbers(values, "values"), bins="fd")
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

@@ -365,8 +365,7 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
 
 def _solve_point(eta, z, config, scale_is_z):
     """One point through the ladder: (G, residual, iterations, converged)."""
-    _require_upper_half(z)
-    z = complex(z)
+    z = _upper_half(z)
     (out,) = _solve_continuation(eta, [z.real], z.imag, config or DEFAULT_CONFIG, scale_is_z)
     return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
@@ -394,10 +393,15 @@ def _require_converged(xs, *batches):
 # public solvers
 # ---------------------------------------------------------------------------
 
-def _require_upper_half(z):
+def _upper_half(z) -> complex:
+    """z as a complex number of the closed upper half plane, or BadParameter."""
+    z = cov._numbers(z, "z", complex)
+    if z.ndim:
+        raise BadParameter(f"z must be one point, got an array of shape {z.shape}")
     z = complex(z)
     if not (cmath.isfinite(z) and z.imag >= 0):
         raise BadParameter(f"z must be a finite point of the closed upper half plane, got {z}")
+    return z
 
 
 def solve_fixed_point(eta, z, config=None) -> CauchySolution:
@@ -409,7 +413,7 @@ def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     best iterate is returned even when ``config.max_iter`` runs out, with
     ``converged=False``.
     """
-    return CauchySolution(complex(z), *_solve_point(eta, z, config, False))
+    return CauchySolution(_upper_half(z), *_solve_point(eta, z, config, False))
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
@@ -422,13 +426,13 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     convergence when started in the basin (residual below ~1e-2).
     """
     config = config or DEFAULT_CONFIG
-    _require_upper_half(z)
+    z = _upper_half(z)
     d = eta.dim_out
-    G0 = np.asarray(G0, dtype=complex)
+    G0 = cov._numbers(G0, "G0", complex)
     if G0.shape != (d, d):
         raise DimensionMismatch(f"G0 must be {d}x{d}")
     pat = eta.pattern
-    zs = np.array([complex(z)])
+    zs = np.array([z])
     budget = min(config.max_iter, 60)
     G, res, its, stuck = _newton_batch(
         pat, zs, np.ones(1, dtype=complex), pat.compress(G0[None]), config.tol, budget
@@ -439,13 +443,13 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
             "fall back to solve_fixed_point"
         )
     converged = res[0] <= config.tol and _block_im_max(pat, G)[0] <= IM_EIG_TOL
-    return CauchySolution(complex(z), pat.expand(G)[0], float(res[0]), int(its[0]),
+    return CauchySolution(z, pat.expand(G)[0], float(res[0]), int(its[0]),
                           bool(converged))
 
 
 def _check_grid(xs, epsilon):
     """A nonempty finite monotone 1-d grid, and a finite offset at or above the floor."""
-    xs = np.asarray(xs, dtype=float)
+    xs = cov._numbers(xs, "xs")
     if xs.ndim != 1 or len(xs) == 0:
         raise BadParameter("xs must be a nonempty 1-d array")
     if not np.isfinite(xs).all():
@@ -576,11 +580,11 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
     hermitized route; both must agree.
     """
     config = config or DEFAULT_CONFIG
-    _require_upper_half(z)
+    z = _upper_half(z)
     G1, res, its, converged = _solve_eliminated(
         cov.eta1_map(spec), cov.eta2_map(spec), z, config
     )
-    return CauchySolution(complex(z), G1, res, its, converged)
+    return CauchySolution(z, G1, res, its, converged)
 
 
 def _edge_estimate(eta) -> float:

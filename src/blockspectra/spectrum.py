@@ -43,8 +43,8 @@ class SpectralDensity:
     clip_excursion: float = 0.0
 
     def __post_init__(self):
-        xs = np.ascontiguousarray(np.asarray(self.xs, dtype=float))
-        ps = np.ascontiguousarray(np.asarray(self.ps, dtype=float))
+        xs = np.ascontiguousarray(cov._numbers(self.xs, "xs"))
+        ps = np.ascontiguousarray(cov._numbers(self.ps, "ps"))
         if xs.ndim != 1 or xs.shape != ps.shape or len(xs) < 2:
             raise GridError("xs and ps must be matching 1-d arrays of length >= 2")
         if np.any(np.diff(xs) <= 0):
@@ -70,8 +70,10 @@ def stieltjes_invert(xs, g_wide, g_narrow, eps2) -> SpectralDensity:
     clipping indicate solver failure and are reported as a warning with
     diagnostics.
     """
-    xs = np.asarray(xs, dtype=float)
-    raw = -(2.0 * np.asarray(g_narrow) - np.asarray(g_wide)).imag / np.pi
+    xs = cov._numbers(xs, "xs")
+    wide = cov._numbers(g_wide, "g_wide", complex)
+    narrow = cov._numbers(g_narrow, "g_narrow", complex)
+    raw = -(2.0 * narrow - wide).imag / np.pi
     worst = float(np.min(raw, initial=0.0))
     if worst < -CLIP_WARN:
         warnings.warn(
@@ -80,7 +82,7 @@ def stieltjes_invert(xs, g_wide, g_narrow, eps2) -> SpectralDensity:
             RuntimeWarning,
             stacklevel=2,
         )
-    eps2 = float(eps2)
+    eps2 = cov._real(eps2, "eps2")
     return SpectralDensity(
         xs=xs,
         ps=np.clip(raw, 0.0, None),
@@ -115,7 +117,7 @@ def cdf(density: SpectralDensity):
     atom = density.atom_at_zero
 
     def F(x):
-        x = np.asarray(x, dtype=float)
+        x = cov._numbers(x, "x")
         base = np.interp(x, xs, cum, left=0.0, right=float(cum[-1]))
         out = base + atom * (x >= 0.0)
         return float(out) if out.ndim == 0 else out
@@ -195,7 +197,8 @@ def density_from_eta(
         edge = slv._edge_estimate(eta)
         xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
     d = eta.dim_in
-    w = np.full(d, 1.0 / d) if trace_weights is None else np.asarray(trace_weights, float)
+    w = (np.full(d, 1.0 / d) if trace_weights is None
+         else cov._numbers(trace_weights, "trace_weights"))
     if w.shape != (d,):
         raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
     return _invert(eta, xs, epsilon, 1e-3, config, False, w)

@@ -12,6 +12,21 @@ from conftest import random_hh_star_spec, random_selfadjoint_spec
 from reference_laws import semicircle_cdf
 
 
+# rectangular blocks of relative sizes 1/3 and 2/3, coupled only through
+# sigma(1,2;2,1), which pairs the two off-square blocks
+RECT = bs.rectangular_covariance(
+    (1 / 3, 2 / 3), [(1, 1, 1, 1, 1.0), (2, 2, 2, 2, 1.0), (1, 2, 2, 1, 0.6)]
+)
+
+
+def _assert_pairing(x, y, want, n):
+    """The mean of x * y is want / n, to within 5 standard errors."""
+    prod = (x * y).ravel()
+    est = prod.mean() * n
+    se = prod.std() * n / np.sqrt(prod.size)
+    assert abs(est - want) <= 5 * max(se, 1e-12)
+
+
 class TestSampling:
     def test_seeded_determinism(self, isi44):
         s1 = bs.sample_block_gaussian(isi44, 20, 99)
@@ -66,14 +81,40 @@ class TestSampling:
             se = prod.std() * n / np.sqrt(prod.size)
             assert abs(est - want) <= 5 * max(se, 1e-12)
 
+    @pytest.mark.parametrize("positions", ["diagonal", "transposed"])
+    def test_entry_covariance_off_the_upper_triangle(self, positions):
+        # E[a^(ij)_rp a^(kl)_pr] = sigma(i,j;k,l)/n also for r = p and r > p
+        spec = random_selfadjoint_spec(2, np.random.default_rng(3))
+        N = 500
+        X = bs.sample_block_gaussian(spec, N, 21).matrix
+        idx = np.diag_indices(N) if positions == "diagonal" else np.tril_indices(N, -1)
+        for (i, j, k, l, want) in spec.entries:
+            x = X[(i - 1) * N:i * N, (j - 1) * N:j * N][idx]
+            y = X[(k - 1) * N:k * N, (l - 1) * N:l * N].T[idx]
+            _assert_pairing(x, y, want, 2 * N)
+
+    def test_rectangular_off_square_blocks(self):
+        # n = 2N rows in blocks of 2N/3 and 4N/3; the two off-square blocks
+        # pair as sigma(1,2;2,1)/n, and E[x^2] = 0 for circular entries
+        N = 90
+        X = bs.sample_block_gaussian(RECT, N, 8).matrix
+        X12, X21 = X[:60, 60:], X[60:, :60]
+        assert X12.shape == (60, 120)
+        _assert_pairing(X12, X21.T, 0.6, 2 * N)
+        _assert_pairing(X12, X12.conj(), 0.6, 2 * N)
+        _assert_pairing(X12, X12, 0.0, 2 * N)
+
     def test_rectangular_block_sizes(self):
         spec = bs.rectangular_covariance(
             (1 / 3, 2 / 3), [(1, 1, 1, 1, 1.0), (2, 2, 2, 2, 1.0)]
         )
         s = bs.sample_block_gaussian(spec, 30, 5)
-        assert s.block_sizes == (20, 40)
-        assert s.matrix.shape == (60, 60)
-        assert np.abs(s.matrix - s.matrix.conj().T).max() == 0.0
+        X = s.matrix
+        # blocks of 20 and 40 rows; the spec couples no block to the other
+        assert X.shape == (60, 60)
+        assert np.abs(X - X.conj().T).max() == 0.0
+        assert np.all(X[:20, 20:] == 0) and np.all(X[20:, :20] == 0)
+        assert np.abs(X[:20, :20]).min() > 0 and np.abs(X[20:, 20:]).min() > 0
 
     def test_hh_star_sample_holds_channel(self, isi44):
         N = 15
@@ -127,6 +168,29 @@ class TestSampling:
         H = bs.sample_block_gaussian(spec, N, seed).matrix
         assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("which", ["selfadjoint", "rectangular"])
+    def test_hermitian_stream_pinned(self, which):
+        # a seed names X = (Y + Y*)/sqrt(2), Y the mix of the normals (real
+        # parts, then imaginary parts) with the factor of sigma(i,j;l,k)/n;
+        # a rectangular spec's blocks are cut from the largest block size
+        N, seed = 9, 17
+        if which == "selfadjoint":
+            spec, sizes = random_selfadjoint_spec(2, np.random.default_rng(4)), (N, N)
+        else:
+            spec, sizes = RECT, (6, 12)
+        d, n, m = spec.d, sum(sizes), max(sizes)
+        C = np.einsum("ijlk->ijkl", cov._sigma_array(spec)).reshape(d * d, d * d) / n
+        w, U = np.linalg.eigh(0.5 * (C + C.conj().T))
+        Phi = U * np.sqrt(np.clip(w, 0.0, None))
+        rng = np.random.default_rng(seed)
+        re = rng.standard_normal((d * d, m * m))
+        im = rng.standard_normal((d * d, m * m))
+        V = (Phi @ ((re + 1j * im) / np.sqrt(2.0))).reshape(d, d, m, m)
+        Y = np.block([[V[i, j][:sizes[i], :sizes[j]] for j in range(d)] for i in range(d)])
+        want = (Y + Y.conj().T) / np.sqrt(2.0)
+        X = bs.sample_block_gaussian(spec, N, seed).matrix
+        assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_oversized_draw_refused_before_allocating(self):
         spec = bs.isi_covariance(2, 2)
         tracemalloc.start()
@@ -168,11 +232,9 @@ class TestSampling:
 
 class TestEmpiricalSpectrum:
     def test_constant_matrices(self):
-        zero = EnsembleSample(seed=0, N=2, kind="selfadjoint",
-                              matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2))
+        zero = EnsembleSample(matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2))
         assert np.array_equal(bs.empirical_spectrum(zero), np.zeros(2))
-        one = EnsembleSample(seed=0, N=1, kind="selfadjoint",
-                             matrix=np.array([[2.5]]), eigenvalues=np.array([2.5]))
+        one = EnsembleSample(matrix=np.array([[2.5]]), eigenvalues=np.array([2.5]))
         assert bs.empirical_spectrum(one)[0] == pytest.approx(2.5)
 
     def test_semicircle_edge(self):

@@ -63,6 +63,46 @@ def test_real_argument_of_wrong_type_is_bad_parameter(semicircle_eta, call):
         call(semicircle_eta)
 
 
+def _unit_density():
+    return bs.SpectralDensity(xs=[0.0, 1.0], ps=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("tap_var", lambda eta: bs.isi_covariance(2, 2, tap_var=5)),
+    ("alpha", lambda eta: bs.rectangular_covariance(0.5, [])),
+    ("eps2", lambda eta: bs.stieltjes_invert([0, 1], [0j, 0j], [0j, 0j], "x")),
+    ("ps", lambda eta: bs.SpectralDensity(xs=[0, 1], ps=["a", "b"])),
+    ("G0", lambda eta: bs.newton_refine(eta, 1j, "ab")),
+    ("z", lambda eta: bs.solve_fixed_point(eta, "x")),
+    ("xs", lambda eta: bs.solve_grid(eta, ["a", "b"], 1e-3)),
+    ("trace_weights", lambda eta: bs.density_from_eta(eta, trace_weights=["a"])),
+    ("trace_weights", lambda eta: bs.nc2_moment(eta, 2, trace_weights=["a"])),
+    ("eigenvalues", lambda eta: bs.ks_distance(["a"], bs.cdf(_unit_density()))),
+    ("x", lambda eta: bs.cdf(_unit_density())("a")),
+    ("D", lambda eta: bs.eta_apply(eta, "a")),
+    ("eta tensor", lambda eta: bs.EtaMap("abc")),
+    ("psi", lambda eta: bs.CorrelationFamily(psi=(["a"],), psi_hat=(np.eye(1),))),
+    ("seed", lambda eta: bs.sample_block_gaussian(bs.isi_covariance(2, 2), 2, "x")),
+], ids=["tap-var-scalar", "alpha-scalar", "eps2-text", "density-text", "G0-text",
+        "z-text", "grid-text", "density-weights", "moment-weights", "ks-text", "cdf-text",
+        "eta-apply-text", "eta-map-text", "family-text", "seed-text"])
+def test_array_or_complex_argument_of_wrong_type_is_bad_parameter(semicircle_eta, name, call):
+    with pytest.raises(errors.BadParameter, match=name):
+        call(semicircle_eta)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("tol", lambda: bs.SolverConfig(tol=True)),
+    ("max_iter", lambda: bs.SolverConfig(max_iter=True)),
+    ("K", lambda: bs.isi_covariance(True, True)),
+    ("N", lambda: bs.sample_block_gaussian(bs.isi_covariance(2, 2), True, 0)),
+    ("snr", lambda: bs.capacity(_unit_density(), True)),
+], ids=["tol", "max_iter", "isi-K-L", "sample-N", "capacity-snr"])
+def test_boolean_is_not_a_count_or_real(name, call):
+    with pytest.raises(errors.BadParameter, match=name):
+        call()
+
+
 class TestFixedPoint:
     def test_semicircle_at_i(self, semicircle_eta):
         sol = bs.solve_fixed_point(semicircle_eta, 1j, TIGHT)
