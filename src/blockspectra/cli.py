@@ -298,7 +298,7 @@ _MATRICES = _Key(_parse_matrix_list)
 
 def _hermitized_moments(spec):
     eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-    return eta, spc._leading_weights(spec.dim, spec.a)
+    return eta, cov._leading_weights(spec.dim, spec.a)
 
 
 def _family(config):
@@ -312,8 +312,9 @@ _MODELS = {
     "selfadjoint": _Model(
         keys={"d": _COUNT, "entries": _ENTRIES},
         build=lambda c: cov.selfadjoint_covariance(c.d, c.entries),
-        density=lambda m, **kw: spc.density_from_eta(cov.eta_map(m), **kw),
-        moments=lambda m: (cov.eta_map(m), None),
+        density=lambda m, **kw: spc.density_from_eta(
+            cov.eta_map(m), trace_weights=cov._block_weights(m), **kw),
+        moments=lambda m: (cov.eta_map(m), cov._block_weights(m)),
         gram=False,
     ),
     "hh_star": _Model(
@@ -334,15 +335,15 @@ _MODELS = {
         keys={"alpha": _FLOATS, "entries": _ENTRIES},
         build=lambda c: cov.rectangular_covariance(c.alpha, c.entries),
         density=lambda m, **kw: spc.density_from_eta(
-            cov.eta_alpha_map(m), trace_weights=m.alpha, **kw),
-        moments=lambda m: (cov.eta_alpha_map(m), m.alpha),
+            cov.eta_alpha_map(m), trace_weights=cov._block_weights(m), **kw),
+        moments=lambda m: (cov.eta_alpha_map(m), cov._block_weights(m)),
         gram=False,
     ),
     "nonsep": _Model(
         keys={"psi": _MATRICES, "psi_hat": _MATRICES},
         build=_family,
         density=lambda m, **kw: ns.fading_density(m, **kw),
-        moments=lambda m: (ns.hermitized_eta(m), spc._leading_weights(m.p + m.q, m.p)),
+        moments=lambda m: (ns.hermitized_eta(m), cov._leading_weights(m.p + m.q, m.p)),
         gram=True,
         sampled=False,
     ),

@@ -3,12 +3,14 @@
 A :class:`CovarianceSpec` stores the entry-covariance function of a block
 ensemble sparsely, as coordinate entries over 1-based block indices:
 
-* ``selfadjoint`` -- sigma(i,j;k,l) on d block indices, with the Hermitian
-  symmetry sigma(i,j;k,l) = conj(sigma(k,l;i,j)).
+* ``selfadjoint`` -- complex sigma(i,j;k,l) = n E[a^(ij)_rp a^(kl)_pr] over the
+  d x d blocks a^(ij) of an n x n Hermitian X, so sigma(k,l;i,j) = sigma(i,j;k,l)
+  and sigma(j,i;l,k) = sigma(l,k;j,i) = conj sigma(i,j;k,l).
+* ``rectangular`` -- selfadjoint sigma weighted by the blocks' relative sizes
+  alpha_i (1/d each for selfadjoint), nonzero only where alpha_i = alpha_l and
+  alpha_j = alpha_k.
 * ``hh_star`` -- tau(i,k;j,l), real, with tau(i,k;j,l) = tau(j,l;i,k);
   i, j run over the a row blocks and k, l over the b column blocks.
-* ``rectangular`` -- sigma on d blocks of asymptotic relative sizes alpha_i,
-  nonzero only where alpha_i = alpha_l and alpha_j = alpha_k.
 
 A spec is validated when it is made, by its constructor (and so also by
 ``dataclasses.replace``): indices are range-checked, the entry list is
@@ -21,10 +23,9 @@ specs still run). Every spec in existence is therefore a valid one.
 The covariance maps themselves are materialized as :class:`EtaMap`
 coefficient tensors:
 
-* eta(D)_ij       = (1/d) sum_kl sigma(i,k;l,j) D_kl           (selfadjoint)
-* eta1(D)_ij      = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl          (b -> a side)
-* eta2(D)_kl      = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij          (a -> b side)
-* eta_alpha(D)_ij = sum_kl sigma(i,k;l,j) alpha_k D_kl          (weighted)
+* eta_alpha(D)_ij = sum_kl sigma(i,k;l,j) alpha_k D_kl    (alpha_k = 1/d: selfadjoint)
+* eta1(D)_ij      = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl    (b -> a side)
+* eta2(D)_kl      = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij    (a -> b side)
 
 Maps are not cached: a tensor lives as long as its caller keeps it. Every
 Gram law solves on the block map :func:`_hermitized_map` assembles from
@@ -175,6 +176,29 @@ def _numbers(value, what, dtype=float) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
+def _trace_weights(weights, d) -> np.ndarray:
+    """Weights of a trace over d blocks (None: 1/d each), or BadParameter."""
+    if weights is None:
+        return np.full(d, 1.0 / d)
+    w = _numbers(weights, "trace_weights")
+    if w.shape != (d,) or not ((w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9):
+        raise BadParameter(f"trace_weights must be {d} nonnegative numbers summing to 1, got {w}")
+    return w
+
+
+def _block_weights(spec: CovarianceSpec) -> np.ndarray:
+    """Relative block sizes of a selfadjoint (1/d each) or rectangular (alpha) spec."""
+    return _trace_weights(spec.alpha, spec.d)
+
+
+def _leading_weights(d, side) -> np.ndarray:
+    """Trace weights of tr_side on the leading ``side`` of d blocks, 1 <= side < d."""
+    side = _count(side, "side")
+    if not 1 <= side < d:
+        raise BadParameter(f"side must lie in 1..{d - 1}, got {side}")
+    return np.where(np.arange(d) < side, 1.0 / side, 0.0)
+
+
 def _entry(ent) -> Entry:
     """One entry as (i, j, k, l, complex value), or BadParameter naming it."""
     try:
@@ -203,8 +227,8 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
     """Fill symmetry-implied entries; reject stored conflicts beyond tolerance.
 
     selfadjoint/rectangular sigma is closed under both symmetries a Hermitian
-    ensemble forces: sigma(i,j;k,l) = conj sigma(k,l;i,j) (stated) and
-    sigma(i,j;k,l) = conj sigma(j,i;l,k) (from X = X*). hh_star tau is real
+    ensemble forces: sigma(k,l;i,j) = sigma(i,j;k,l) (factors exchanged) and
+    sigma(j,i;l,k) = conj sigma(i,j;k,l) (from X = X*). hh_star tau is real
     and closed under tau(i,k;j,l) = tau(j,l;i,k).
     """
     scale = max([1.0] + [abs(e[4]) for e in spec.entries])
@@ -228,9 +252,9 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
             put((k, l, i, j), complex(v.real))
         else:
             put((i, j, k, l), v)
-            put((k, l, i, j), v.conjugate())
+            put((k, l, i, j), v)
             put((j, i, l, k), v.conjugate())
-            put((l, k, j, i), v)
+            put((l, k, j, i), v.conjugate())
     return table
 
 
@@ -244,9 +268,7 @@ def _check_alpha(spec: CovarianceSpec):
         raise WeightError(f"alpha must have {spec.d} entries")
     if any(not 0.0 < x < 1.0 for x in alpha) and spec.d > 1:
         raise WeightError("alpha entries must lie in (0, 1)")
-    if spec.d == 1 and abs(alpha[0] - 1.0) > 1e-9:
-        raise WeightError("single-block alpha must be 1")
-    if abs(sum(alpha) - 1.0) > 1e-9:
+    if not abs(sum(alpha) - 1.0) <= 1e-9:
         raise WeightError(f"alpha must sum to 1, got {sum(alpha)}")
 
 
@@ -393,16 +415,19 @@ def eta_map(spec: CovarianceSpec) -> EtaMap:
     """Covariance map of a selfadjoint spec: eta(D)_ij = (1/d) sum sigma(i,k;l,j) D_kl."""
     if spec.kind != "selfadjoint":
         raise WrongKind(f"eta_map needs a selfadjoint spec, got {spec.kind}")
-    S = _sigma_array(spec)
-    return EtaMap(np.einsum("iklj->ijkl", S) / spec.d)
+    return _weighted_map(spec)
 
 
 def eta_alpha_map(spec: CovarianceSpec) -> EtaMap:
     """Weighted covariance map: eta_alpha(D)_ij = sum sigma(i,k;l,j) alpha_k D_kl."""
     if spec.kind != "rectangular":
         raise WrongKind(f"eta_alpha_map needs a rectangular spec, got {spec.kind}")
-    S = _sigma_array(spec)
-    return EtaMap(np.einsum("iklj,k->ijkl", S, np.asarray(spec.alpha)))
+    return _weighted_map(spec)
+
+
+def _weighted_map(spec: CovarianceSpec) -> EtaMap:
+    """sum_kl sigma(i,k;l,j) w_k D_kl, w the block weights of a selfadjoint or rectangular spec."""
+    return EtaMap(np.einsum("iklj,k->ijkl", _sigma_array(spec), _block_weights(spec)))
 
 
 def eta1_map(spec: CovarianceSpec) -> EtaMap:
@@ -448,14 +473,12 @@ def _hermitized_map(outer: EtaMap, inner: EtaMap) -> EtaMap:
 
 
 def _choi_min_eig(spec: CovarianceSpec) -> float:
-    if spec.kind == "selfadjoint":
-        M = choi_matrix(eta_map(spec))
-    elif spec.kind == "rectangular":
-        M = choi_matrix(eta_alpha_map(spec))
-    else:
+    if spec.kind == "hh_star":
         # entry covariance of the H blocks; PSD iff the hermitized Choi is
         T = _tau_array(spec)
         M = T.reshape(spec.a * spec.b, spec.a * spec.b) / (spec.a + spec.b)
+    else:
+        M = choi_matrix(_weighted_map(spec))
     H = 0.5 * (M + M.conj().T)
     if np.abs(M - H).max() > 1e-10 * max(1.0, np.abs(M).max()):
         raise SymmetryViolation("covariance map has a non-Hermitian Choi matrix")

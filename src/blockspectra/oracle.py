@@ -121,12 +121,9 @@ def _sample_hermitian(spec, N, rng):
     blocks are cut, before the sum, from m x m blocks, m the largest size.
     """
     d = spec.d
-    if spec.kind == "rectangular":
-        # equal weights must get equal integer sizes or cross-covariances
-        # between transpose-partner blocks would not line up
-        sizes = [max(1, round(w * (d * N))) for w in spec.alpha]
-    else:
-        sizes = [N] * d
+    # equal weights must get equal integer sizes or cross-covariances
+    # between transpose-partner blocks would not line up
+    sizes = [max(1, round(w * (d * N))) for w in cov._block_weights(spec)]
     n, m = sum(sizes), max(sizes)
     C = np.einsum("ijlk->ijkl", cov._sigma_array(spec)).reshape(d * d, d * d) / n
     Y, _ = _draw_blocks(C, d, d, m, rng, spec.kind)
@@ -218,8 +215,8 @@ def nc2_moment(eta, m: int, trace_weights=None):
 
     Exact via the recursion M_m = sum_{j+k=m-2} eta(M_j) M_k, which resums
     the non-crossing-pairing expansion of the mixed moments. Returns the
-    matrix and its normalized (or weighted) trace. Odd orders are zero;
-    orders above 16 are refused.
+    matrix and its trace weighted by ``trace_weights`` (as in
+    ``density_from_eta``). Odd orders are zero; orders above 16 are refused.
     """
     m = cov._count(m, "moment order")
     if m < 0:
@@ -229,9 +226,7 @@ def nc2_moment(eta, m: int, trace_weights=None):
     if eta.dim_in != eta.dim_out:
         raise BadParameter("nc2_moment needs a square covariance map")
     d = eta.dim_in
-    w = None if trace_weights is None else cov._numbers(trace_weights, "trace_weights")
-    if w is not None and w.shape != (d,):
-        raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
+    w = cov._trace_weights(trace_weights, d)
     M = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
     for order in range(2, m + 1):
         acc = np.zeros((d, d), dtype=complex)
@@ -239,14 +234,13 @@ def nc2_moment(eta, m: int, trace_weights=None):
             acc += cov.eta_apply(eta, M[j]) @ M[order - 2 - j]
         M.append(acc)
     out = M[m]
-    if w is None:
-        tr = complex(np.trace(out) / d)
-    else:
-        tr = complex(np.dot(w, np.diagonal(out)))
-    return out, tr
+    return out, complex(np.dot(w, np.diagonal(out)))
 
 
 def histogram(values):
     """Histogram payload with Freedman-Diaconis bins, for artifacts."""
-    counts, edges = np.histogram(cov._numbers(values, "values"), bins="fd")
+    values = cov._numbers(values, "values")
+    if not np.isfinite(values).all():
+        raise BadParameter("values must be finite")
+    counts, edges = np.histogram(values, bins="fd")
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

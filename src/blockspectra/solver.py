@@ -534,9 +534,11 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     """Gram-law grid for an arbitrary hermitized map.
 
     Solves z H = I + z eta(H) H and returns (solutions, g) where g[k] is the
-    normalized trace of the leading ``side`` x ``side`` block at grid point k.
+    normalized trace of the leading ``side`` x ``side`` block at grid point k;
+    ``side`` must lie in 1..d-1.
     """
     config = config or DEFAULT_CONFIG
+    w = cov._leading_weights(eta.dim_in, side)
     xs = _check_grid(xs, epsilon)
     (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
     _require_converged(xs, out)
@@ -544,8 +546,7 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
         CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
         for x, G, r, k in zip(xs, out.G, out.res, out.iters)
     ]
-    g = np.trace(out.G[:, :side, :side], axis1=1, axis2=2) / side
-    return sols, g
+    return sols, (out.G.diagonal(axis1=1, axis2=2) * w).sum(axis=1)
 
 
 def _solve_eliminated(outer, inner, z, config):

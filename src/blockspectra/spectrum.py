@@ -188,19 +188,15 @@ def density_from_eta(
     Catalan(k) ||eta(I)||^k, so the law lies in [-e, e] and one solve covers
     it. ``epsilon`` is the smaller inversion offset eps_2; it defaults to
     1e-3 times the grid span, and an explicit one must be finite and
-    positive (offsets below 1e-8 are raised to 1e-8). ``trace_weights`` switches the scalar
-    transform from tr_d to a weighted trace (rectangular laws); the
-    ``moments`` command reads the recursion with the same weights.
+    positive (offsets below 1e-8 are raised to 1e-8). ``trace_weights``, d
+    nonnegative numbers summing to 1 (1/d each by default), weigh the blocks
+    in the scalar transform; the ``moments`` command reads the recursion with them.
     """
+    w = cov._trace_weights(trace_weights, eta.dim_in)
     _check_offset(epsilon)
     if xs is None:
         edge = slv._edge_estimate(eta)
         xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
-    d = eta.dim_in
-    w = (np.full(d, 1.0 / d) if trace_weights is None
-         else cov._numbers(trace_weights, "trace_weights"))
-    if w.shape != (d,):
-        raise BadParameter(f"trace_weights must hold {d} weights, got shape {w.shape}")
     return _invert(eta, xs, epsilon, 1e-3, config, False, w)
 
 
@@ -224,27 +220,18 @@ def density_gram(
     hard edge at zero whose smearing leaks mass below the axis at rate
     sqrt(epsilon).
     """
-    side = cov._count(side, "side")
-    if not 1 <= side < eta.dim_in:
-        raise BadParameter(f"side must lie in 1..{eta.dim_in - 1}, got {side}")
+    w = cov._leading_weights(eta.dim_in, side)
     _check_offset(epsilon)
     if xs is None:
         hi = 1.8 * slv._edge_estimate(eta) ** 2
         xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else 1e-5 * hi)
-    return _invert(eta, xs, epsilon, 1e-5, config, True, _leading_weights(eta.dim_in, side))
+    return _invert(eta, xs, epsilon, 1e-5, config, True, w)
 
 
 def _check_offset(epsilon):
     """An explicit offset must be finite and positive; _invert floors small ones."""
     if epsilon is not None and not 0 < cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
-
-
-def _leading_weights(d, side):
-    """Trace weights of tr_side on the leading ``side`` of d blocks."""
-    w = np.zeros(d)
-    w[:side] = 1.0 / side
-    return w
 
 
 def _invert(eta, xs, epsilon, rel_offset, config, scale_is_z, w):

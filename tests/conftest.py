@@ -17,11 +17,35 @@ def random_selfadjoint_spec(d, rng, scale=1.0):
     """
     B = rng.standard_normal((d * d, d * d)) / d
     C0 = B @ B.T
+    P = _swap(d)
+    return _spec_from_entry_covariance(d, 0.5 * (C0 + P @ C0 @ P) * scale)
+
+
+def random_complex_selfadjoint_spec(d, rng):
+    """Random valid selfadjoint spec with complex sigma, Choi-PSD by construction.
+
+    A random complex PSD entry covariance C0 is averaged with P conj(C0) P,
+    its image under X -> X* (P swaps (i,j) and (j,i)), so that
+    sigma(j,i;l,k) = conj sigma(i,j;k,l); sigma is read off the average.
+    """
+    B = (rng.standard_normal((d * d, d * d))
+         + 1j * rng.standard_normal((d * d, d * d))) / (d * np.sqrt(2))
+    C0 = B @ B.conj().T
+    P = _swap(d)
+    return _spec_from_entry_covariance(d, 0.5 * (C0 + P @ C0.conj() @ P))
+
+
+def _swap(d):
+    """Permutation matrix of (i,j) -> (j,i) on row-major index pairs."""
     P = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
             P[i * d + j, j * d + i] = 1.0
-    C = 0.5 * (C0 + P @ C0 @ P) * scale
+    return P
+
+
+def _spec_from_entry_covariance(d, C):
+    """Selfadjoint spec with sigma(i,j;l,k) = C[(i,j),(k,l)]."""
     entries = []
     for i in range(d):
         for j in range(d):

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockspectra as bs
 from blockspectra import cli, errors
+
+from conftest import random_complex_selfadjoint_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -353,6 +356,22 @@ class TestMain:
         summary = json.loads(capsys.readouterr().out)
         assert summary["command"] == "density"
         assert (tmp_path / "out" / "density.csv").exists()
+
+    def test_complex_selfadjoint_config(self, tmp_path, capsys):
+        path = ROOT / "configs" / "selfadjoint_complex_d2.json"
+        # the shipped entries are the seeded recipe's sigma
+        recipe = random_complex_selfadjoint_spec(2, np.random.default_rng(1))
+        assert cli.parse_config(path).built.entries == recipe.entries
+        summaries = {}
+        for command in ("density", "moments", "mc-compare"):
+            code = cli.main(["--config", str(path), "--command", command,
+                             "--out", str(tmp_path / command)])
+            assert code == 0
+            summaries[command] = json.loads(capsys.readouterr().out)
+            assert abs(summaries[command]["diagnostics"]["mass"] - 1.0) <= 5e-3
+        for _, recursion, dens in summaries["moments"]["table"]:
+            assert dens == pytest.approx(recursion, rel=1e-2)
+        assert summaries["mc-compare"]["ks_distance"] <= 0.05
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, {"model": "isi", "K": 2})

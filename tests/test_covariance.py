@@ -39,12 +39,19 @@ class TestValidation:
             bs.selfadjoint_covariance(2, [(1, 2, 1, 2, 1.0), (2, 1, 2, 1, 2.0)])
 
     def test_self_paired_entry_must_be_real(self):
-        with pytest.raises(errors.SymmetryViolation):
-            bs.selfadjoint_covariance(2, [(1, 2, 1, 2, 1.0j)])
+        # sigma(i,i;k,k) and sigma(i,j;j,i) are their own conjugate partners
+        for entry in [(1, 1, 2, 2, 1.0j), (1, 2, 2, 1, 1.0j)]:
+            with pytest.raises(errors.SymmetryViolation):
+                bs.selfadjoint_covariance(2, [entry])
 
     def test_complex_entries_without_realizable_choi_rejected(self):
+        # sigma(k,l;i,j) = v and sigma(j,i;l,k) = sigma(l,k;j,i) = conj v
+        with pytest.warns(RuntimeWarning, match="positivity"):
+            spec = bs.selfadjoint_covariance(2, [(1, 1, 1, 2, 1.0j)])
+        assert {e[:4]: e[4] for e in spec.entries} == {
+            (1, 1, 1, 2): 1j, (1, 2, 1, 1): 1j, (1, 1, 2, 1): -1j, (2, 1, 1, 1): -1j}
         with pytest.raises(errors.SymmetryViolation):
-            bs.selfadjoint_covariance(2, [(1, 1, 1, 2, 1.0j)])
+            bs.selfadjoint_covariance(2, [(1, 1, 1, 2, 1.0j), (1, 2, 1, 1, -1.0j)])
 
     def test_index_out_of_range(self):
         with pytest.raises(errors.IndexOutOfRange):
@@ -100,6 +107,11 @@ class TestValidation:
             bs.rectangular_covariance((0.3, 0.3), [(1, 1, 1, 1, 1.0)])
         with pytest.raises(errors.WeightError):
             bs.rectangular_covariance((1.2, -0.2), [(1, 1, 1, 1, 1.0)])
+
+    @pytest.mark.parametrize("alpha", [(0.5,), (float("nan"),)])
+    def test_single_block_weight_must_be_one(self, alpha):
+        with pytest.raises(errors.WeightError, match="sum to 1"):
+            bs.rectangular_covariance(alpha, [])
 
     @pytest.mark.parametrize("make", [
         lambda: CovarianceSpec("selfadjoint", d=1, alpha=(0.3, 0.2, 9.0),

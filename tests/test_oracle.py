@@ -388,3 +388,9 @@ def test_histogram_payload():
     assert set(h) == {"bin_edges", "counts"}
     assert len(h["bin_edges"]) == len(h["counts"]) + 1
     assert sum(h["counts"]) == 500
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_histogram_refuses_non_finite_values(bad):
+    with pytest.raises(errors.BadParameter, match="finite"):
+        bs.histogram([1.0, bad])

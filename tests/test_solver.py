@@ -30,6 +30,10 @@ class TestConfig:
             bs.SolverConfig(**kwargs)
 
 
+def _semicircle():
+    return bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)]))
+
+
 @pytest.mark.parametrize("call", [
     lambda: bs.SolverConfig(max_iter=2.5),
     lambda: bs.SolverConfig(max_iter="5"),
@@ -39,8 +43,16 @@ class TestConfig:
     lambda: bs.CorrelationFamily(psi=(np.zeros((0, 0)),), psi_hat=(np.zeros((0, 0)),)),
     lambda: bs.nc2_moment(bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])), 2,
                           trace_weights=[1, 2]),
+    lambda: bs.density_from_eta(_semicircle(), trace_weights=[np.nan]),
+    lambda: bs.density_from_eta(_semicircle(), trace_weights=[-1.0]),
+    lambda: bs.density_from_eta(_semicircle(), trace_weights=[2.0]),
+    lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[np.nan]),
+    lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[-1.0]),
+    lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[2.0]),
 ], ids=["max_iter-float", "max_iter-text", "tol-text", "snr-nan", "snr-inf",
-        "empty-family", "trace-weights-shape"])
+        "empty-family", "trace-weights-shape", "density-weights-nan",
+        "density-weights-negative", "density-weights-sum-2", "moment-weights-nan",
+        "moment-weights-negative", "moment-weights-sum-2"])
 def test_bad_argument_is_bad_parameter(call):
     with pytest.raises(errors.BadParameter):
         call()

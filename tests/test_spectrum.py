@@ -9,7 +9,11 @@ from blockspectra import errors
 from blockspectra import solver as slv
 from blockspectra import spectrum as spc
 
-from conftest import random_hh_star_spec, random_selfadjoint_spec
+from conftest import (
+    random_complex_selfadjoint_spec,
+    random_hh_star_spec,
+    random_selfadjoint_spec,
+)
 from reference_laws import (
     catalan,
     mp1_cauchy,
@@ -296,7 +300,7 @@ def test_even_moments_within_grid_bound(gram, a, b, seed):
     if gram:
         spec = random_hh_star_spec(a, b, rng)
         eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-        weights = spc._leading_weights(spec.dim, spec.a)
+        weights = cov._leading_weights(spec.dim, spec.a)
     else:
         eta = bs.eta_map(random_selfadjoint_spec(a, rng))
         weights = None
@@ -306,12 +310,35 @@ def test_even_moments_within_grid_bound(gram, a, b, seed):
         assert tr.real <= catalan(k) * half_edge ** (2 * k) * (1 + 1e-12)
 
 
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_random_complex_selfadjoint_law(d, seed):
+    # complex sigma, closed under sigma(k,l;i,j) = sigma(i,j;k,l) and
+    # sigma(j,i;l,k) = conj sigma(i,j;k,l), is accepted and solves to a law
+    spec = random_complex_selfadjoint_spec(d, np.random.default_rng(seed))
+    assert spec.choi_min_eig >= -1e-10
+    eta = bs.eta_map(spec)
+    dens = bs.density_from_eta(eta)
+    sols = bs.solve_grid(eta, dens.xs, dens.epsilon_used[1])
+    assert max(slv.max_im_eigenvalue(s.G) for s in sols) <= 1e-8
+    assert bs.mass(dens) == pytest.approx(1.0, abs=5e-3)
+    for k in (2, 4):
+        _, tr = bs.nc2_moment(eta, k)
+        assert bs.moments_from_density(dens, k) == pytest.approx(tr.real, rel=1e-2)
+
+
 class TestGramSide:
     @pytest.mark.parametrize("side", [0, 2, 1.5])
     def test_side_must_split_the_blocks(self, mp_spec, side):
         eta = cov._hermitized_map(cov.eta1_map(mp_spec), cov.eta2_map(mp_spec))
         with pytest.raises(errors.BadParameter, match="side"):
             bs.density_gram(eta, side)
+
+    @pytest.mark.parametrize("side", [0, 2, 6, -1, 2.5, True])
+    def test_grid_side_must_split_the_blocks(self, mp_spec, side, no_solve):
+        eta = cov._hermitized_map(cov.eta1_map(mp_spec), cov.eta2_map(mp_spec))
+        with pytest.raises(errors.BadParameter, match="side"):
+            slv.solve_gram_grid(eta, side, np.linspace(0.0, 1.0, 5), 1e-2)
 
 
 class TestHStarH:
