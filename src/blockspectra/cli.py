@@ -17,13 +17,13 @@ artifacts. Every usage error is raised by the first two steps, before an
 output directory is made or a solve starts.
 
 Parsing reads every JSON object (the top level, ``grid``, ``solver``,
-``mc``) through one function and a table of ``_Key`` rows. Everything
-that differs between models (config keys and how to parse them, the
-model build, the density and moment routes, whether the law is a Gram
-law and whether it can be sampled) is one row of ``_MODELS``.
-A :class:`ProblemConfig` builds its model when it is made, so an invalid
-model never gets past parsing and the commands read the built model from
-the config.
+``mc``) through one function and a table of ``_Key`` rows. A model is
+one row of ``_MODELS``: its config keys and how to parse them, and a
+build that makes its covariance spec (a ``nonsep`` family builds its
+hh_star spec). A :class:`ProblemConfig` builds its spec when it is made,
+so an invalid model never gets past parsing. Every command then reads
+the law from the spec alone: its kind decides whether it is a Gram law,
+and :func:`_law` gives the map and trace weights it is solved with.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class McConfig:
 class ProblemConfig:
     """One fully validated problem: model, grid, solver, optional snr/mc.
 
-    The constructor builds the model's spec or correlation family into
-    ``built``, which takes no part in equality; a model the package rejects
-    raises ValidationError.
+    The constructor builds the model's covariance spec into ``built``,
+    which takes no part in equality; a model the package rejects raises
+    ValidationError.
     """
 
     model: str
@@ -102,7 +102,7 @@ class ProblemConfig:
     solver: slv.SolverConfig = slv.DEFAULT_CONFIG
     snr: tuple[float, ...] | None = None
     mc: McConfig | None = None
-    built: object = field(init=False, repr=False, compare=False)
+    built: cov.CovarianceSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -178,7 +178,7 @@ def _only_true(raw, where):
     return raw
 
 
-def _parse_entries(raw, where, real):
+def _parse_entries(raw, where):
     if not isinstance(raw, list):
         raise ValidationError(where, f"{where}: expected a list")
     out = []
@@ -187,10 +187,7 @@ def _parse_entries(raw, where, real):
         if not isinstance(ent, list) or len(ent) != 5:
             raise ValidationError(here, f"{here}: expected [i, j, k, l, value]")
         idx = tuple(_int_value(x, here, minimum=1) for x in ent[:4])
-        val = _complex_value(ent[4], here)
-        if real and val.imag != 0.0:
-            raise ValidationError(here, f"{here}: hh_star values must be real")
-        out.append((*idx, val))
+        out.append((*idx, _complex_value(ent[4], here)))
     return tuple(out)
 
 
@@ -275,78 +272,39 @@ _SECTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# the per-model table: every difference between models lives in one row.
-# Routes look package functions up as module attributes when called, so
-# wrappers installed on those modules see every call.
+# the per-model table: a row is the model's config keys and the build of its
+# covariance spec. Builds look package functions up as module attributes
+# when called, so wrappers installed on those modules see every call.
 # ---------------------------------------------------------------------------
 
 class _Model(NamedTuple):
     keys: dict[str, _Key]
-    build: Callable     # ProblemConfig -> spec or correlation family
-    density: Callable   # (model, xs=, npoints=, epsilon=, config=) -> SpectralDensity
-    moments: Callable   # model -> (eta, the trace weights its density reads G with)
-    gram: bool          # a nonnegative Gram law: capacity applies, order k pairs with X^(2k)
-    sampled: bool = True  # Monte Carlo sampling is defined
+    build: Callable     # ProblemConfig -> CovarianceSpec
 
 
 _COUNT = _Key(_count)
 _FLOATS = _Key(lambda raw, key: _list(raw, key, _float_value))
-_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, key, real=False))
-_REAL_ENTRIES = _Key(lambda raw, key: _parse_entries(raw, key, real=True))
+_ENTRIES = _Key(_parse_entries)
 _MATRICES = _Key(_parse_matrix_list)
 
 
-def _hermitized_moments(spec):
-    eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-    return eta, cov._leading_weights(spec.dim, spec.a)
-
-
-def _family(config):
+def _family_spec(config):
     return ns.CorrelationFamily(
         psi=tuple(np.array(m, dtype=complex) for m in config.psi),
         psi_hat=tuple(np.array(m, dtype=complex) for m in config.psi_hat),
-    )
+    ).spec
 
 
 _MODELS = {
-    "selfadjoint": _Model(
-        keys={"d": _COUNT, "entries": _ENTRIES},
-        build=lambda c: cov.selfadjoint_covariance(c.d, c.entries),
-        density=lambda m, **kw: spc.density_from_eta(
-            cov.eta_map(m), trace_weights=cov._block_weights(m), **kw),
-        moments=lambda m: (cov.eta_map(m), cov._block_weights(m)),
-        gram=False,
-    ),
-    "hh_star": _Model(
-        keys={"a": _COUNT, "b": _COUNT, "entries": _REAL_ENTRIES},
-        build=lambda c: cov.hh_star_covariance(c.a, c.b, c.entries),
-        density=lambda m, **kw: spc.density_hh_star(m, **kw),
-        moments=_hermitized_moments,
-        gram=True,
-    ),
-    "isi": _Model(
-        keys={"K": _COUNT, "L": _COUNT, "taps": _FLOATS._replace(required=False)},
-        build=lambda c: cov.isi_covariance(c.K, c.L, tap_var=c.taps),
-        density=lambda m, **kw: spc.density_hh_star(m, **kw),
-        moments=_hermitized_moments,
-        gram=True,
-    ),
-    "rectangular": _Model(
-        keys={"alpha": _FLOATS, "entries": _ENTRIES},
-        build=lambda c: cov.rectangular_covariance(c.alpha, c.entries),
-        density=lambda m, **kw: spc.density_from_eta(
-            cov.eta_alpha_map(m), trace_weights=cov._block_weights(m), **kw),
-        moments=lambda m: (cov.eta_alpha_map(m), cov._block_weights(m)),
-        gram=False,
-    ),
-    "nonsep": _Model(
-        keys={"psi": _MATRICES, "psi_hat": _MATRICES},
-        build=_family,
-        density=lambda m, **kw: ns.fading_density(m, **kw),
-        moments=lambda m: (ns.hermitized_eta(m), cov._leading_weights(m.p + m.q, m.p)),
-        gram=True,
-        sampled=False,
-    ),
+    "selfadjoint": _Model({"d": _COUNT, "entries": _ENTRIES},
+                          lambda c: cov.selfadjoint_covariance(c.d, c.entries)),
+    "hh_star": _Model({"a": _COUNT, "b": _COUNT, "entries": _ENTRIES},
+                      lambda c: cov.hh_star_covariance(c.a, c.b, c.entries)),
+    "isi": _Model({"K": _COUNT, "L": _COUNT, "taps": _FLOATS._replace(required=False)},
+                  lambda c: cov.isi_covariance(c.K, c.L, tap_var=c.taps)),
+    "rectangular": _Model({"alpha": _FLOATS, "entries": _ENTRIES},
+                          lambda c: cov.rectangular_covariance(c.alpha, c.entries)),
+    "nonsep": _Model({"psi": _MATRICES, "psi_hat": _MATRICES}, _family_spec),
 }
 MODELS = tuple(_MODELS)
 
@@ -426,15 +384,27 @@ def emit(artifact, path) -> Path:
 # law solving
 # ---------------------------------------------------------------------------
 
+def _law(spec):
+    """The map a spec's law is solved with and the trace weights that read G.
+
+    An hh_star spec gives the Gram law of HH*: the hermitized map, read on
+    the leading a blocks. Any other spec gives its weighted map, read with
+    its block weights.
+    """
+    if spec.kind == "hh_star":
+        eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
+        return eta, cov._leading_weights(spec.dim, spec.a)
+    return cov._weighted_map(spec), cov._block_weights(spec)
+
+
 def _solve_density(config: ProblemConfig) -> spc.SpectralDensity:
-    g = config.grid
-    return _MODELS[config.model].density(
-        config.built,
-        xs=None if g.xmin is None else np.linspace(g.xmin, g.xmax, g.points),
-        npoints=g.points,
-        epsilon=g.epsilon,
-        config=config.solver,
-    )
+    spec, g = config.built, config.grid
+    eta, weights = _law(spec)
+    kwargs = dict(xs=None if g.xmin is None else np.linspace(g.xmin, g.xmax, g.points),
+                  npoints=g.points, epsilon=g.epsilon, config=config.solver)
+    if spec.kind == "hh_star":
+        return spc.density_gram(eta, spec.a, **kwargs)
+    return spc.density_from_eta(eta, trace_weights=weights, **kwargs)
 
 
 def _density_diagnostics(density: spc.SpectralDensity) -> dict:
@@ -546,11 +516,11 @@ def _cmd_mc_compare(config, density, out_dir, seed, threads):
 
 
 def _cmd_moments(config, density, out_dir, seed, threads):
-    row = _MODELS[config.model]
-    eta, weights = row.moments(config.built)
-    step = 2 if row.gram else 1
+    eta, weights = _law(config.built)
+    gram = config.built.kind == "hh_star"
+    step = 2 if gram else 1
     rows = []
-    for k in ((1, 2, 3, 4) if row.gram else (2, 4, 6, 8)):
+    for k in ((1, 2, 3, 4) if gram else (2, 4, 6, 8)):
         _, tr = orc.nc2_moment(eta, step * k, trace_weights=weights)
         rows.append((k, tr.real, spc.moments_from_density(density, k)))
     path = emit(
@@ -573,20 +543,14 @@ def _check_command(command, config, seed, threads):
     """Every usage error of a command on a config; returns (seed, threads) to run with."""
     if command not in _COMMANDS:
         raise ValidationError("command", f"unknown command {command!r}")
-    row = _MODELS[config.model]
     if command == "capacity" and config.snr is None:
         raise ValidationError("snr", "capacity command needs an snr list")
-    if command == "capacity" and not row.gram:
+    if command == "capacity" and config.built.kind != "hh_star":
         raise ValidationError("model", "capacity is defined for the nonnegative Gram laws only")
     if command == "mc-compare" and config.mc is None:
         raise ValidationError("mc", "mc-compare command needs an mc block")
     if command == "mc-compare" and len(config.mc.N) != 1:
         raise ValidationError("mc.N", "mc-compare needs a single N")
-    draws = command in ("capacity", "mc-compare") and config.mc is not None
-    if draws and not row.sampled:
-        raise ValidationError(
-            "mc", f"Monte Carlo sampling is not defined for {config.model} models"
-        )
     seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
     if seed < 0:
         raise ValidationError("seed", f"seed must be >= 0, got {seed}")

@@ -9,8 +9,10 @@ ensemble sparsely, as coordinate entries over 1-based block indices:
 * ``rectangular`` -- selfadjoint sigma weighted by the blocks' relative sizes
   alpha_i (1/d each for selfadjoint), nonzero only where alpha_i = alpha_l and
   alpha_j = alpha_k.
-* ``hh_star`` -- tau(i,k;j,l), real, with tau(i,k;j,l) = tau(j,l;i,k);
-  i, j run over the a row blocks and k, l over the b column blocks.
+* ``hh_star`` -- complex tau(i,k;j,l) = (a+b) N E[h^(ik)_rs conj h^(jl)_rs]
+  over the N x N blocks h^(ik) of an aN x bN channel H, so
+  tau(j,l;i,k) = conj tau(i,k;j,l); i, j run over the a row blocks and
+  k, l over the b column blocks.
 
 A spec is validated when it is made, by its constructor (and so also by
 ``dataclasses.replace``): indices are range-checked, the entry list is
@@ -25,7 +27,7 @@ coefficient tensors:
 
 * eta_alpha(D)_ij = sum_kl sigma(i,k;l,j) alpha_k D_kl    (alpha_k = 1/d: selfadjoint)
 * eta1(D)_ij      = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl    (b -> a side)
-* eta2(D)_kl      = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij    (a -> b side)
+* eta2(D)_kl      = (1/(a+b)) sum_ij conj tau(i,k;j,l) D_ij    (a -> b side)
 
 Maps are not cached: a tensor lives as long as its caller keeps it. Every
 Gram law solves on the block map :func:`_hermitized_map` assembles from
@@ -228,8 +230,9 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
 
     selfadjoint/rectangular sigma is closed under both symmetries a Hermitian
     ensemble forces: sigma(k,l;i,j) = sigma(i,j;k,l) (factors exchanged) and
-    sigma(j,i;l,k) = conj sigma(i,j;k,l) (from X = X*). hh_star tau is real
-    and closed under tau(i,k;j,l) = tau(j,l;i,k).
+    sigma(j,i;l,k) = conj sigma(i,j;k,l) (from X = X*). hh_star tau is
+    closed under tau(j,l;i,k) = conj tau(i,k;j,l), the Hermitian symmetry of
+    the entry covariance of H.
     """
     scale = max([1.0] + [abs(e[4]) for e in spec.entries])
     tol = SYMMETRY_TOL * scale
@@ -246,10 +249,8 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
 
     for (i, j, k, l, v) in spec.entries:
         if spec.kind == "hh_star":
-            if abs(v.imag) > tol:
-                raise SymmetryViolation(f"hh_star covariance must be real, got {v}")
-            put((i, j, k, l), complex(v.real))
-            put((k, l, i, j), complex(v.real))
+            put((i, j, k, l), v)
+            put((k, l, i, j), v.conjugate())
         else:
             put((i, j, k, l), v)
             put((k, l, i, j), v)
@@ -264,12 +265,12 @@ def _check_alpha(spec: CovarianceSpec):
         raise WeightError("a rectangular spec needs block weights alpha")
     alpha = tuple(_real(x, "alpha entry") for x in spec.alpha)
     object.__setattr__(spec, "alpha", alpha)
-    if len(alpha) != spec.d:
-        raise WeightError(f"alpha must have {spec.d} entries")
     if any(not 0.0 < x < 1.0 for x in alpha) and spec.d > 1:
         raise WeightError("alpha entries must lie in (0, 1)")
-    if not abs(sum(alpha) - 1.0) <= 1e-9:
-        raise WeightError(f"alpha must sum to 1, got {sum(alpha)}")
+    try:
+        _trace_weights(alpha, spec.d)
+    except BadParameter as exc:
+        raise WeightError(f"alpha must be {spec.d} weights that sum to 1, got {alpha}") from exc
 
 
 def _check_alpha_pattern(spec: CovarianceSpec, table):
@@ -293,11 +294,11 @@ def _sigma_array(spec: CovarianceSpec) -> np.ndarray:
 
 
 def _tau_array(spec: CovarianceSpec) -> np.ndarray:
-    """Dense tau(i,k;j,l) as an (a,b,a,b) array, 0-based axes."""
-    T = np.zeros((spec.a, spec.b, spec.a, spec.b))
+    """Dense tau(i,k;j,l) as an (a,b,a,b) array, 0-based axes; real for a real spec."""
+    T = np.zeros((spec.a, spec.b, spec.a, spec.b), dtype=complex)
     for (i, k, j, l, v) in spec.entries:
-        T[i - 1, k - 1, j - 1, l - 1] = v.real
-    return T
+        T[i - 1, k - 1, j - 1, l - 1] = v
+    return T if T.imag.any() else T.real.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,18 +440,17 @@ def eta1_map(spec: CovarianceSpec) -> EtaMap:
 
 
 def eta2_map(spec: CovarianceSpec) -> EtaMap:
-    """eta2: M_a -> M_b, eta2(D)_kl = (1/(a+b)) sum_ij tau(i,k;j,l) D_ij.
+    """eta2: M_a -> M_b, eta2(D)_kl = (1/(a+b)) sum_ij conj tau(i,k;j,l) D_ij.
 
-    The pairing with D_ij (not D_ji) is the one induced by the entry
-    covariance: it is what E[H* D H] evaluates to, and the only choice under
-    which hermitization yields a symmetric sigma. On the diagonal (and on
-    complex-symmetric D, which is all the coupled fixed-point equations ever
-    produce) the transposed pairing coincides with it.
+    This is what E[H* D H] evaluates to: (H* D H)_kl sums conj h_ik D_ij h_jl,
+    and E[conj h_ik h_jl] is conj tau(i,k;j,l). Pairing with tau itself, or
+    with the transposed D_ji, gives a different map once tau is complex or
+    D is not complex-symmetric.
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"eta2_map needs an hh_star spec, got {spec.kind}")
     T = _tau_array(spec)
-    return EtaMap(np.einsum("ikjl->klij", T) / (spec.a + spec.b))
+    return EtaMap(np.einsum("ikjl->klij", T.conj()) / (spec.a + spec.b))
 
 
 def _hermitized_map(outer: EtaMap, inner: EtaMap) -> EtaMap:
@@ -505,12 +505,10 @@ def hermitize_covariance(spec: CovarianceSpec) -> CovarianceSpec:
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"hermitize_covariance needs an hh_star spec, got {spec.kind}")
+    # sigma(i,a+k;a+l,j) = tau(i,k;j,l); the closure adds sigma(a+k,i;j,a+l) = conj tau
     a = spec.a
-    sigma: list[Entry] = []
-    for (i, k, j, l, v) in spec.entries:  # tau(i,k;j,l)
-        sigma.append((i, a + k, a + l, j, v))
-        sigma.append((a + k, i, j, a + l, v))
-    return CovarianceSpec("selfadjoint", d=spec.a + spec.b, entries=tuple(sigma))
+    sigma = tuple((i, a + k, a + l, j, v) for (i, k, j, l, v) in spec.entries)
+    return CovarianceSpec("selfadjoint", d=spec.a + spec.b, entries=sigma)
 
 
 def isi_covariance(K: int, L: int, tap_var=None) -> CovarianceSpec:

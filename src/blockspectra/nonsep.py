@@ -18,16 +18,18 @@ stays in the algebra generated by the Psi family, and the solution depends
 only on the separate joint distributions of the two families, never on
 mixed moments.
 
-This is the eliminated Gram equation of ``solver.solve_hh_star_direct``
-with the two maps swapped, so :func:`solve_fading` runs the solver's
-eliminated routine and owns no iteration loop; the density and the
-:func:`solve_fading_block` cross-check go through the hermitized map
-that ``covariance._hermitized_map`` assembles from the pair.
+The channel is block Gaussian, so a family is solved and sampled as its
+square hh_star spec on lcm(p, q) blocks a side (``CorrelationFamily.spec``).
+:func:`solve_fading` is the independent cross-check: the solver's
+eliminated Gram routine, with the two maps swapped, on the pair that
+:func:`build_nonsep_eta` builds on the p- and q-dimensional algebras.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +93,26 @@ class CorrelationFamily:
     def q(self) -> int:
         return self.psi_hat[0].shape[0]
 
+    @cached_property
+    def spec(self) -> cov.CovarianceSpec:
+        """The channel's hh_star spec on n = lcm(p, q) blocks a side, built on first use.
+
+        tau(i,k;j,l) = 2 sum_s Psi_s[i,j] PsiHat_s[l,k], with Psi_s (x) I_{n/p}
+        and I_{n/q} (x) PsiHat_s: identical copies of each family, which leave
+        its law unchanged. The nonzero entries with (i,k) <= (j,l) are given;
+        the spec's closure adds their conjugate partners.
+        """
+        n = math.lcm(self.p, self.q)
+        T = 2 * sum(
+            np.einsum("ij,lk->ikjl", np.kron(P, np.eye(n // self.p)),
+                      np.kron(np.eye(n // self.q), H))
+            for P, H in zip(self.psi, self.psi_hat)
+        ).reshape(n * n, n * n)
+        return cov.hh_star_covariance(n, n, [
+            (r // n + 1, r % n + 1, c // n + 1, c % n + 1, T[r, c])
+            for r in range(n * n) for c in range(r, n * n) if T[r, c]
+        ])
+
 
 def validate_family(family: CorrelationFamily) -> CorrelationFamily:
     """Return ``family``: a family is checked when it is constructed.
@@ -119,13 +141,9 @@ def build_nonsep_eta(family: CorrelationFamily):
 
 
 def hermitized_eta(family: CorrelationFamily) -> cov.EtaMap:
-    """Block map on (p+q)-indexed matrices: diag(d1, d2) -> diag(eta2(d2), eta1(d1)).
-
-    This is the covariance map of the hermitization of the fading channel;
-    corners are annihilated, so the Gram-law engine applies unchanged.
-    """
-    e1, e2 = build_nonsep_eta(family)
-    return cov._hermitized_map(e2, e1)
+    """Covariance map of the hermitization of the channel: that of ``family.spec``."""
+    spec = family.spec
+    return cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +174,19 @@ def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
 
 
 def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolution:
-    """Cross-check route: solve the hermitized two-block equation instead.
+    """Cross-check route: solve the Gram equations of ``family.spec`` instead.
 
-    Solves z H = id + z eta(H) H over p+q blocks with the split map and reads
-    G1 off the leading block. Must agree with :func:`solve_fading`.
+    Runs :func:`solver.solve_hh_star` on the spec and reads G1 back from
+    its leading block, which repeats it n/p times: G1 = G1_spec[::n/p, ::n/p].
+    Must agree with :func:`solve_fading`.
     """
-    H, res, its, converged = slv._solve_point(hermitized_eta(family), z, config, True)
-    G1 = H[:family.p, :family.p]
-    return FadingSolution(complex(z), G1, complex(np.trace(G1) / family.p), res, its,
-                          converged)
+    sol = slv.solve_hh_star(family.spec, z, config)
+    step = family.spec.a // family.p
+    G1 = sol.G1[::step, ::step]
+    return FadingSolution(sol.z, G1, complex(np.trace(G1) / family.p), sol.residual,
+                          sol.iterations, sol.converged)
 
 
 def fading_density(family: CorrelationFamily, **kwargs) -> spc.SpectralDensity:
-    """Gram-law density of the fading channel via the hermitized route."""
-    return spc.density_gram(hermitized_eta(family), family.p, **kwargs)
+    """Gram-law density of the fading channel: that of ``family.spec``."""
+    return spc.density_hh_star(family.spec, **kwargs)

@@ -56,10 +56,12 @@ def _spec_from_entry_covariance(d, C):
     return bs.selfadjoint_covariance(d, entries)
 
 
-def random_hh_star_spec(a, b, rng, scale=1.0):
-    """Random valid hh_star spec: tau is a random PSD symmetric matrix."""
+def random_hh_star_spec(a, b, rng, scale=1.0, complex_=False):
+    """Random valid hh_star spec: tau is a random real (or complex) PSD Hermitian matrix."""
     B = rng.standard_normal((a * b, a * b)) / np.sqrt(a * b)
-    T = (B @ B.T) * scale
+    if complex_:
+        B = B + 1j * rng.standard_normal((a * b, a * b)) / np.sqrt(a * b)
+    T = (B @ B.conj().T) * scale
     entries = []
     for i in range(a):
         for k in range(b):

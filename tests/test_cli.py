@@ -98,11 +98,19 @@ class TestParse:
         assert cfg.entries[2][4] == 0.5 + 0.0j
 
     def test_hh_star_rejects_complex(self):
-        with pytest.raises(errors.ValidationError, match="real"):
+        """A complex self-paired value tau(1,1;1,1), a variance, is refused."""
+        with pytest.raises(errors.ValidationError, match="conflicting"):
             cli.parse_config(json.dumps({
                 "model": "hh_star", "a": 1, "b": 1,
                 "entries": [[1, 1, 1, 1, [1.0, 2.0]]],
             }))
+
+    def test_hh_star_complex_entries(self):
+        cfg = cli.parse_config(json.dumps(dict(
+            MODEL_CONFIGS["hh_star"], entries=[[1, 1, 1, 1, 1.0], [1, 2, 1, 2, 0.5],
+                                               [1, 1, 1, 2, [0.0, 0.5]]])))
+        table = {e[:4]: e[4] for e in cfg.built.entries}
+        assert table[(1, 2, 1, 1)] == -0.5j
 
     def test_semantic_model_errors_surface_as_validation(self):
         with pytest.raises(errors.ValidationError):
@@ -116,8 +124,8 @@ class TestParse:
             "psi": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]],
             "psi_hat": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
         }))
-        fam = cfg.built
-        assert fam.t == 1 and fam.p == 2
+        spec = cfg.built
+        assert spec.kind == "hh_star" and spec.a == spec.b == 2
 
     def test_snr_and_mc_validation(self):
         with pytest.raises(errors.ValidationError, match="snr"):
@@ -315,12 +323,6 @@ USAGE_ERRORS = {
     "mc-compare-no-mc": ("mc-compare", ISI_CONFIG, {}, None),
     "mc-compare-two-n": ("mc-compare",
                          dict(ISI_CONFIG, mc={"N": [2, 4], "realizations": 2, "seed": 0}), {}, None),
-    "mc-compare-nonsep": ("mc-compare",
-                          dict(MODEL_CONFIGS["nonsep"], mc={"N": 4, "realizations": 2, "seed": 0}),
-                          {}, None),
-    "capacity-mc-nonsep": ("capacity",
-                           dict(MODEL_CONFIGS["nonsep"], snr=[1.0],
-                                mc={"N": 4, "realizations": 2, "seed": 0}), {}, None),
     "negative-seed": ("density", ISI_CONFIG, {"seed": -7}, None),
     "bad-env-threads": ("density", ISI_CONFIG, {}, "soup"),
     "negative-threads": ("density", ISI_CONFIG, {"threads": -1}, None),
@@ -372,6 +374,13 @@ class TestMain:
         for _, recursion, dens in summaries["moments"]["table"]:
             assert dens == pytest.approx(recursion, rel=1e-2)
         assert summaries["mc-compare"]["ks_distance"] <= 0.05
+
+    def test_nonsep_mc_compare(self, tmp_path, capsys):
+        """The fading model is sampled as its hh_star spec, against its density."""
+        code = cli.main(["--config", str(ROOT / "configs" / "nonsep_t2.json"),
+                         "--command", "mc-compare", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ks_distance"] <= 0.05
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, {"model": "isi", "K": 2})

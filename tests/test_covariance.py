@@ -87,8 +87,16 @@ class TestValidation:
             bs.selfadjoint_covariance(1, [(1, 1, 1, 1, float("nan"))])
 
     def test_hh_star_values_must_be_real(self):
+        """A self-paired value tau(i,k;i,k) is a variance: it must be real."""
         with pytest.raises(errors.SymmetryViolation):
-            bs.hh_star_covariance(1, 2, [(1, 1, 1, 2, 1.0j)])
+            bs.hh_star_covariance(1, 1, [(1, 1, 1, 1, 1 + 2j)])
+
+    def test_hh_star_complex_entry_closes_to_its_conjugate(self):
+        spec = bs.hh_star_covariance(1, 2, [(1, 1, 1, 1, 1.0), (1, 2, 1, 2, 1.0),
+                                            (1, 1, 1, 2, 0.5j)])
+        table = {e[:4]: e[4] for e in spec.entries}
+        assert table[(1, 2, 1, 1)] == -0.5j
+        assert spec.choi_min_eig == pytest.approx(0.5 / 3)
 
     def test_isi_spec_all_unit_entries(self):
         spec = bs.isi_covariance(4, 4)
@@ -327,6 +335,14 @@ class TestHermitizedMap:
         want = bs.eta_map(bs.hermitize_covariance(spec)).tensor
         assert np.abs(_assembled(spec).tensor - want).max() <= 1e-15
 
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.integers(1, 4), b=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_random_complex_hh_star_agrees(self, a, b, seed):
+        """The hermitized spec of a complex tau has conj tau on its b side, as eta2."""
+        spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=True)
+        want = bs.eta_map(bs.hermitize_covariance(spec)).tensor
+        assert np.abs(_assembled(spec).tensor - want).max() <= 1e-15
+
     def test_mismatched_pair_rejected(self):
         spec = bs.isi_covariance(2, 2)
         with pytest.raises(errors.DimensionMismatch):
@@ -363,19 +379,11 @@ class TestEtaAlpha:
 
 
 class TestEta2AgainstSampledGramForm:
-    def test_eta2_matches_expected_h_star_d_h(self):
-        """The index pairing inside eta2 is pinned by E[H* D H] itself.
-
-        For the two-frame, two-tap channel and a non-symmetric D the two
-        candidate pairings (D_ij vs the transposed D_ji) give different,
-        disjointly supported outputs, so a modest Monte Carlo separates
-        them decisively.
-        """
-        spec = bs.isi_covariance(2, 2)
-        a, b, N, n_samp = 2, 3, 24, 800
-        rng = np.random.default_rng(2718)
-        D = np.zeros((a, a), dtype=complex)
-        D[0, 1] = 1.0
+    @staticmethod
+    def _sampled_h_star_d_h(spec, D, N, n_samp, seed):
+        """Monte Carlo mean of the normalized block traces of H* (D (x) I_N) H."""
+        b = spec.b
+        rng = np.random.default_rng(seed)
         Dbig = np.kron(D, np.eye(N))
         acc = np.zeros((b, b), dtype=complex)
         for r in range(n_samp):
@@ -385,12 +393,42 @@ class TestEta2AgainstSampledGramForm:
             for k in range(b):
                 for l in range(b):
                     acc[k, l] += np.trace(M[k * N:(k + 1) * N, l * N:(l + 1) * N]) / N
-        acc /= n_samp
+        return acc / n_samp
+
+    def test_eta2_matches_expected_h_star_d_h(self):
+        """The index pairing inside eta2 is pinned by E[H* D H] itself.
+
+        For the two-frame, two-tap channel and a non-symmetric D the two
+        candidate pairings (D_ij vs the transposed D_ji) give different,
+        disjointly supported outputs, so a modest Monte Carlo separates
+        them decisively.
+        """
+        spec = bs.isi_covariance(2, 2)
+        D = np.zeros((2, 2), dtype=complex)
+        D[0, 1] = 1.0
+        acc = self._sampled_h_star_d_h(spec, D, N=24, n_samp=800, seed=2718)
         want = bs.eta_apply(bs.eta2_map(spec), D)
         transposed = want.T
         assert np.abs(acc - want).max() < 0.02
         # the transposed pairing is wrong by a full matrix unit here
         assert np.abs(acc - transposed).max() > 0.15
+
+    def test_eta2_pairs_with_conj_tau(self):
+        """E[H* D H] pairs D_ij with conj tau(i,k;j,l), not with tau itself.
+
+        The entry covariance tau(1,k;1,l) = [[1, 0.9i], [-0.9i, 1]] has large
+        imaginary couplings, so the two pairings put +-0.3i on the
+        off-diagonal of eta2(1) and a modest Monte Carlo tells them apart.
+        """
+        spec = bs.hh_star_covariance(1, 2, [(1, 1, 1, 1, 1.0), (1, 2, 1, 2, 1.0),
+                                            (1, 1, 1, 2, 0.9j)])
+        D = np.ones((1, 1), dtype=complex)
+        acc = self._sampled_h_star_d_h(spec, D, N=24, n_samp=400, seed=1618)
+        want = bs.eta_apply(bs.eta2_map(spec), D)
+        assert want[0, 1] == pytest.approx(-0.3j)
+        assert np.abs(acc - want).max() < 0.02
+        # with D = 1, pairing with tau gives conj(want): off by 0.6 at (1, 2)
+        assert np.abs(acc - want.conj()).max() > 0.5
 
 
 class TestMapInvariants:

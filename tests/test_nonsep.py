@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
 from blockspectra import errors
@@ -200,6 +201,28 @@ class TestHHStarCrossRoute:
             g_fading = bs.solve_fading(fam, z, TIGHT).g
             g_block = bs.solve_hh_star(spec, z, TIGHT).g
             assert abs(g_fading - g_block) <= 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 3), q=st.integers(1, 3),
+       t=st.integers(1, 2))
+def test_random_complex_family_spec_solves_as_the_family(seed, p, q, t):
+    """A complex family's hh_star spec is realizable and has the family's law.
+
+    ``solve_fading`` works on the p- and q-dimensional algebras directly, so
+    it checks the spec's amplification to lcm(p, q) blocks and the conj tau
+    pairing of its eta2.
+    """
+    rng = np.random.default_rng(seed)
+    fam = bs.CorrelationFamily(
+        psi=tuple(_rand_herm_psd(p, rng) for _ in range(t)),
+        psi_hat=tuple(_rand_herm_psd(q, rng) for _ in range(t)),
+    )
+    assert fam.spec.choi_min_eig >= -1e-10
+    for z in (0.3 + 0.05j, 1.0 + 0.2j, 2.5 + 0.5j):
+        g_fading = bs.solve_fading(fam, z, TIGHT).g
+        g_spec = bs.solve_hh_star(fam.spec, z, TIGHT).g
+        assert abs(g_fading - g_spec) <= 1e-9
 
 
 class TestFadingDensity:

@@ -75,7 +75,9 @@ def test_zero_map_pattern_is_the_diagonal():
 
 
 def test_nonsep_t2_pattern():
-    family = cli.parse_config(CONFIGS / "nonsep_t2.json").built
+    config = cli.parse_config(CONFIGS / "nonsep_t2.json")
+    family = ns.CorrelationFamily(psi=tuple(np.array(m) for m in config.psi),
+                                  psi_hat=tuple(np.array(m) for m in config.psi_hat))
     eta = ns.hermitized_eta(family)
     _assert_closed(eta)
     assert eta.pattern.blocks == ((0,), (1,), (2, 3))
