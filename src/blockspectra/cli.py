@@ -12,9 +12,10 @@ Exit codes: 0 ok, 1 numerical failure, 2 usage error; failures print a
 machine-readable error JSON to stdout.
 
 Every run is one pipeline: parse the config, check the command against
-it, solve and check the density once, then write the command's
-artifacts. Every usage error is raised by the first two steps, before an
-output directory is made or a solve starts.
+it, build the law once, solve and check the density once, then write the
+command's artifacts. Every usage error is raised by the first two steps,
+before an output directory is made or a solve starts; that includes a
+Monte Carlo draw the sampler would refuse.
 
 Parsing reads every JSON object (the top level, ``grid``, ``solver``,
 ``mc``) through one function and a table of ``_Key`` rows. A model is
@@ -22,8 +23,8 @@ one row of ``_MODELS``: its config keys and how to parse them, and a
 build that makes its covariance spec (a ``nonsep`` family builds its
 hh_star spec). A :class:`ProblemConfig` builds its spec when it is made,
 so an invalid model never gets past parsing. Every command then reads
-the law from the spec alone: its kind decides whether it is a Gram law,
-and :func:`_law` gives the map and trace weights it is solved with.
+the spec's law (``covariance._law``): the map it is solved with, the
+trace weights that read G, and whether it is a Gram law.
 """
 
 from __future__ import annotations
@@ -384,27 +385,13 @@ def emit(artifact, path) -> Path:
 # law solving
 # ---------------------------------------------------------------------------
 
-def _law(spec):
-    """The map a spec's law is solved with and the trace weights that read G.
-
-    An hh_star spec gives the Gram law of HH*: the hermitized map, read on
-    the leading a blocks. Any other spec gives its weighted map, read with
-    its block weights.
-    """
-    if spec.kind == "hh_star":
-        eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-        return eta, cov._leading_weights(spec.dim, spec.a)
-    return cov._weighted_map(spec), cov._block_weights(spec)
-
-
-def _solve_density(config: ProblemConfig) -> spc.SpectralDensity:
-    spec, g = config.built, config.grid
-    eta, weights = _law(spec)
+def _solve_density(config: ProblemConfig, law: cov.Law) -> spc.SpectralDensity:
+    g = config.grid
     kwargs = dict(xs=None if g.xmin is None else np.linspace(g.xmin, g.xmax, g.points),
                   npoints=g.points, epsilon=g.epsilon, config=config.solver)
-    if spec.kind == "hh_star":
-        return spc.density_gram(eta, spec.a, **kwargs)
-    return spc.density_from_eta(eta, trace_weights=weights, **kwargs)
+    if law.gram:
+        return spc.density_gram(law.eta, config.built.a, **kwargs)
+    return spc.density_from_eta(law.eta, trace_weights=law.weights, **kwargs)
 
 
 def _density_diagnostics(density: spc.SpectralDensity) -> dict:
@@ -465,7 +452,7 @@ def _resolve_threads(threads) -> int:
 # (artifact paths, its own summary keys)
 # ---------------------------------------------------------------------------
 
-def _cmd_density(config, density, out_dir, seed, threads):
+def _cmd_density(config, law, density, out_dir, seed, threads):
     path = emit(
         CsvArtifact(("x", "density"), tuple(zip(density.xs, density.ps))),
         out_dir / "density.csv",
@@ -473,7 +460,7 @@ def _cmd_density(config, density, out_dir, seed, threads):
     return [path], {}
 
 
-def _cmd_capacity(config, density, out_dir, seed, threads):
+def _cmd_capacity(config, law, density, out_dir, seed, threads):
     bits = [spc.capacity(density, s) for s in config.snr]
     header = ["snr", "bits"]
     cols = [list(config.snr), bits]
@@ -489,7 +476,7 @@ def _cmd_capacity(config, density, out_dir, seed, threads):
     return [path], {"snr": list(config.snr), "bits": [float(b) for b in bits]}
 
 
-def _cmd_mc_compare(config, density, out_dir, seed, threads):
+def _cmd_mc_compare(config, law, density, out_dir, seed, threads):
     N = config.mc.N[0]
     pooled = np.sort(np.concatenate(_sample_eigenvalues(config, N, threads, seed)))
     ks = orc.ks_distance(pooled, spc.cdf(density))
@@ -515,13 +502,11 @@ def _cmd_mc_compare(config, density, out_dir, seed, threads):
     return paths, {"ks_distance": ks}
 
 
-def _cmd_moments(config, density, out_dir, seed, threads):
-    eta, weights = _law(config.built)
-    gram = config.built.kind == "hh_star"
-    step = 2 if gram else 1
+def _cmd_moments(config, law, density, out_dir, seed, threads):
+    step = 2 if law.gram else 1
     rows = []
-    for k in ((1, 2, 3, 4) if gram else (2, 4, 6, 8)):
-        _, tr = orc.nc2_moment(eta, step * k, trace_weights=weights)
+    for k in ((1, 2, 3, 4) if law.gram else (2, 4, 6, 8)):
+        _, tr = orc.nc2_moment(law.eta, step * k, trace_weights=law.weights)
         rows.append((k, tr.real, spc.moments_from_density(density, k)))
     path = emit(
         CsvArtifact(("order", "moment_recursion", "moment_density"), tuple(rows)),
@@ -551,6 +536,12 @@ def _check_command(command, config, seed, threads):
         raise ValidationError("mc", "mc-compare command needs an mc block")
     if command == "mc-compare" and len(config.mc.N) != 1:
         raise ValidationError("mc.N", "mc-compare needs a single N")
+    if command in ("mc-compare", "capacity") and config.mc is not None:
+        for N in config.mc.N:
+            try:
+                orc._check_draw(config.built, N)
+            except BlockspectraError as exc:
+                raise ValidationError("mc", f"{command}: {exc}") from exc
     seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
     if seed < 0:
         raise ValidationError("seed", f"seed must be >= 0, got {seed}")
@@ -567,14 +558,17 @@ def run(command, config, out_dir=".", seed=None, threads=None) -> dict:
     byte-deterministic for a fixed config and seed.
     """
     seed, threads = _check_command(command, config, seed, threads)
+    law = cov._law(config.built)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    density = _solve_density(config)
+    density = _solve_density(config, law)
     diagnostics = _density_diagnostics(density)
-    paths, extra = _COMMANDS[command](config, density, out, seed, threads)
+    # only moments reads the map again; the sampling commands draw without it held
+    law = law if command == "moments" else None
+    paths, extra = _COMMANDS[command](config, law, density, out, seed, threads)
     return {"command": command, "artifacts": [str(p) for p in paths],
             "diagnostics": diagnostics, **extra}
 

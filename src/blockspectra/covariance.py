@@ -29,9 +29,10 @@ coefficient tensors:
 * eta1(D)_ij      = (1/(a+b)) sum_kl tau(i,k;j,l) D_kl    (b -> a side)
 * eta2(D)_kl      = (1/(a+b)) sum_ij conj tau(i,k;j,l) D_ij    (a -> b side)
 
-Maps are not cached: a tensor lives as long as its caller keeps it. Every
-Gram law solves on the block map :func:`_hermitized_map` assembles from
-its pair of maps.
+Maps are not cached: a tensor lives as long as its caller keeps it.
+:func:`_law` turns a spec into the :class:`Law` it is solved with: an
+hh_star spec gives the Gram law of HH*, on the map of its hermitization
+assembled from eta1 and eta2; any other spec gives its weighted map.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,14 +193,6 @@ def _trace_weights(weights, d) -> np.ndarray:
 def _block_weights(spec: CovarianceSpec) -> np.ndarray:
     """Relative block sizes of a selfadjoint (1/d each) or rectangular (alpha) spec."""
     return _trace_weights(spec.alpha, spec.d)
-
-
-def _leading_weights(d, side) -> np.ndarray:
-    """Trace weights of tr_side on the leading ``side`` of d blocks, 1 <= side < d."""
-    side = _count(side, "side")
-    if not 1 <= side < d:
-        raise BadParameter(f"side must lie in 1..{d - 1}, got {side}")
-    return np.where(np.arange(d) < side, 1.0 / side, 0.0)
 
 
 def _entry(ent) -> Entry:
@@ -453,23 +447,53 @@ def eta2_map(spec: CovarianceSpec) -> EtaMap:
     return EtaMap(np.einsum("ikjl->klij", T.conj()) / (spec.a + spec.b))
 
 
-def _hermitized_map(outer: EtaMap, inner: EtaMap) -> EtaMap:
-    """Block map of the hermitization [[0, H], [H*, 0]] from a Gram map pair.
+class Law(NamedTuple):
+    """What a law is solved with.
 
-    ``outer: M_m -> M_n`` and ``inner: M_n -> M_m`` (argument order as in
-    ``solver._solve_eliminated``) act on (n+m)-indexed matrices as
-    [[D1, D3], [D4, D2]] -> [[outer(D2), 0], [0, inner(D1)]]: the corners
-    are annihilated, so block-diagonal iterates stay block-diagonal.
+    ``eta`` is the square map, ``weights`` the trace weights that read G,
+    and ``gram`` whether it is a Gram law, solved as z H = I + z eta(H) H.
     """
-    n, m = outer.dim_out, outer.dim_in
-    if (inner.dim_out, inner.dim_in) != (m, n):
-        raise DimensionMismatch(
-            f"inner map must take M_{n} to M_{m}, got M_{inner.dim_in} to M_{inner.dim_out}"
-        )
-    T = np.zeros((n + m,) * 4, dtype=complex)
-    T[:n, :n, n:, n:] = outer.tensor
-    T[n:, n:, :n, :n] = inner.tensor
-    return EtaMap(T)
+
+    eta: EtaMap
+    weights: np.ndarray
+    gram: bool
+
+
+def _map_law(eta: EtaMap, weights=None) -> Law:
+    """The selfadjoint law of a square map, read with ``weights`` (None: 1/d each)."""
+    return Law(eta, _trace_weights(weights, eta.dim_in), False)
+
+
+def _gram_law(eta: EtaMap, side) -> Law:
+    """The Gram law of a hermitized map on d blocks, read on the leading 1 <= side < d."""
+    side, d = _count(side, "side"), eta.dim_in
+    if not 1 <= side < d:
+        raise BadParameter(f"side must lie in 1..{d - 1}, got {side}")
+    return Law(eta, np.where(np.arange(d) < side, 1.0 / side, 0.0), True)
+
+
+def _law(spec: CovarianceSpec) -> Law:
+    """The law of a spec's ensemble; an hh_star spec gives the Gram law of HH*.
+
+    Its map is that of the hermitization [[0, H], [H*, 0]] on a + b blocks:
+    [[D1, D3], [D4, D2]] -> [[eta1(D2), 0], [0, eta2(D1)]]. The corners are
+    annihilated, so block-diagonal iterates stay block-diagonal. Any other
+    spec gives its weighted map, read with its block weights.
+    """
+    if spec.kind != "hh_star":
+        return _map_law(_weighted_map(spec), _block_weights(spec))
+    a = spec.a
+    T = np.zeros((spec.dim,) * 4, dtype=complex)
+    T[:a, :a, a:, a:] = eta1_map(spec).tensor
+    T[a:, a:, :a, :a] = eta2_map(spec).tensor
+    return _gram_law(EtaMap(T), a)
+
+
+def _hh_star_law(spec: CovarianceSpec) -> Law:
+    """The Gram law of an hh_star spec; WrongKind for any other spec."""
+    if spec.kind != "hh_star":
+        raise WrongKind(f"the law of HH* needs an hh_star spec, got {spec.kind}")
+    return _law(spec)
 
 
 def _choi_min_eig(spec: CovarianceSpec) -> float:
@@ -501,7 +525,7 @@ def hermitize_covariance(spec: CovarianceSpec) -> CovarianceSpec:
     The induced eta on d = a + b blocks splits as
     [[D1, D3], [D4, D2]] -> [[eta1(D2), 0], [0, eta2(D1)]]: the corners are
     annihilated, so block-diagonal iterates stay block-diagonal. Solvers
-    assemble this map from eta1 and eta2 instead (:func:`_hermitized_map`).
+    assemble this map from eta1 and eta2 instead (:func:`_law`).
     """
     if spec.kind != "hh_star":
         raise WrongKind(f"hermitize_covariance needs an hh_star spec, got {spec.kind}")

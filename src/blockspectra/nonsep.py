@@ -142,8 +142,7 @@ def build_nonsep_eta(family: CorrelationFamily):
 
 def hermitized_eta(family: CorrelationFamily) -> cov.EtaMap:
     """Covariance map of the hermitization of the channel: that of ``family.spec``."""
-    spec = family.spec
-    return cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
+    return cov._law(family.spec).eta
 
 
 @dataclass(frozen=True, eq=False)

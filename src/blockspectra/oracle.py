@@ -62,23 +62,38 @@ def _entry_factor(C, what):
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _require_sampling_grade(spec):
+def _check_draw(spec, N):
+    """Refuse a draw of ``spec`` at size N that the sampler cannot make.
+
+    NotPSD below sampling-grade positivity; BadParameter when mixing the
+    entries, a couple of complex arrays of shape (block pairs, n^2) with n
+    the largest block size, needs over 8 GB.
+    """
     if spec.choi_min_eig < SAMPLING_EIG_FLOOR:
         raise NotPSD(
             f"spec fails sampling-grade positivity (Choi min eig "
             f"{spec.choi_min_eig:.3e})"
         )
-
-
-def _guard_memory(pairs, nmax):
-    # entry mixing materializes a couple of complex arrays of shape (pairs, nmax^2)
-    need = 2 * 16 * pairs * nmax * nmax
+    if spec.kind == "hh_star":
+        pairs, n = spec.a * spec.b, N
+    else:
+        pairs, n = spec.d**2, max(_block_sizes(spec, N))
+    need = 2 * 16 * pairs * n * n
     if need > 8e9:
         raise BadParameter(
             f"realization needs ~{need / 1e9:.1f} GB of scratch "
             f"(scales with (block count)^2 N^2); reduce N or pool more, "
             f"smaller realizations"
         )
+
+
+def _block_sizes(spec, N):
+    """Block sizes of a selfadjoint or rectangular draw at size N.
+
+    Equal weights get equal sizes, or cross-covariances between transpose
+    partners would not line up.
+    """
+    return [max(1, round(w * (spec.d * N))) for w in cov._block_weights(spec)]
 
 
 def _draw_blocks(C, rows, cols, N, rng, what):
@@ -92,7 +107,6 @@ def _draw_blocks(C, rows, cols, N, rng, what):
     PSD C, so it is zero in law: it is stored as an exact zero, and only the
     eigencomponents with nonzero weight on the other blocks are mixed.
     """
-    _guard_memory(rows * cols, N)
     Phi = _entry_factor(C, what)
     re = rng.standard_normal((rows * cols, N * N))
     im = rng.standard_normal((rows * cols, N * N))
@@ -121,9 +135,7 @@ def _sample_hermitian(spec, N, rng):
     blocks are cut, before the sum, from m x m blocks, m the largest size.
     """
     d = spec.d
-    # equal weights must get equal integer sizes or cross-covariances
-    # between transpose-partner blocks would not line up
-    sizes = [max(1, round(w * (d * N))) for w in cov._block_weights(spec)]
+    sizes = _block_sizes(spec, N)
     n, m = sum(sizes), max(sizes)
     C = np.einsum("ijlk->ijkl", cov._sigma_array(spec)).reshape(d * d, d * d) / n
     Y, _ = _draw_blocks(C, d, d, m, rng, spec.kind)
@@ -167,12 +179,12 @@ def sample_block_gaussian(spec, N, seed) -> EnsembleSample:
     (Y + Y*)/sqrt(2) from the draw Y, so X = X* holds exactly. ``seed`` is
     a non-negative integer or a numpy ``SeedSequence``.
     """
-    _require_sampling_grade(spec)
     N = cov._count(N, "N")
     if N < 1:
         raise BadParameter("N must be >= 1")
     if not isinstance(seed, np.random.SeedSequence) and cov._count(seed, "seed") < 0:
         raise BadParameter(f"seed must be >= 0, got {seed}")
+    _check_draw(spec, N)
     rng = np.random.default_rng(seed)
     if spec.kind == "hh_star":
         a, b = spec.a, spec.b

@@ -25,8 +25,9 @@ the damped fixed-point map globalizes and Newton refines. Only
 
 The Gram (HH*) variant solves the substituted equation for the hermitized
 map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
-scaled by z, so one engine serves both. The hermitized map is assembled
-from the spec's pair (eta1, eta2) once per call (``cov._hermitized_map``).
+scaled by z, so one engine serves both. The engine reads both from a
+``cov.Law``: its map, and whether it is a Gram law; a spec's law
+(``cov._law``) is built once per call.
 
 One damped loop (``_damped_loop``) holds the damping policy for every
 iteration: the engine's fixed-point sweeps and the eliminated one-sided
@@ -313,8 +314,8 @@ def _newton_batch(pat, zs, scale, G, target, budget):
     return G, res, iters, stuck
 
 
-def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
-    """Solve a batch along z = x + i*epsilon by stepping the offset down.
+def _solve_continuation(law, xs, epsilon, config, record=()):
+    """Solve a law's batch along z = x + i*epsilon by stepping the offset down.
 
     Every point starts from -i*I, and the offset walks down by factors of 4
     from max(span, 1) / 8 (or epsilon, if larger), each level warm starting
@@ -330,7 +331,7 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     (whose ``iters`` count the whole ladder), each with G expanded to
     (P, d, d).
     """
-    pat = eta.pattern
+    pat = law.eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
     G = np.tile(-1j * pat.eye, (P, 1))
@@ -344,7 +345,7 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     snapshots = {}
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
-        scale = zs if scale_is_z else np.ones(P, dtype=complex)
+        scale = zs if law.gram else np.ones(P, dtype=complex)
         wanted = lev == len(levels) - 1 or eps in record
         # intermediate levels only feed warm starts; full accuracy is
         # needed only where results are consumed
@@ -363,10 +364,10 @@ def _solve_continuation(eta, xs, epsilon, config, scale_is_z, record=()):
     return [b._replace(G=pat.expand(b.G)) for b in batches]
 
 
-def _solve_point(eta, z, config, scale_is_z):
+def _solve_point(law, z, config):
     """One point through the ladder: (G, residual, iterations, converged)."""
     z = _upper_half(z)
-    (out,) = _solve_continuation(eta, [z.real], z.imag, config or DEFAULT_CONFIG, scale_is_z)
+    (out,) = _solve_continuation(law, [z.real], z.imag, config or DEFAULT_CONFIG)
     return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
 
@@ -413,7 +414,7 @@ def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     best iterate is returned even when ``config.max_iter`` runs out, with
     ``converged=False``.
     """
-    return CauchySolution(_upper_half(z), *_solve_point(eta, z, config, False))
+    return CauchySolution(_upper_half(z), *_solve_point(cov._map_law(eta), z, config))
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
@@ -474,36 +475,31 @@ def solve_grid(eta, xs, epsilon, config=None):
     and Im-margin of the first few, if any point misses the residual target
     or the negative-imaginary-part invariant.
     """
-    config = config or DEFAULT_CONFIG
+    return _solve_law_grid(cov._map_law(eta), xs, epsilon, config)[0]
+
+
+def _solve_law_grid(law, xs, epsilon, config):
+    """A law's grid solve: (solutions, the transform read with the law's weights)."""
     xs = _check_grid(xs, epsilon)
-    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=False)
+    (out,) = _solve_continuation(law, xs, float(epsilon), config or DEFAULT_CONFIG)
     _require_converged(xs, out)
-    return [
+    sols = [
         CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
         for x, G, r, k in zip(xs, out.G, out.res, out.iters)
     ]
+    return sols, (out.G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1)
 
 
-def _hh_star_solution(eta1, eta2, z, H, res, its, converged) -> HHStarSolution:
-    a, b = eta1.dim_out, eta2.dim_out
+def _hh_star_solution(law, a, z, H, res, its, converged) -> HHStarSolution:
+    """H split into its blocks; the split residuals read eta1, eta2 as corners of the law's map."""
     G1, G2 = H[:a, :a], H[a:, a:]
-    g = complex(np.trace(G1) / a)
-    r1 = float(
-        np.linalg.norm(z * G1 - np.eye(a) - z * cov.eta_apply(eta1, G2) @ G1)
-    )
-    r2 = float(
-        np.linalg.norm(z * G2 - np.eye(b) - z * cov.eta_apply(eta2, G1) @ G2)
-    )
-    return HHStarSolution(
-        z=complex(z),
-        G1=G1,
-        G2=G2,
-        g=g,
-        residual=float(res),
-        split_residuals=(r1, r2),
-        iterations=int(its),
-        converged=bool(converged),
-    )
+    T = law.eta.tensor
+    eta1_G2 = np.einsum("ijkl,kl->ij", T[:a, :a, a:, a:], G2)
+    eta2_G1 = np.einsum("ijkl,kl->ij", T[a:, a:, :a, :a], G1)
+    r1 = float(np.linalg.norm(z * G1 - np.eye(len(G1)) - z * eta1_G2 @ G1))
+    r2 = float(np.linalg.norm(z * G2 - np.eye(len(G2)) - z * eta2_G1 @ G2))
+    return HHStarSolution(complex(z), G1, G2, complex(np.trace(G1) / a), float(res),
+                          (r1, r2), int(its), bool(converged))
 
 
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
@@ -515,17 +511,17 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     the scalar transform g = tr_a(G1), and the residuals of the two split
     equations z G1 = I + z eta1(G2) G1 and z G2 = I + z eta2(G1) G2.
     """
-    eta1, eta2 = cov.eta1_map(spec), cov.eta2_map(spec)
-    H, res, its, converged = _solve_point(cov._hermitized_map(eta1, eta2), z, config, True)
-    return _hh_star_solution(eta1, eta2, complex(z), H, res, its, converged)
+    law = cov._hh_star_law(spec)
+    H, res, its, converged = _solve_point(law, z, config)
+    return _hh_star_solution(law, spec.a, complex(z), H, res, its, converged)
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
     """Gram-law solutions along z = x + i*epsilon, solved by continuation."""
-    eta1, eta2 = cov.eta1_map(spec), cov.eta2_map(spec)
-    sols, _ = solve_gram_grid(cov._hermitized_map(eta1, eta2), spec.a, xs, epsilon, config)
+    law = cov._hh_star_law(spec)
+    sols, _ = _solve_law_grid(law, xs, epsilon, config)
     return [
-        _hh_star_solution(eta1, eta2, s.z, s.G, s.residual, s.iterations, True)
+        _hh_star_solution(law, spec.a, s.z, s.G, s.residual, s.iterations, True)
         for s in sols
     ]
 
@@ -537,16 +533,7 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     normalized trace of the leading ``side`` x ``side`` block at grid point k;
     ``side`` must lie in 1..d-1.
     """
-    config = config or DEFAULT_CONFIG
-    w = cov._leading_weights(eta.dim_in, side)
-    xs = _check_grid(xs, epsilon)
-    (out,) = _solve_continuation(eta, xs, float(epsilon), config, scale_is_z=True)
-    _require_converged(xs, out)
-    sols = [
-        CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
-        for x, G, r, k in zip(xs, out.G, out.res, out.iters)
-    ]
-    return sols, (out.G.diagonal(axis1=1, axis2=2) * w).sum(axis=1)
+    return _solve_law_grid(cov._gram_law(eta, side), xs, epsilon, config)
 
 
 def _solve_eliminated(outer, inner, z, config):

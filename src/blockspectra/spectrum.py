@@ -173,14 +173,8 @@ def _gram_grid(hi, npoints, eps):
     return np.concatenate(([0.0], np.geomspace(lo, hi, _points(npoints) - 1)))
 
 
-def density_from_eta(
-    eta,
-    xs=None,
-    npoints=DEFAULT_POINTS,
-    epsilon=None,
-    config=None,
-    trace_weights=None,
-) -> SpectralDensity:
+def density_from_eta(eta, xs=None, npoints=DEFAULT_POINTS, epsilon=None, config=None,
+                     trace_weights=None) -> SpectralDensity:
     """Density of the selfadjoint law with covariance map eta.
 
     Without an explicit grid, ``xs`` spans [-1.35 e, 1.35 e] with
@@ -192,22 +186,11 @@ def density_from_eta(
     nonnegative numbers summing to 1 (1/d each by default), weigh the blocks
     in the scalar transform; the ``moments`` command reads the recursion with them.
     """
-    w = cov._trace_weights(trace_weights, eta.dim_in)
-    _check_offset(epsilon)
-    if xs is None:
-        edge = slv._edge_estimate(eta)
-        xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
-    return _invert(eta, xs, epsilon, 1e-3, config, False, w)
+    return _density(cov._map_law(eta, trace_weights), xs, npoints, epsilon, config)
 
 
-def density_gram(
-    eta,
-    side,
-    xs=None,
-    npoints=DEFAULT_POINTS,
-    epsilon=None,
-    config=None,
-) -> SpectralDensity:
+def density_gram(eta, side, xs=None, npoints=DEFAULT_POINTS, epsilon=None,
+                 config=None) -> SpectralDensity:
     """Gram (HH*-type) density for a hermitized covariance map.
 
     ``eta`` acts on (a+b)-indexed matrices and must annihilate the corner
@@ -220,36 +203,36 @@ def density_gram(
     hard edge at zero whose smearing leaks mass below the axis at rate
     sqrt(epsilon).
     """
-    w = cov._leading_weights(eta.dim_in, side)
-    _check_offset(epsilon)
-    if xs is None:
-        hi = 1.8 * slv._edge_estimate(eta) ** 2
-        xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else 1e-5 * hi)
-    return _invert(eta, xs, epsilon, 1e-5, config, True, w)
+    return _density(cov._gram_law(eta, side), xs, npoints, epsilon, config)
 
 
-def _check_offset(epsilon):
-    """An explicit offset must be finite and positive; _invert floors small ones."""
+def _density(law, xs, npoints, epsilon, config) -> SpectralDensity:
+    """Solve a law at offsets (2*eps2, eps2), read G off with its weights, invert.
+
+    The default grid and offset are the selfadjoint or Gram ones above; eps2
+    is ``epsilon`` or the default share of the grid's span, raised to the
+    solver's floor. The offset and grid are checked before anything is solved.
+    """
     if epsilon is not None and not 0 < cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
-
-
-def _invert(eta, xs, epsilon, rel_offset, config, scale_is_z, w):
-    """Solve at offsets (2*eps2, eps2), read G off with trace weights w, invert.
-
-    eps2 is ``epsilon``, or ``rel_offset`` times the grid's span, raised to
-    the solver's floor. The grid is checked before anything is solved.
-    """
+    span_share = 1e-5 if law.gram else 1e-3
+    if xs is None:
+        edge = slv._edge_estimate(law.eta)
+        if law.gram:
+            hi = 1.8 * edge**2
+            xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else span_share * hi)
+        else:
+            xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
     xs = slv._check_grid(xs, slv.MIN_GRID_EPSILON)
     if len(xs) < 2 or (np.diff(xs) <= 0).any():
         raise GridError("xs must be strictly increasing, with at least two points")
-    eps2 = epsilon if epsilon is not None else rel_offset * float(xs[-1] - xs[0])
+    eps2 = epsilon if epsilon is not None else span_share * float(xs[-1] - xs[0])
     eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
     wide, narrow = slv._solve_continuation(
-        eta, xs, eps2, config or slv.DEFAULT_CONFIG, scale_is_z, record=(2 * eps2,)
+        law, xs, eps2, config or slv.DEFAULT_CONFIG, record=(2 * eps2,)
     )
     slv._require_converged(xs, wide, narrow)
-    g1, g2 = ((b.G.diagonal(axis1=1, axis2=2) * w).sum(axis=1) for b in (wide, narrow))
+    g1, g2 = ((b.G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1) for b in (wide, narrow))
     dens = stieltjes_invert(xs, g1, g2, eps2)
     check_mass(dens)
     return dens
@@ -257,8 +240,7 @@ def _invert(eta, xs, epsilon, rel_offset, config, scale_is_z, w):
 
 def density_hh_star(spec, **kwargs) -> SpectralDensity:
     """HH*-law density of an hh_star covariance spec."""
-    eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-    return density_gram(eta, spec.a, **kwargs)
+    return density_gram(cov._hh_star_law(spec).eta, spec.a, **kwargs)
 
 
 def density_h_star_h(spec, **kwargs) -> SpectralDensity:

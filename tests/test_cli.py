@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,17 @@ class TestCommands:
         cli.run("moments", cfg, out_dir=tmp_path)
         assert len(calls) == 1
 
+    def test_law_built_once_per_run(self, tmp_path, monkeypatch):
+        # moments reads the law twice, for the density and the recursion
+        calls = []
+        for name in ("_law", "eta1_map"):
+            fn = getattr(cli.cov, name)
+            monkeypatch.setattr(cli.cov, name,
+                                lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+        cfg = cli.parse_config(json.dumps(MODEL_CONFIGS["hh_star"]))
+        cli.run("moments", cfg, out_dir=tmp_path)
+        assert sorted(calls) == ["_law", "eta1_map"]
+
     def test_end_to_end_determinism(self, tmp_path):
         payload = dict(ISI_CONFIG)
         payload["mc"] = {"N": 20, "realizations": 4, "seed": 21}
@@ -327,6 +339,13 @@ USAGE_ERRORS = {
     "bad-env-threads": ("density", ISI_CONFIG, {}, "soup"),
     "negative-threads": ("density", ISI_CONFIG, {"threads": -1}, None),
     "unknown-command": ("spectrum", ISI_CONFIG, {}, None),
+    # draws the sampler refuses: a Choi min eig of -0.25, and ~1920 GB of scratch
+    "mc-compare-not-psd": ("mc-compare", {
+        "model": "selfadjoint", "d": 2,
+        "entries": [[1, 1, 1, 1, 1.0], [2, 2, 2, 2, 1.0], [1, 1, 2, 2, 1.5]],
+        "mc": {"N": 50, "realizations": 2, "seed": 0}}, {}, None),
+    "capacity-oversized-draw": ("capacity", dict(
+        ISI_CONFIG, snr=[1.0], mc={"N": 100000, "realizations": 1, "seed": 0}), {}, None),
 }
 
 
@@ -335,13 +354,16 @@ USAGE_ERRORS = {
 def test_usage_error_before_any_output_or_solve(
     command, payload, kwargs, env_threads, tmp_path, monkeypatch
 ):
-    def solve(config):
+    def solve(config, law):
         raise AssertionError("solved before refusing the command")
 
     monkeypatch.setattr(cli, "_solve_density", solve)
     if env_threads is not None:
         monkeypatch.setenv(cli.ENV_THREADS, env_threads)
-    cfg = cli.parse_config(json.dumps(payload))
+    with warnings.catch_warnings():
+        # the not-PSD spec is flagged when it is built; the command must refuse it
+        warnings.filterwarnings("ignore", "covariance map is not positivity-preserving")
+        cfg = cli.parse_config(json.dumps(payload))
     with pytest.raises(errors.ValidationError):
         cli.run(command, cfg, out_dir=tmp_path / "out", **kwargs)
     assert not (tmp_path / "out").exists()

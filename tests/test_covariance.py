@@ -315,11 +315,11 @@ class TestHermitize:
 
 
 def _assembled(spec):
-    return cov._hermitized_map(bs.eta1_map(spec), bs.eta2_map(spec))
+    return cov._law(spec).eta
 
 
 class TestHermitizedMap:
-    """The map pair assembler against the hermitized spec's map."""
+    """The law's hermitized map against the hermitized spec's map."""
 
     @pytest.mark.parametrize("K", range(1, 9))
     def test_isi_equals_hermitized_spec_map(self, K):
@@ -343,11 +343,6 @@ class TestHermitizedMap:
         want = bs.eta_map(bs.hermitize_covariance(spec)).tensor
         assert np.abs(_assembled(spec).tensor - want).max() <= 1e-15
 
-    def test_mismatched_pair_rejected(self):
-        spec = bs.isi_covariance(2, 2)
-        with pytest.raises(errors.DimensionMismatch):
-            cov._hermitized_map(bs.eta1_map(spec), bs.eta1_map(spec))
-
     def test_gram_density_skips_choi(self, isi44, monkeypatch):
         calls = []
         choi = cov._choi_min_eig
@@ -356,9 +351,10 @@ class TestHermitizedMap:
         assert calls == []
 
     def test_maps_are_not_kept_alive(self, isi44):
-        ref = weakref.ref(bs.eta_map(bs.hermitize_covariance(isi44)))
+        refs = [weakref.ref(bs.eta_map(bs.hermitize_covariance(isi44))),
+                weakref.ref(cov._law(isi44).eta)]
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestEtaAlpha:

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
+from blockspectra import covariance as cov
 from blockspectra import errors
 from blockspectra import solver as slv
 from blockspectra.solver import max_im_eigenvalue, solve_gram_grid
 
-from conftest import random_selfadjoint_spec
+from conftest import random_hh_star_spec, random_selfadjoint_spec
 from reference_laws import mp1_cauchy, semicircle_cauchy
 
 TIGHT = bs.SolverConfig(tol=1e-12)
@@ -320,8 +321,8 @@ class TestHHStar:
         # them at exact floating-point zero
         from blockspectra import solver as slv
 
-        eta = bs.eta_map(bs.hermitize_covariance(isi44))
-        G, _, _, converged = slv._solve_point(eta, 1.5 + 0.05j, NEWTON, True)
+        law = cov._gram_law(bs.eta_map(bs.hermitize_covariance(isi44)), isi44.a)
+        G, _, _, converged = slv._solve_point(law, 1.5 + 0.05j, NEWTON)
         a = isi44.a
         assert converged
         assert np.abs(G[:a, a:]).max() == 0.0
@@ -333,6 +334,29 @@ class TestHHStar:
             d = bs.solve_hh_star_direct(isi44, z, TIGHT)
             assert d.converged
             assert np.abs(h.G1 - d.G).max() <= 1e-9
+
+    @pytest.mark.parametrize("route", [
+        lambda s: bs.solve_hh_star(s, 1j), lambda s: bs.solve_hh_star_grid(s, [0.5, 1.0], 1e-2),
+        lambda s: bs.density_hh_star(s),
+    ], ids=["solve_hh_star", "solve_hh_star_grid", "density_hh_star"])
+    def test_gram_routes_refuse_other_kinds(self, route):
+        with pytest.raises(errors.WrongKind):
+            route(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.integers(1, 3), b=st.integers(1, 3), complex_=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_random_spec_routes_agree(self, a, b, complex_, seed):
+        # the hermitized route and the eliminated one-sided equation solve
+        # the same Gram law, inside, at and past the support edge 4 ||eta1(I)||
+        spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=complex_)
+        edge = 4 * np.linalg.norm(bs.eta_apply(bs.eta1_map(spec), np.eye(b)), 2)
+        for x in (0.1 * edge, 0.5 * edge, 1.2 * edge):
+            h = bs.solve_hh_star(spec, x + 1e-2j, TIGHT)
+            d = bs.solve_hh_star_direct(spec, x + 1e-2j, TIGHT)
+            assert h.converged and d.converged
+            assert np.abs(h.G1 - d.G).max() <= 1e-9
+            assert max(h.split_residuals) <= 1e-11
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_isi_frame_symmetry(self, K):

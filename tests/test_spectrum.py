@@ -91,7 +91,7 @@ def no_solve(monkeypatch):
 def test_bad_offset_or_grid_refused_before_solving(
     route, epsilon, xs, semicircle_eta, mp_spec, no_solve
 ):
-    gram = cov._hermitized_map(bs.eta1_map(mp_spec), bs.eta2_map(mp_spec))
+    gram = cov._law(mp_spec).eta
     grid = np.linspace(0.1, 1.0, 5) if xs is None else xs
     call = {
         "solve_grid": lambda: bs.solve_grid(semicircle_eta, grid, epsilon),
@@ -114,7 +114,7 @@ def test_bad_offset_or_grid_refused_before_solving(
 def test_grid_the_density_cannot_invert_refused_before_solving(
     route, kwargs, error, semicircle_eta, mp_spec, no_solve
 ):
-    gram = cov._hermitized_map(bs.eta1_map(mp_spec), bs.eta2_map(mp_spec))
+    gram = cov._law(mp_spec).eta
     with pytest.raises(error):
         if route == "density_from_eta":
             bs.density_from_eta(semicircle_eta, **kwargs)
@@ -299,8 +299,7 @@ def test_even_moments_within_grid_bound(gram, a, b, seed):
     rng = np.random.default_rng(seed)
     if gram:
         spec = random_hh_star_spec(a, b, rng)
-        eta = cov._hermitized_map(cov.eta1_map(spec), cov.eta2_map(spec))
-        weights = cov._leading_weights(spec.dim, spec.a)
+        eta, weights, _ = cov._law(spec)
     else:
         eta = bs.eta_map(random_selfadjoint_spec(a, rng))
         weights = None
@@ -330,13 +329,13 @@ def test_random_complex_selfadjoint_law(d, seed):
 class TestGramSide:
     @pytest.mark.parametrize("side", [0, 2, 1.5])
     def test_side_must_split_the_blocks(self, mp_spec, side):
-        eta = cov._hermitized_map(cov.eta1_map(mp_spec), cov.eta2_map(mp_spec))
+        eta = cov._law(mp_spec).eta
         with pytest.raises(errors.BadParameter, match="side"):
             bs.density_gram(eta, side)
 
     @pytest.mark.parametrize("side", [0, 2, 6, -1, 2.5, True])
     def test_grid_side_must_split_the_blocks(self, mp_spec, side, no_solve):
-        eta = cov._hermitized_map(cov.eta1_map(mp_spec), cov.eta2_map(mp_spec))
+        eta = cov._law(mp_spec).eta
         with pytest.raises(errors.BadParameter, match="side"):
             slv.solve_gram_grid(eta, side, np.linspace(0.0, 1.0, 5), 1e-2)
 
