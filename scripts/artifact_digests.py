@@ -12,11 +12,17 @@ artifacts, so this prints nothing when they are byte-identical:
 
     python scripts/artifact_digests.py | diff - scripts/artifact_digests.txt
 
+``--keep DIR`` writes the artifacts under ``DIR/<config>/<command>/`` and
+leaves them there, so two checkouts' artifacts can be compared value by
+value with ``scripts/artifact_diff.py``.
+
 The BLAS thread pool is pinned to one thread before numpy loads: the
 sampled eigenvalues behind ``mc-compare`` can differ in their last bits
 with the pool's size, and the digests must not depend on the core count.
 """
 
+import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -34,7 +40,11 @@ from blockspectra.errors import ValidationError  # noqa: E402
 
 
 def main():
-    with tempfile.TemporaryDirectory() as tmp:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="write the artifacts under DIR instead of a temporary directory")
+    keep = parser.parse_args().keep
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         for path in sorted((ROOT / "configs").glob("*.json")):
             config = cli.parse_config(path)
             for command in cli.COMMANDS:

@@ -451,7 +451,7 @@ class Law(NamedTuple):
     """What a law is solved with.
 
     ``eta`` is the square map, ``weights`` the trace weights that read G,
-    and ``gram`` whether it is a Gram law, solved as z H = I + z eta(H) H.
+    and ``gram`` whether it is a Gram law, read as H(z) = G(sqrt z)/sqrt z.
     """
 
     eta: EtaMap

@@ -23,11 +23,11 @@ offset down a continuation ladder (``_solve_continuation``): on each level
 the damped fixed-point map globalizes and Newton refines. Only
 ``newton_refine`` starts from a caller's approximation.
 
-The Gram (HH*) variant solves the substituted equation for the hermitized
-map, z H(z) = I + z eta(H(z)) H(z); it has the same structure with eta
-scaled by z, so one engine serves both. The engine reads both from a
-``cov.Law``: its map, and whether it is a Gram law; a spec's law
-(``cov._law``) is built once per call.
+A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
+X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
+central equation for the hermitized map (its residual w G - I - eta(G) G is
+z H - I - z eta(H) H). Only ``_solve_continuation`` reads a ``cov.Law``'s
+Gram flag; ``cov._law`` builds a spec's law once per call.
 
 One damped loop (``_damped_loop``) holds the damping policy for every
 iteration: the engine's fixed-point sweeps and the eliminated one-sided
@@ -122,8 +122,7 @@ def max_im_eigenvalue(G) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched engine: equation z G = I + s * eta(G) G over a batch of points,
-# with s = 1 for the plain equation and s = z for the Gram (H) equation.
+# batched engine: equation z G = I + eta(G) G over a batch of points.
 # G is stored as its values on the map's invariant pattern, shape (P, m);
 # blockwise work runs as one batched call per block size.
 # ---------------------------------------------------------------------------
@@ -173,15 +172,15 @@ def _eta_batch(pat, G):
     return G @ pat.tensor.T
 
 
-def _residual(pat, zs, scale, G, EG):
-    """Residual z G - I - s eta(G) G per point, on the pattern."""
-    return zs[:, None] * G - pat.eye - scale[:, None] * _block_matmul(pat, EG, G)
+def _residual(pat, zs, G, EG):
+    """Residual z G - I - eta(G) G per point, on the pattern."""
+    return zs[:, None] * G - pat.eye - _block_matmul(pat, EG, G)
 
 
-def _residual_batch(pat, zs, scale, G, EG=None):
+def _residual_batch(pat, zs, G, EG=None):
     if EG is None:
         EG = _eta_batch(pat, G)
-    return np.linalg.norm(_residual(pat, zs, scale, G, EG), axis=1)
+    return np.linalg.norm(_residual(pat, zs, G, EG), axis=1)
 
 
 def _damped_loop(G, residual, step, target, budget):
@@ -227,21 +226,21 @@ def _damped_loop(G, residual, step, target, budget):
     return G, res, iters
 
 
-def _fixed_point_batch(pat, zs, scale, G, target, budget):
-    """The damped loop on the pattern: step G -> (z I - s eta(G))^{-1}."""
+def _fixed_point_batch(pat, zs, G, target, budget):
+    """The damped loop on the pattern: step G -> (z I - eta(G))^{-1}."""
 
     def residual(G):
         EG = _eta_batch(pat, G)
-        return _residual_batch(pat, zs, scale, G, EG), EG
+        return _residual_batch(pat, zs, G, EG), EG
 
     def step(G, EG):
-        return _block_inv(pat, zs[:, None] * pat.eye - scale[:, None] * EG)
+        return _block_inv(pat, zs[:, None] * pat.eye - EG)
 
     return _damped_loop(G, residual, step, target, budget)
 
 
-def _jacobian(pat, zs, scale, G, EG):
-    """Linearization on the pattern: column c is z E_c - s (eta(E_c) G + eta(G) E_c).
+def _jacobian(pat, zs, G, EG):
+    """Linearization on the pattern: column c is z E_c - eta(E_c) G - eta(G) E_c.
 
     E_c is the pattern's c-th basis matrix; the result has shape (P, m, m).
     """
@@ -257,12 +256,12 @@ def _jacobian(pat, zs, scale, G, EG):
         base = sl.start + s * s * np.arange(n)[:, None, None, None]
         i, j, k = np.indices((s, s, s))
         lin[:, base + i * s + j, base + k * s + j] += EG[:, base + i * s + k]
-    J = -scale[:, None, None] * lin
-    J[:, np.arange(m), np.arange(m)] += zs[:, None]
-    return J
+    np.negative(lin, out=lin)
+    lin[:, np.arange(m), np.arange(m)] += zs[:, None]
+    return lin
 
 
-def _newton_batch(pat, zs, scale, G, target, budget):
+def _newton_batch(pat, zs, G, target, budget):
     """Newton on the m x m linearization in the pattern's coordinates.
 
     Each step solves one m x m system per point (m = d for a diagonal
@@ -272,7 +271,7 @@ def _newton_batch(pat, zs, scale, G, target, budget):
     """
     G = G.copy()
     P, m = G.shape
-    res = _residual_batch(pat, zs, scale, G)
+    res = _residual_batch(pat, zs, G)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
     budget = np.broadcast_to(budget, (P,))
@@ -281,10 +280,10 @@ def _newton_batch(pat, zs, scale, G, target, budget):
         if not active.any():
             break
         ii = np.flatnonzero(active)
-        Gi, zi, si = G[ii], zs[ii], scale[ii]
+        Gi, zi = G[ii], zs[ii]
         EG = _eta_batch(pat, Gi)
-        J = _jacobian(pat, zi, si, Gi, EG)
-        rhs = -_residual(pat, zi, si, Gi, EG)[:, :, None]
+        J = _jacobian(pat, zi, Gi, EG)
+        rhs = -_residual(pat, zi, Gi, EG)[:, :, None]
         try:
             step = np.linalg.solve(J, rhs)[..., 0]
         except np.linalg.LinAlgError:
@@ -302,7 +301,7 @@ def _newton_batch(pat, zs, scale, G, target, budget):
             if not pending.any():
                 break
             trial = Gi + factor[:, None] * step
-            rtrial = _residual_batch(pat, zi, si, trial)
+            rtrial = _residual_batch(pat, zi, trial)
             good = pending & (rtrial < res[ii])
             Gbest[good] = trial[good]
             res[ii[good]] = rtrial[good]
@@ -317,13 +316,13 @@ def _newton_batch(pat, zs, scale, G, target, budget):
 def _solve_continuation(law, xs, epsilon, config, record=()):
     """Solve a law's batch along z = x + i*epsilon by stepping the offset down.
 
-    Every point starts from -i*I, and the offset walks down by factors of 4
-    from max(span, 1) / 8 (or epsilon, if larger), each level warm starting
-    the next; the ladder stops at MIN_GRID_EPSILON before its final level,
-    so epsilon = 0 (a real z) is reached too. Each level runs the damped
-    fixed-point map (40 sweeps on the first level, 6 after) toward
-    NEWTON_HANDOFF, then Newton. No point takes more than
-    ``config.max_iter`` iterations over the whole ladder.
+    Every point starts from H = -i*I, and the offset walks down by factors
+    of 4 from max(span, 1) / 8 (or epsilon, if larger), each level warm
+    starting the next; the ladder stops at MIN_GRID_EPSILON before its final
+    level, so epsilon = 0 (a real z) is reached too. Each level runs the
+    damped fixed-point map (40 sweeps on the first level, 6 after) toward
+    NEWTON_HANDOFF, then Newton, on G = w H at w = z, or w = sqrt(z) for a
+    Gram law. No point takes more than ``config.max_iter`` iterations in all.
 
     ``record`` lists extra offsets on the ladder whose solved batches the
     caller also wants (e.g. 2*epsilon for Richardson extrapolation).
@@ -334,7 +333,7 @@ def _solve_continuation(law, xs, epsilon, config, record=()):
     pat = law.eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
-    G = np.tile(-1j * pat.eye, (P, 1))
+    H = np.tile(-1j * pat.eye, (P, 1))
     levels = {epsilon, *record}
     e = max(epsilon, max(float(np.ptp(xs)), 1.0) / 8.0)
     while e > max(epsilon, MIN_GRID_EPSILON) * (1 + 1e-9):
@@ -345,21 +344,24 @@ def _solve_continuation(law, xs, epsilon, config, record=()):
     snapshots = {}
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
-        scale = zs if law.gram else np.ones(P, dtype=complex)
+        ws = np.sqrt(zs) if law.gram else zs
+        G = ws[:, None] * H if law.gram else H
         wanted = lev == len(levels) - 1 or eps in record
         # intermediate levels only feed warm starts; full accuracy is
         # needed only where results are consumed
         tol = config.tol if wanted else max(config.tol, 1e-7)
         left = config.max_iter - total
         G, res, fits = _fixed_point_batch(
-            pat, zs, scale, G, max(tol, NEWTON_HANDOFF), np.minimum(40 if lev == 0 else 6, left)
+            pat, ws, G, max(tol, NEWTON_HANDOFF), np.minimum(40 if lev == 0 else 6, left)
         )
-        G, res, nits, _ = _newton_batch(pat, zs, scale, G, tol, np.minimum(60, left - fits))
+        G, res, nits, _ = _newton_batch(pat, ws, G, tol, np.minimum(60, left - fits))
+        # z = 0 is a pole of H: no step moves G = 0 there, so H stays as it was
+        H = np.divide(G, ws[:, None], out=H.copy(), where=ws[:, None] != 0) if law.gram else G
         total += fits + nits
         if wanted:
-            im_max = _block_im_max(pat, G)
+            im_max = _block_im_max(pat, H)
             converged = (res <= tol) & (im_max <= IM_EIG_TOL)
-            snapshots[eps] = _Batch(G, res, total.copy(), converged, im_max)
+            snapshots[eps] = _Batch(H, res, total.copy(), converged, im_max)
     batches = [snapshots[e] for e in (*record, levels[-1])]
     return [b._replace(G=pat.expand(b.G)) for b in batches]
 
@@ -435,9 +437,7 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     pat = eta.pattern
     zs = np.array([z])
     budget = min(config.max_iter, 60)
-    G, res, its, stuck = _newton_batch(
-        pat, zs, np.ones(1, dtype=complex), pat.compress(G0[None]), config.tol, budget
-    )
+    G, res, its, stuck = _newton_batch(pat, zs, pat.compress(G0[None]), config.tol, budget)
     if stuck[0] and res[0] > max(config.tol, NEWTON_HANDOFF):
         raise SingularJacobian(
             "Newton made no progress (singular or stalled linearization); "
@@ -505,7 +505,7 @@ def _hh_star_solution(law, a, z, H, res, its, converged) -> HHStarSolution:
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     """Solve the Gram-law equations of an hh_star spec at one point.
 
-    Works on the hermitized map via z H = I + z eta(H) H, whose solution is
+    Works on the hermitized map, H(z) = G(sqrt z)/sqrt z, whose solution is
     block diagonal H = diag(G1, G2); the corners stay exactly zero along the
     iteration because the hermitized map annihilates them. Returns the blocks,
     the scalar transform g = tr_a(G1), and the residuals of the two split
@@ -529,7 +529,7 @@ def solve_hh_star_grid(spec, xs, epsilon, config=None):
 def solve_gram_grid(eta, side, xs, epsilon, config=None):
     """Gram-law grid for an arbitrary hermitized map.
 
-    Solves z H = I + z eta(H) H and returns (solutions, g) where g[k] is the
+    Solves for H(z) = G(sqrt z)/sqrt z and returns (solutions, g) where g[k] is the
     normalized trace of the leading ``side`` x ``side`` block at grid point k;
     ``side`` must lie in 1..d-1.
     """

@@ -169,7 +169,8 @@ def _points(npoints) -> int:
 
 def _gram_grid(hi, npoints, eps):
     """Geometric grid on [0, hi]: resolves integrable 1/sqrt(x) edges at 0."""
-    lo = max(eps / 4.0, hi * 1e-7)
+    # start at a quarter of the offset, at most hi / 4: increasing for any offset
+    lo = max(min(eps, hi) / 4.0, hi * 1e-7)
     return np.concatenate(([0.0], np.geomspace(lo, hi, _points(npoints) - 1)))
 
 

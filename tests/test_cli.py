@@ -536,3 +536,33 @@ def test_artifacts_match_checked_in_digests():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == (ROOT / "scripts" / "artifact_digests.txt").read_text()
+
+
+def test_artifact_diff_bounds_each_artifact(tmp_path, capsys):
+    """artifact_diff.py reports presence and the largest move of every artifact."""
+    import runpy
+
+    diff = runpy.run_path(str(ROOT / "scripts" / "artifact_diff.py"))["main"]
+    files = {
+        "A": {"c/density/density.csv": "x,density\n0,4.0\n1,2.0\n",
+              "c/mc-compare/ks.json": '{"N": 10, "ks": 0.5, "edges": [1.0, 2.0]}',
+              "c/moments/moments.csv": "order,m\n1,3\n",
+              "c/only/a.csv": "x\n1\n"},
+        "B": {"c/density/density.csv": "x,density\n0,4.0\n1,2.000001\n",
+              "c/mc-compare/ks.json": '{"N": 10, "ks": 0.25, "edges": [1.0, 2.0]}',
+              "c/moments/moments.csv": "order,m,extra\n1,3,0\n",
+              "c/only/b.csv": "x\n1\n"},
+    }
+    for side, tree in files.items():
+        for name, text in tree.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    diff([str(tmp_path / "A"), str(tmp_path / "B")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "c/density/density.csv both max_abs_diff=1e-06 rel_to_max=2.5e-07",
+        "c/mc-compare/ks.json both max_abs_diff=0.25 rel_to_max=0.025",
+        "c/moments/moments.csv layout differs",
+        "c/only/a.csv only in A",
+        "c/only/b.csv only in B",
+    ]

@@ -199,7 +199,7 @@ class TestNewtonRefine:
         z = 2 + 0.01j
         herm = bs.hermitize_covariance(isi44)
         eta = bs.eta_map(herm)
-        # plain (unscaled) equation at this z for the hermitized map
+        # the hermitized map's own selfadjoint equation at this z
         fp = bs.solve_fixed_point(eta, z, bs.SolverConfig(tol=1e-11))
         rough = bs.solve_fixed_point(eta, z, bs.SolverConfig(tol=1e-3))
         nt = bs.newton_refine(eta, z, rough.G, bs.SolverConfig(tol=1e-11))
@@ -224,8 +224,7 @@ def test_newton_batch_falls_back_to_each_point_when_one_jacobian_is_singular(sem
     # at z = 0 from G = 0 the semicircle Jacobian z - 2 G is exactly zero, so the
     # batched solve fails; the other point must still converge on its own
     G, res, its, stuck = slv._newton_batch(
-        semicircle_eta.pattern, np.array([0j, 1j]), np.ones(2, dtype=complex),
-        np.array([[0j], [-0.5j]]), 1e-12, 60,
+        semicircle_eta.pattern, np.array([0j, 1j]), np.array([[0j], [-0.5j]]), 1e-12, 60,
     )
     assert stuck.tolist() == [True, False]
     assert its[0] == 0 and G[0, 0] == 0
@@ -298,10 +297,20 @@ class TestHHStar:
         assert max(sol.split_residuals) <= 1e-12
 
     def test_mp_matches_closed_form_on_points(self, mp_spec):
-        for x in (0.5, 1.0, 2.5, 3.9):
-            z = x + 0.05j
+        # w = sqrt(z) is imaginary for z < 0, next to 0 for z = 1e-6 i, and
+        # real inside the support for z = 0.5
+        for z in (0.5 + 0.05j, 1.0 + 0.05j, 2.5 + 0.05j, 3.9 + 0.05j, -2.0, -0.01, 1e-6j, 0.5):
             sol = bs.solve_hh_star(mp_spec, z, TIGHT)
+            assert sol.converged
             assert sol.g == pytest.approx(complex(mp1_cauchy(z)), abs=1e-10)
+
+    def test_pole_at_zero_keeps_a_finite_unconverged_iterate(self, mp_spec):
+        # w = sqrt(0) = 0: with the budget spent before the last level, no
+        # step runs there and H must not become G/w = 0/0
+        sol = bs.solve_hh_star(mp_spec, 0.0, bs.SolverConfig(max_iter=1))
+        assert not sol.converged and np.isfinite(sol.G1).all()
+        with pytest.raises(errors.SingularResolvent):
+            bs.solve_hh_star(mp_spec, 0.0)
 
     def test_isi_diagonal_structure_and_printed_system(self, isi44):
         z = 2 + 0.01j
@@ -357,6 +366,24 @@ class TestHHStar:
             assert h.converged and d.converged
             assert np.abs(h.G1 - d.G).max() <= 1e-9
             assert max(h.split_residuals) <= 1e-11
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.integers(1, 3), b=st.integers(1, 3), complex_=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_gram_law_is_the_hermitized_law_at_sqrt_z(self, a, b, complex_, seed):
+        # X = [[0, H], [H*, 0]] has X^2 = diag(HH*, H*H), so H(z) = G(w)/w at
+        # w = sqrt(z), with G the hermitized map's selfadjoint solution: off
+        # the axis, on the positive real axis below and past the edge bound
+        # e (w real), and on the negative real axis (w imaginary)
+        spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=complex_)
+        eta = bs.eta_map(bs.hermitize_covariance(spec))
+        edge = 4 * np.linalg.norm(bs.eta_apply(bs.eta1_map(spec), np.eye(b)), 2)
+        for z in ((0.5 + 0.05j) * edge, 0.5 * edge, 1.5 * edge, -0.3 * edge):
+            w = np.sqrt(complex(z))
+            h = bs.solve_hh_star(spec, z, TIGHT)
+            g = bs.solve_fixed_point(eta, w, TIGHT)
+            assert h.converged and g.converged
+            assert np.abs(h.G1 - g.G[:a, :a] / w).max() <= 1e-9
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_isi_frame_symmetry(self, K):

@@ -271,6 +271,17 @@ class TestPipelines:
                                 epsilon=1e-3)
 
 
+    def test_gram_grid_increases_for_an_offset_past_its_span(self):
+        # ISI K = L = 2 has hi = 2.88: a geometric part that started at
+        # epsilon / 4 ran downward once epsilon > 4 hi, and the check
+        # refused a grid the user never gave; now the mass check judges it
+        spec = bs.isi_covariance(2, 2)
+        with pytest.warns(RuntimeWarning, match="total mass"):
+            dens = bs.density_hh_star(spec, epsilon=11.64)
+        assert dens.xs[0] == 0.0 and (np.diff(dens.xs) > 0).all()
+        assert dens.xs[-1] == pytest.approx(2.88, rel=1e-12)
+
+
 class TestGridFromBound:
     @pytest.mark.parametrize("var", [1e-3, 1.0, 1e2])
     def test_semicircle_solved_once_on_scaled_grid(self, var, semicircle_eta, monkeypatch):
