@@ -62,7 +62,7 @@ ENV_THREADS = "BLOCKSPECTRA_THREADS"
 class GridConfig:
     xmin: float | None = None
     xmax: float | None = None
-    points: int = 512
+    points: int = spc.DEFAULT_POINTS
     epsilon: float | None = None
 
     def __post_init__(self):
@@ -108,8 +108,6 @@ class ProblemConfig:
     def __post_init__(self):
         try:
             built = _MODELS[self.model].build(self)
-        except ValidationError:
-            raise
         except BlockspectraError as exc:
             raise ValidationError(self.model, f"{self.model} model: {exc}") from exc
         object.__setattr__(self, "built", built)
@@ -244,8 +242,6 @@ def _section(make, keys):
         fields = _parse_object(raw, keys, where)
         try:
             return make(**fields)
-        except ValidationError:
-            raise
         except BlockspectraError as exc:
             raise ValidationError(where, f"{where}: {exc}") from exc
     return parse

@@ -128,7 +128,8 @@ def max_im_eigenvalue(G) -> float:
 # ---------------------------------------------------------------------------
 
 class _Batch(NamedTuple):
-    G: np.ndarray          # compressed (P, m), or expanded (P, d, d) by callers
+    G: np.ndarray          # expanded (P, d, d)
+    g: np.ndarray          # the law's transform, tr(G) read with its trace weights
     res: np.ndarray
     iters: np.ndarray
     converged: np.ndarray
@@ -313,40 +314,40 @@ def _newton_batch(pat, zs, G, target, budget):
     return G, res, iters, stuck
 
 
-def _solve_continuation(law, xs, epsilon, config, record=()):
-    """Solve a law's batch along z = x + i*epsilon by stepping the offset down.
+def _solve_continuation(law, xs, offsets, config):
+    """Solve a law's batch along z = x + i*eps at each of ``offsets``, largest first.
 
     Every point starts from H = -i*I, and the offset walks down by factors
-    of 4 from max(span, 1) / 8 (or epsilon, if larger), each level warm
-    starting the next; the ladder stops at MIN_GRID_EPSILON before its final
-    level, so epsilon = 0 (a real z) is reached too. Each level runs the
-    damped fixed-point map (40 sweeps on the first level, 6 after) toward
-    NEWTON_HANDOFF, then Newton, on G = w H at w = z, or w = sqrt(z) for a
-    Gram law. No point takes more than ``config.max_iter`` iterations in all.
+    of 4 from max(span, 1) / 8 (or the last offset, if larger) through every
+    offset, each level warm starting the next; the ladder stops at
+    MIN_GRID_EPSILON before its final level, so a last offset of 0 (a real
+    z) is reached too. Each level runs the damped fixed-point map (40 sweeps
+    on the first level, 6 after) toward NEWTON_HANDOFF, then Newton, on
+    G = w H at w = z, or w = sqrt(z) for a Gram law. No point takes more
+    than ``config.max_iter`` iterations in all.
 
-    ``record`` lists extra offsets on the ladder whose solved batches the
-    caller also wants (e.g. 2*epsilon for Richardson extrapolation).
-    Returns one batch per recorded offset, then the batch at ``epsilon``
-    (whose ``iters`` count the whole ladder), each with G expanded to
-    (P, d, d).
+    Returns one batch per offset: G expanded to (P, d, d), g the law's
+    transform read off G with its trace weights, and ``iters`` counting the
+    ladder down to that offset.
     """
+    config = config or DEFAULT_CONFIG
     pat = law.eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
     H = np.tile(-1j * pat.eye, (P, 1))
-    levels = {epsilon, *record}
-    e = max(epsilon, max(float(np.ptp(xs)), 1.0) / 8.0)
-    while e > max(epsilon, MIN_GRID_EPSILON) * (1 + 1e-9):
+    levels = set(offsets)
+    e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
+    while e > max(offsets[-1], MIN_GRID_EPSILON) * (1 + 1e-9):
         levels.add(e)
         e /= 4.0
     levels = sorted(levels, reverse=True)
     total = np.zeros(P, dtype=int)
-    snapshots = {}
+    snapshots = []  # the wanted levels, in the order of offsets
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
         ws = np.sqrt(zs) if law.gram else zs
         G = ws[:, None] * H if law.gram else H
-        wanted = lev == len(levels) - 1 or eps in record
+        wanted = eps in offsets
         # intermediate levels only feed warm starts; full accuracy is
         # needed only where results are consumed
         tol = config.tol if wanted else max(config.tol, 1e-7)
@@ -361,35 +362,38 @@ def _solve_continuation(law, xs, epsilon, config, record=()):
         if wanted:
             im_max = _block_im_max(pat, H)
             converged = (res <= tol) & (im_max <= IM_EIG_TOL)
-            snapshots[eps] = _Batch(H, res, total.copy(), converged, im_max)
-    batches = [snapshots[e] for e in (*record, levels[-1])]
-    return [b._replace(G=pat.expand(b.G)) for b in batches]
+            snapshots.append((H, res, total.copy(), converged, im_max))
+    # expanded only now: the ladder holds compressed levels
+    batches = [(pat.expand(H), *rest) for H, *rest in snapshots]
+    return [_Batch(G, (G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1), *rest)
+            for G, *rest in batches]
 
 
 def _solve_point(law, z, config):
     """One point through the ladder: (G, residual, iterations, converged)."""
     z = _upper_half(z)
-    (out,) = _solve_continuation(law, [z.real], z.imag, config or DEFAULT_CONFIG)
+    (out,) = _solve_continuation(law, [z.real], (z.imag,), config)
     return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
 
-def _require_converged(xs, *batches):
-    """Raise NoConvergence naming the grid points that any batch failed.
+def _solve_converged(law, xs, offsets, config):
+    """The ladder's batches at ``offsets``, or NoConvergence naming the points any failed.
 
     The message lists every failing index, then x, the residual and the
     largest eigenvalue of Im G (which must stay <= IM_EIG_TOL) of the first
     five, worst over the batches.
     """
+    batches = _solve_continuation(law, xs, offsets, config)
     bad = np.flatnonzero(~np.logical_and.reduce([b.converged for b in batches]))
-    if not bad.size:
-        return
-    res = np.max([b.res for b in batches], axis=0)
-    im_max = np.max([b.im_max for b in batches], axis=0)
-    detail = "; ".join(
-        f"x={xs[i]:.6g} residual={res[i]:.3g} max eig Im G={im_max[i]:.3g}"
-        for i in bad[:5]
-    )
-    raise NoConvergence(f"grid points {bad.tolist()} did not converge: {detail}")
+    if bad.size:
+        res = np.max([b.res for b in batches], axis=0)
+        im_max = np.max([b.im_max for b in batches], axis=0)
+        detail = "; ".join(
+            f"x={xs[i]:.6g} residual={res[i]:.3g} max eig Im G={im_max[i]:.3g}"
+            for i in bad[:5]
+        )
+        raise NoConvergence(f"grid points {bad.tolist()} did not converge: {detail}")
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +485,12 @@ def solve_grid(eta, xs, epsilon, config=None):
 def _solve_law_grid(law, xs, epsilon, config):
     """A law's grid solve: (solutions, the transform read with the law's weights)."""
     xs = _check_grid(xs, epsilon)
-    (out,) = _solve_continuation(law, xs, float(epsilon), config or DEFAULT_CONFIG)
-    _require_converged(xs, out)
+    (out,) = _solve_converged(law, xs, (float(epsilon),), config)
     sols = [
         CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
         for x, G, r, k in zip(xs, out.G, out.res, out.iters)
     ]
-    return sols, (out.G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1)
+    return sols, out.g
 
 
 def _hh_star_solution(law, a, z, H, res, its, converged) -> HHStarSolution:
@@ -597,19 +600,18 @@ def moment_check(eta, config=None) -> MomentEstimates:
     Fits Re tr_d(z G(i R)) as a polynomial in 1/R^2 over the radii
     R = max(e, 1) * (4, 8, 16, 32, 64), with e the support edge estimate
     2 ||eta(I)||^(1/2): all lie at least 4e out, well outside the support.
-    The expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
+    Each radius is one ``_solve_point`` ladder, with its own max_iter. The
+    expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
     """
     config = config or DEFAULT_CONFIG
-    d = eta.dim_out
+    law, d = cov._map_law(eta), eta.dim_out
     radii = max(_edge_estimate(eta), 1.0) * np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     tight = replace(config, tol=min(config.tol, 1e-12))
     w = []
-    for R in radii:
-        sol = solve_fixed_point(eta, 1j * R, tight)
-        if not sol.converged:
+    for R in radii:  # cold: a warm walk through the radii moves m4 by ~3e-9
+        G, _, _, converged = _solve_point(law, 1j * R, tight)
+        if not converged:
             raise NoConvergence(f"moment probe at z = {1j * R} did not converge")
-        w.append(float((1j * R * np.trace(sol.G) / d).real))
-    u = 1.0 / radii**2
-    V = np.vander(u, N=len(radii), increasing=True)
-    coeff = np.linalg.solve(V, np.asarray(w))
+        w.append(float((1j * R * np.trace(G) / d).real))
+    coeff = np.linalg.solve(np.vander(1.0 / radii**2, increasing=True), np.asarray(w))
     return MomentEstimates(m0=float(coeff[0]), m2=float(-coeff[1]), m4=float(coeff[2]))

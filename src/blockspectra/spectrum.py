@@ -91,9 +91,20 @@ def stieltjes_invert(xs, g_wide, g_narrow, eps2) -> SpectralDensity:
     )
 
 
+def _pieces(density: SpectralDensity, f) -> np.ndarray:
+    """Trapezoid pieces of the integral of f p, one per grid interval."""
+    y = f(density.xs) * density.ps
+    return 0.5 * (y[1:] + y[:-1]) * np.diff(density.xs)
+
+
+def _integral(density: SpectralDensity, f) -> float:
+    """Integral of f against the law: the trapezoid rule, plus f(0) times the atom."""
+    return float(np.sum(_pieces(density, f))) + float(f(0.0)) * density.atom_at_zero
+
+
 def mass(density: SpectralDensity) -> float:
     """Trapezoid mass of the sampled part plus the atom."""
-    return float(np.trapezoid(density.ps, density.xs)) + density.atom_at_zero
+    return _integral(density, np.ones_like)
 
 
 def check_mass(density: SpectralDensity) -> float:
@@ -112,14 +123,12 @@ def check_mass(density: SpectralDensity) -> float:
 
 def cdf(density: SpectralDensity):
     """Tabulated CDF as a vectorized callable F(x)."""
-    xs, ps = density.xs, density.ps
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (ps[1:] + ps[:-1]) * np.diff(xs))))
-    atom = density.atom_at_zero
+    xs, atom = density.xs, density.atom_at_zero
+    cum = np.concatenate(([0.0], np.cumsum(_pieces(density, np.ones_like))))
 
     def F(x):
         x = cov._numbers(x, "x")
-        base = np.interp(x, xs, cum, left=0.0, right=float(cum[-1]))
-        out = base + atom * (x >= 0.0)
+        out = np.interp(x, xs, cum, left=0.0, right=float(cum[-1])) + atom * (x >= 0.0)
         return float(out) if out.ndim == 0 else out
 
     return F
@@ -132,16 +141,10 @@ def capacity(density: SpectralDensity, snr: float) -> float:
     """
     if not 0 < cov._real(snr, "snr") < np.inf:
         raise BadParameter(f"snr must be positive and finite, got {snr}")
-    xs, ps = density.xs, density.ps
-    neg = xs < 0
-    if neg.any():
-        neg_mass = float(np.trapezoid(np.where(neg, ps, 0.0), xs))
-        if neg_mass > 1e-6:
-            raise NegativeSupport(
-                f"density carries mass {neg_mass:.3e} on the negative axis"
-            )
-    integrand = np.log2(1.0 + snr * np.clip(xs, 0.0, None)) * ps
-    return float(np.trapezoid(integrand, xs))
+    neg_mass = _integral(density, lambda x: x < 0)
+    if neg_mass > 1e-6:
+        raise NegativeSupport(f"density carries mass {neg_mass:.3e} on the negative axis")
+    return _integral(density, lambda x: np.log2(1.0 + snr * np.clip(x, 0.0, None)))
 
 
 def moments_from_density(density: SpectralDensity, k: int) -> float:
@@ -149,10 +152,7 @@ def moments_from_density(density: SpectralDensity, k: int) -> float:
     k = cov._count(k, "moment order")
     if k < 0:
         raise BadParameter("moment order must be >= 0")
-    val = float(np.trapezoid(density.xs**k * density.ps, density.xs))
-    if k == 0:
-        val += density.atom_at_zero
-    return val
+    return _integral(density, lambda x: x**k)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,8 @@ def _gram_grid(hi, npoints, eps):
     """Geometric grid on [0, hi]: resolves integrable 1/sqrt(x) edges at 0."""
     # start at a quarter of the offset, at most hi / 4: increasing for any offset
     lo = max(min(eps, hi) / 4.0, hi * 1e-7)
-    return np.concatenate(([0.0], np.geomspace(lo, hi, _points(npoints) - 1)))
+    # the geometric part ends at hi, also as one point (where geomspace gives [lo])
+    return np.concatenate(([0.0], np.geomspace(lo, hi, _points(npoints) - 1)[:-1], [hi]))
 
 
 def density_from_eta(eta, xs=None, npoints=DEFAULT_POINTS, epsilon=None, config=None,
@@ -229,12 +230,8 @@ def _density(law, xs, npoints, epsilon, config) -> SpectralDensity:
         raise GridError("xs must be strictly increasing, with at least two points")
     eps2 = epsilon if epsilon is not None else span_share * float(xs[-1] - xs[0])
     eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
-    wide, narrow = slv._solve_continuation(
-        law, xs, eps2, config or slv.DEFAULT_CONFIG, record=(2 * eps2,)
-    )
-    slv._require_converged(xs, wide, narrow)
-    g1, g2 = ((b.G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1) for b in (wide, narrow))
-    dens = stieltjes_invert(xs, g1, g2, eps2)
+    wide, narrow = slv._solve_converged(law, xs, (2 * eps2, eps2), config)
+    dens = stieltjes_invert(xs, wide.g, narrow.g, eps2)
     check_mass(dens)
     return dens
 

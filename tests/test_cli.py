@@ -148,6 +148,30 @@ class TestParse:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("section, value", [
+        ("grid", {"xmin": -1.0}),
+        ("grid", {"xmin": 1.0, "xmax": 1.0}),
+        ("grid", {"xmin": 1.0, "xmax": -1.0}),
+        ("solver", {"tol": 0.0}),
+        ("solver", {"tol": -1e-10}),
+    ], ids=["xmin-only", "xmax-at-xmin", "xmax-below-xmin", "tol-zero", "tol-negative"])
+    def test_section_constructor_refusal_names_the_section(
+        self, section, value, tmp_path, capsys
+    ):
+        # each value parses on its own; the section's own constructor refuses it
+        payload = dict(ISI_CONFIG, **{section: value})
+        with pytest.raises(errors.ValidationError) as err:
+            cli.parse_config(json.dumps(payload))
+        assert err.value.field == section
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and err["message"].startswith(f"{section}: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("payload, fields", [
         (ISI_CONFIG,
          dict(model="isi", K=2, L=2, grid=cli.GridConfig(points=160),
@@ -443,6 +467,20 @@ class TestMain:
         assert code == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "InvariantViolation"
+        assert not list(tmp_path.glob("*/density.csv"))
+
+    def test_clip_excursion_pin_exit_one(self, tmp_path, monkeypatch, capsys):
+        # mass 1 passes the mass pin; a dip of 2e-3 below zero before clipping must not
+        dipped = bs.SpectralDensity(xs=np.linspace(0.0, 1.0, 3), ps=np.ones(3),
+                                    clip_excursion=2e-3)
+        monkeypatch.setattr(cli, "_solve_density", lambda config, law: dipped)
+        code = cli.main([
+            "--config", str(_write(tmp_path, ISI_CONFIG)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "InvariantViolation" and "dipped 2.00e-03" in err["message"]
         assert not list(tmp_path.glob("*/density.csv"))
 
     def test_newton_false_exit_two(self, tmp_path, capsys):

@@ -300,6 +300,22 @@ class TestGridFromBound:
         np.testing.assert_allclose(dens.xs, np.sqrt(var) * unit.xs, rtol=1e-12)
         assert bs.mass(dens) == pytest.approx(1.0, abs=spc.MASS_TOL)
 
+    def test_two_point_gram_grid_reaches_its_bound(self, monkeypatch):
+        grids = []
+        solve = slv._solve_continuation
+
+        def recorded(*args, **kwargs):
+            grids.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(slv, "_solve_continuation", recorded)
+        spec = bs.isi_covariance(2, 2)
+        with pytest.warns(RuntimeWarning, match="mass"):
+            dens = bs.density_hh_star(spec, npoints=2)
+        (xs,) = grids
+        hi = 1.8 * slv._edge_estimate(cov._hh_star_law(spec).eta) ** 2
+        assert list(xs) == [0.0, hi] == list(dens.xs)
+
 
 @settings(max_examples=20, deadline=None)
 @given(gram=st.booleans(), a=st.integers(1, 3), b=st.integers(1, 3),
