@@ -328,6 +328,21 @@ class EtaMap:
         return InvariantPattern(self.tensor)
 
 
+class Side(NamedTuple):
+    """One side of a bipartite pattern.
+
+    ``index`` holds the side's stored entries (positions in the compressed
+    values), block by block, so ``groups`` lists (s, n, slice) for its n
+    blocks of size s as :class:`InvariantPattern` does, the slices indexing
+    ``index``. ``coupling`` is the restricted tensor's rows on this side and
+    columns on the other: the part of the map that writes this side.
+    """
+
+    index: np.ndarray
+    groups: tuple
+    coupling: np.ndarray
+
+
 class InvariantPattern:
     """Smallest block-diagonal sparsity pattern a square map keeps invariant.
 
@@ -346,6 +361,13 @@ class InvariantPattern:
     stored row-major in its slice. ``flat`` holds the i*d+j position of
     every stored entry, ``eye`` the identity and ``tensor`` the m x m
     restriction of the map to the m stored entries.
+
+    ``sides`` is the map's bipartition, or None. When the restricted tensor
+    couples each block only to blocks of the other colour of a 2-colouring,
+    its entries counted as for the blocks (a Gram law's hermitized map
+    sends side a into side b and back), it
+    holds one :class:`Side` per colour, the smaller first. It is None when
+    the tensor couples a block to its own side, or couples no blocks at all.
     """
 
     def __init__(self, tensor):
@@ -373,6 +395,42 @@ class InvariantPattern:
         self.flat = np.array(flat)
         self.eye = (self.flat // d == self.flat % d).astype(float)
         self.tensor = tensor.reshape(d * d, d * d)[np.ix_(self.flat, self.flat)]
+        self.sides = self._bipartition(reach[np.ix_(self.flat, self.flat)])
+
+    def _bipartition(self, reach):
+        """The two Sides of a 2-colouring of the blocks under ``reach``, or None."""
+        sizes = [len(b) ** 2 for b in self.blocks]  # stored in this order
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        adj = np.zeros((len(sizes),) * 2, dtype=bool)
+        rows, cols = np.nonzero(reach)
+        adj[owner[rows], owner[cols]] = True
+        adj |= adj.T
+        colour = np.full(len(sizes), -1)
+        for start in range(len(sizes)):
+            if colour[start] >= 0:
+                continue
+            colour[start], todo = 0, [start]
+            while todo:
+                p = todo.pop()
+                for q in np.flatnonzero(adj[p]):
+                    if colour[q] == colour[p]:
+                        return None
+                    if colour[q] < 0:
+                        colour[q] = 1 - colour[p]
+                        todo.append(q)
+        sides = sorted((np.flatnonzero(colour[owner] == c) for c in (0, 1)), key=len)
+        if not sides[0].size:
+            return None
+        return tuple(self._side(index, other) for index, other in zip(sides, sides[::-1]))
+
+    def _side(self, index, other) -> Side:
+        groups, start = [], 0
+        for s, _, sl in self.groups:
+            n = int(np.count_nonzero((index >= sl.start) & (index < sl.stop))) // (s * s)
+            if n:
+                groups.append((s, n, slice(start, start + n * s * s)))
+                start += n * s * s
+        return Side(index, tuple(groups), self.tensor[np.ix_(index, other)])
 
     def compress(self, G) -> np.ndarray:
         """Pinch (..., d, d) matrices onto the pattern: their stored entries."""

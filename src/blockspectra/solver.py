@@ -14,9 +14,13 @@ Every solve runs in the invariant pattern of eta (``EtaMap.pattern``): the
 smallest set of diagonal blocks, after a permutation, that contains the
 identity and is closed under eta, products and inverses. The solution and
 every iterate live there (Helton, Rashidi Far and Speicher, IMRN 2007), so
-the batched engine stores G as its m values on the pattern, inverts block
-by block and solves an m x m Newton system: m = d for the diagonal pattern
-of ISI channels, m = d^2 for a dense map.
+the batched engine stores G as its m values on the pattern and inverts
+block by block (m = d for the diagonal pattern of ISI channels, m = d^2
+for a dense map). A Gram law's map is bipartite: it sends side a of the
+pattern only into side b and back (``pattern.sides``). There Newton
+eliminates the larger side, whose block of the Jacobian is blockwise
+w - eta(G), and solves the m_A x m_A complement on the smaller one; any
+other map solves the full m x m system.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``): on each level
@@ -137,11 +141,18 @@ class _Batch(NamedTuple):
 
 
 def _block_matmul(pat, A, B):
-    """Blockwise product of two compressed batches."""
+    """Blockwise product of two compressed batches; 1x1 blocks multiply elementwise.
+
+    The elementwise product is an einsum: it rounds as a 1x1 matmul does,
+    where numpy's complex multiply can fuse and move the last bit.
+    """
     out = np.empty_like(B)
     for s, n, sl in pat.groups:
-        blocks = A[:, sl].reshape(len(A), n, s, s) @ B[:, sl].reshape(len(B), n, s, s)
-        out[:, sl] = blocks.reshape(len(B), n * s * s)
+        if s == 1:
+            np.einsum("pi,pi->pi", A[:, sl], B[:, sl], out=out[:, sl])
+        else:
+            blocks = A[:, sl].reshape(len(A), n, s, s) @ B[:, sl].reshape(len(B), n, s, s)
+            out[:, sl] = blocks.reshape(len(B), n * s * s)
     return out
 
 
@@ -160,12 +171,16 @@ def _block_inv(pat, A):
 
 
 def _block_im_max(pat, G):
-    """Per point, the largest eigenvalue of Im G over all blocks."""
+    """Per point, the largest eigenvalue of Im G over all blocks; a 1x1 block's is Im G."""
     out = np.full(len(G), -np.inf)
     with np.errstate(all="ignore"):
         for s, n, sl in pat.groups:
-            im = imaginary_part(G[:, sl].reshape(len(G), n, s, s))
-            out = np.maximum(out, np.linalg.eigvalsh(im).max(axis=(1, 2)))
+            if s == 1:
+                top = G[:, sl].imag.max(axis=1)
+            else:
+                im = imaginary_part(G[:, sl].reshape(len(G), n, s, s))
+                top = np.linalg.eigvalsh(im).max(axis=(1, 2))
+            out = np.maximum(out, top)
     return out
 
 
@@ -244,6 +259,9 @@ def _jacobian(pat, zs, G, EG):
     """Linearization on the pattern: column c is z E_c - eta(E_c) G - eta(G) E_c.
 
     E_c is the pattern's c-th basis matrix; the result has shape (P, m, m).
+    Newton forms it only on a pattern without sides, and for the per-point
+    fallback; a bipartite pattern's step forms its coupling pieces alone
+    (:func:`_newton_step`).
     """
     P, m = G.shape
     lin = np.empty((P, m, m), dtype=complex)
@@ -262,13 +280,76 @@ def _jacobian(pat, zs, G, EG):
     return lin
 
 
-def _newton_batch(pat, zs, G, target, budget):
-    """Newton on the m x m linearization in the pattern's coordinates.
+def _coupled_side(side, ws, eye, G, EG, rhs):
+    """One side X of a bipartite pattern: K = D^{-1} eta(.) G and y = D^{-1} rhs on X.
 
-    Each step solves one m x m system per point (m = d for a diagonal
-    pattern, d^2 for a dense map; see :func:`_jacobian`), with per-point
-    backtracking. A point takes at most ``budget`` steps (a number, or one
-    per point).
+    D multiplies each block of X on the left by w - eta(G); column c of K is
+    D^{-1} (eta(E_c) G) for the c-th stored entry of the other side.
+    """
+    P, ix = len(G), side.index
+    W = _block_inv(side, ws[:, None] * eye[ix] - EG[:, ix])
+    K = np.empty((P, len(ix), side.coupling.shape[1]), dtype=complex)
+    y = np.empty((P, len(ix)), dtype=complex)
+    for s, n, sl in side.groups:
+        rows = ix[sl]
+        if s == 1:
+            np.multiply((W[:, sl] * G[:, rows])[:, :, None], side.coupling[sl], out=K[:, sl])
+            np.multiply(W[:, sl], rhs[:, rows], out=y[:, sl])
+            continue
+        # eta(E_c) G and rhs side by side as columns, then one blockwise W
+        T = side.coupling[sl].reshape(n, s, s, -1)
+        M = np.concatenate(
+            [np.einsum("nitc,pntj->pnijc", T, G[:, rows].reshape(P, n, s, s)),
+             rhs[:, rows].reshape(P, n, s, s, 1)], axis=4)
+        WM = np.einsum("pniu,pnujc->pnijc", W[:, sl].reshape(P, n, s, s), M)
+        K[:, sl] = WM[..., :-1].reshape(P, n * s * s, -1)
+        y[:, sl] = WM[..., -1].reshape(P, n * s * s)
+    return K, y
+
+
+def _newton_step(pat, ws, G, EG, rhs):
+    """The Newton step: x solving J x = rhs, J the linearization of :func:`_jacobian`.
+
+    On a bipartite pattern (``pat.sides``, smaller side A first) the larger
+    side B is eliminated: J = [[D_A, L_AB], [L_BA, D_B]], D_X multiplying
+    each block of side X on the left by w - eta(G) and L_XY x = -eta(x) G
+    on X. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X, x_A solves
+    the m_A x m_A complement (I - K_A K_B) x_A = y_A + K_A y_B and
+    x_B = y_B + K_B x_A. Any other pattern solves the full m x m system.
+    Raises LinAlgError when a D_X or the system is singular at some point.
+    """
+    if pat.sides is None:
+        return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
+    A, B = pat.sides
+    KA, yA = _coupled_side(A, ws, pat.eye, G, EG, rhs)
+    P, mA, mB = KA.shape
+    scalar = B.groups[-1][0] == 1
+    if scalar:
+        # 1x1 blocks: K_B = diag(u_B) T_BA, so K_B is never formed
+        W = _block_inv(B, ws[:, None] - EG[:, B.index])
+        uB, yB = W * G[:, B.index], W * rhs[:, B.index]
+        S = -((KA * uB[:, None, :]).reshape(P * mA, mB) @ B.coupling).reshape(P, mA, mA)
+    else:
+        KB, yB = _coupled_side(B, ws, pat.eye, G, EG, rhs)
+        S = -(KA @ KB)
+    S[:, np.arange(mA), np.arange(mA)] += 1
+    xA = np.linalg.solve(S, (yA + (KA @ yB[:, :, None])[..., 0])[:, :, None])[..., 0]
+    x = np.empty_like(G)
+    x[:, A.index] = xA
+    x[:, B.index] = yB + (uB * (xA @ B.coupling.T) if scalar else (KB @ xA[:, :, None])[..., 0])
+    return x
+
+
+def _newton_batch(pat, zs, G, target, budget):
+    """Newton on the linearization in the pattern's coordinates.
+
+    Each step solves one linear system per point (:func:`_newton_step`):
+    the m_A x m_A complement of a bipartite pattern, else the full m x m
+    system (m = d for a diagonal pattern, d^2 for a dense map; see
+    :func:`_jacobian`). Where the batch's step fails on a singular matrix,
+    every point solves its full system on its own, and a point whose
+    system is singular stops. Steps backtrack per point. A point takes at
+    most ``budget`` steps (a number, or one per point).
     """
     G = G.copy()
     P, m = G.shape
@@ -283,15 +364,15 @@ def _newton_batch(pat, zs, G, target, budget):
         ii = np.flatnonzero(active)
         Gi, zi = G[ii], zs[ii]
         EG = _eta_batch(pat, Gi)
-        J = _jacobian(pat, zi, Gi, EG)
-        rhs = -_residual(pat, zi, Gi, EG)[:, :, None]
+        rhs = -_residual(pat, zi, Gi, EG)
         try:
-            step = np.linalg.solve(J, rhs)[..., 0]
+            step = _newton_step(pat, zi, Gi, EG, rhs)
         except np.linalg.LinAlgError:
+            J = _jacobian(pat, zi, Gi, EG)
             step = np.zeros((len(ii), m), dtype=complex)
             for k in range(len(ii)):
                 try:
-                    step[k] = np.linalg.solve(J[k], rhs[k])[:, 0]
+                    step[k] = np.linalg.solve(J[k], rhs[k])
                 except np.linalg.LinAlgError:
                     stuck[ii[k]] = True
         factor = np.ones(len(ii))
@@ -428,9 +509,10 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
 
     G0 is pinched onto the map's invariant pattern first (its entries off
     the pattern dropped; pinching keeps Im G < 0), where the solution lives.
-    Each step then solves the m x m linearization on the pattern's m entries
-    z*dG - eta(dG) G - eta(G) dG = -(z G - I - eta(G) G). Quadratic
-    convergence when started in the basin (residual below ~1e-2).
+    Each step then solves the linearization on the pattern's m entries
+    z*dG - eta(dG) G - eta(G) dG = -(z G - I - eta(G) G), on a bipartite
+    map through its complement on the smaller side. Quadratic convergence
+    when started in the basin (residual below ~1e-2).
     """
     config = config or DEFAULT_CONFIG
     z = _upper_half(z)

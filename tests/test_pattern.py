@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
-from blockspectra import cli, nonsep as ns
+from blockspectra import cli, covariance as cov, nonsep as ns, solver as slv
 
 from conftest import random_hh_star_spec, random_selfadjoint_spec
 
@@ -170,3 +170,96 @@ def test_basis_rotation_dense_blocks_same_law():
         direct = bs.solve_hh_star_direct(spec, complex(x, eps), TIGHT)
         assert direct.converged
         assert abs(np.trace(direct.G) / spec.a - g) <= 1e-10
+
+
+# --- the bipartition of a Gram law's pattern and the Newton step on it ----
+
+def _law_of(config):
+    return cov._law(cli.parse_config(CONFIGS / f"{config}.json").built)
+
+
+def _assert_sides(pat, blocks_a, blocks_b):
+    """The sides hold the stored entries of the named blocks, and the map only crosses them."""
+    A, B = pat.sides
+    owners = [block for block in pat.blocks for _ in range(len(block) ** 2)]
+    assert {owners[i] for i in A.index} == set(blocks_a)
+    assert {owners[i] for i in B.index} == set(blocks_b)
+    assert sorted(np.concatenate([A.index, B.index])) == list(range(len(pat.flat)))
+    for side, other in ((A, B), (B, A)):
+        assert (pat.tensor[np.ix_(side.index, side.index)] == 0).all()
+        assert (side.coupling == pat.tensor[np.ix_(side.index, other.index)]).all()
+        assert sum(s * s * n for s, n, _ in side.groups) == len(side.index)
+
+
+@settings(max_examples=15, deadline=None)
+@given(K=st.integers(1, 6), L=st.integers(1, 4))
+def test_isi_sides_are_the_two_frames(K, L):
+    pat = cov._law(bs.isi_covariance(K, L)).eta.pattern
+    _assert_sides(pat, [(i,) for i in range(K)], [(i,) for i in range(K, 2 * K + L - 1)])
+    A, B = pat.sides
+    assert A.index.tolist() == list(range(K))
+    assert B.index.tolist() == list(range(K, 2 * K + L - 1))
+    assert A.groups == ((1, K, slice(0, K)),)
+    assert B.groups == ((1, K + L - 1, slice(0, K + L - 1)),)
+
+
+def test_nonsep_t2_sides_are_two_scalars_and_a_block():
+    pat = _law_of("nonsep_t2").eta.pattern
+    _assert_sides(pat, [(0,), (1,)], [(2, 3)])
+    A, B = pat.sides
+    assert A.groups == ((1, 2, slice(0, 2)),) and B.groups == ((2, 1, slice(0, 4)),)
+
+
+def test_rotated_isi_sides_are_its_two_dense_blocks():
+    pat = _hermitized(_rotated_hh_star(bs.isi_covariance(3, 2), seed=11)).pattern
+    _assert_sides(pat, [(0, 1, 2)], [(3, 4, 5, 6)])
+    A, B = pat.sides
+    assert A.groups == ((3, 1, slice(0, 9)),) and B.groups == ((4, 1, slice(0, 16)),)
+
+
+@pytest.mark.parametrize("config", ["semicircle", "selfadjoint_complex_d2"])
+def test_selfadjoint_laws_have_no_sides(config):
+    assert _law_of(config).eta.pattern.sides is None
+
+
+def test_uncoupled_map_has_no_sides():
+    assert bs.EtaMap(np.zeros((3, 3, 3, 3))).pattern.sides is None
+
+
+def _assert_step_is_the_full_solve(law, seed):
+    """The eliminating step equals the full m x m solve at random points and iterates."""
+    pat = law.eta.pattern
+    assert pat.sides is not None
+    rng = np.random.default_rng(seed)
+    P, m = 6, len(pat.flat)
+    ws = np.sqrt(rng.uniform(-1.0, 6.0, P) + 1j * rng.uniform(1e-3, 1.0, P))
+    G = -1j * pat.eye + 0.3 * (rng.standard_normal((P, m)) + 1j * rng.standard_normal((P, m)))
+    EG = slv._eta_batch(pat, G)
+    R = slv._residual(pat, ws, G, EG)
+    full = np.linalg.solve(slv._jacobian(pat, ws, G, EG), -R[:, :, None])[..., 0]
+    step = slv._newton_step(pat, ws, G, EG, -R)
+    assert np.abs(step - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(1, 3), b=st.integers(1, 3), complex_=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_newton_step_eliminates_one_side_of_random_gram_laws(a, b, complex_, seed):
+    spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=complex_)
+    _assert_step_is_the_full_solve(cov._law(spec), seed)
+
+
+def test_newton_step_eliminates_one_side_of_block_laws():
+    _assert_step_is_the_full_solve(_law_of("nonsep_t2"), 3)
+    _assert_step_is_the_full_solve(cov._law(_rotated_hh_star(bs.isi_covariance(3, 2), 11)), 4)
+    _assert_step_is_the_full_solve(cov._law(bs.isi_covariance(4, 4)), 5)
+
+
+def test_block_helpers_match_dense_algebra():
+    pat = _law_of("nonsep_t2").eta.pattern  # 1x1 and 2x2 groups
+    rng = np.random.default_rng(8)
+    A, B = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)) for _ in range(2))
+    dense = pat.expand(A) @ pat.expand(B)
+    assert np.abs(pat.expand(slv._block_matmul(pat, A, B)) - dense).max() <= 1e-15
+    assert slv._block_im_max(pat, A).tolist() == pytest.approx(
+        [slv.max_im_eigenvalue(M) for M in pat.expand(A)], abs=1e-15)

@@ -232,6 +232,21 @@ def test_newton_batch_falls_back_to_each_point_when_one_jacobian_is_singular(sem
     assert res[1] <= 1e-12
 
 
+def test_newton_batch_falls_back_to_each_point_on_a_bipartite_law():
+    # hermitized ISI: at w = 0 from G = 0 each side's block w - eta(G) is
+    # zero, and so is the whole Jacobian; the other point must still step
+    eta = cov._law(bs.isi_covariance(2, 2)).eta
+    pat, w = eta.pattern, np.sqrt(1.5 + 0.1j)
+    assert pat.sides is not None
+    exact = pat.compress(bs.solve_fixed_point(eta, w, TIGHT).G)
+    G0 = np.array([np.zeros_like(exact), exact * (1 + 1e-3)])
+    G, res, its, stuck = slv._newton_batch(pat, np.array([0j, w]), G0, 1e-12, 60)
+    assert stuck.tolist() == [True, False]
+    assert its[0] == 0 and (G[0] == 0).all()
+    assert its[1] >= 1 and res[1] <= 1e-12
+    assert np.abs(G[1] - exact).max() <= 1e-10
+
+
 class TestGrid:
     def test_density_normalization_at_zero(self, semicircle_eta):
         sols = bs.solve_grid(semicircle_eta, [0.0], 1e-4, NEWTON)
