@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bound the value-by-value difference between two trees of CLI artifacts.
 
-    python scripts/artifact_diff.py A B
+    python scripts/artifact_diff.py A B [--bound REL]
 
 ``A`` and ``B`` are directories written by ``artifact_digests.py --keep``
 (``<config>/<command>/<file>``), typically from two checkouts. For every
@@ -11,12 +11,17 @@ numbers (the cells of a CSV file, the numbers of a JSON file) and that
 difference relative to the largest absolute value of the artifact in
 ``A``. Artifacts whose text or layout differs outside their numbers
 (headers, keys, row counts) are reported as ``layout differs``.
+
+With ``--bound REL`` the exit code is 1 when any artifact moved by more
+than ``REL`` of its largest value, is only in one tree, or differs in
+layout, and 0 otherwise.
 """
 
 import argparse
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
 
@@ -52,6 +57,13 @@ def _numbers(path):
     return numbers, skeleton
 
 
+def _move(x, y):
+    """|x - y|; 0 for two NaNs, and inf for a NaN against a number, which max would drop."""
+    if x == y or math.isnan(x) and math.isnan(y):
+        return 0.0
+    return math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
+
+
 def compare(a: Path, b: Path):
     """One ``(name, status, abs_diff, rel_diff)`` row per artifact in either tree."""
     names = sorted({p.relative_to(root).as_posix()
@@ -66,8 +78,7 @@ def compare(a: Path, b: Path):
         if sa != sb or len(na) != len(nb):
             rows.append((name, "layout differs", None, None))
             continue
-        diff = max((0.0 if x == y or math.isnan(x) and math.isnan(y) else abs(x - y)
-                    for x, y in zip(na, nb)), default=0.0)
+        diff = max((_move(x, y) for x, y in zip(na, nb)), default=0.0)
         top = max((abs(x) for x in na), default=0.0)
         rows.append((name, "both", diff, diff / top if top else diff))
     return rows
@@ -77,13 +88,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
+    parser.add_argument("--bound", metavar="REL", type=float,
+                        help="exit 1 if an artifact moved by more than REL of its largest "
+                             "value, is only in one tree or differs in layout")
     args = parser.parse_args(argv)
+    bound = math.inf if args.bound is None else args.bound
+    within = True
     for name, status, diff, rel in compare(args.a, args.b):
         if diff is None:
             print(f"{name} {status}")
+            within = False
         else:
             print(f"{name} {status} max_abs_diff={diff:.3g} rel_to_max={rel:.3g}")
+            within = within and rel <= bound  # a NaN move is out of bound
+    return 0 if within or args.bound is None else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

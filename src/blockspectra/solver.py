@@ -23,8 +23,12 @@ w - eta(G), and solves the m_A x m_A complement on the smaller one; any
 other map solves the full m x m system.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
-offset down a continuation ladder (``_solve_continuation``): on each level
-the damped fixed-point map globalizes and Newton refines. Only
+offset down a continuation ladder (``_solve_continuation``), each offset a
+factor LADDER_RATIO below the one before. The first level runs the damped
+fixed-point map, which globalizes, then Newton. Each later level is a
+predictor-corrector step (Allgower and Georg, Introduction to Numerical
+Continuation Methods, SIAM 2003): a tangent step from the level before,
+then Newton; the sweeps run again only where Newton fails. Only
 ``newton_refine`` starts from a caller's approximation.
 
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
@@ -61,6 +65,7 @@ IM_EIG_TOL = 1e-8          # Im G must be negative semidefinite up to this
 DAMPING_FLOOR = 1.0 / 64.0
 DAMPING_RESET_STREAK = 10
 NEWTON_HANDOFF = 1e-6      # fixed-point target before Newton takes over
+LADDER_RATIO = 16.0        # each continuation level's offset over the next one's
 MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
 
 
@@ -68,8 +73,9 @@ MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
 class SolverConfig:
     """Iteration controls shared by all solvers.
 
-    ``max_iter`` bounds the iterations (fixed-point sweeps plus Newton steps)
-    that one point may take over its whole solve, ladder levels included.
+    ``max_iter`` bounds the iterations (fixed-point sweeps, tangent
+    predictions and Newton steps) that one point may take over its whole
+    solve, ladder levels included.
     Newton refinement is always on: ``newton`` accepts only True.
     """
 
@@ -395,17 +401,35 @@ def _newton_batch(pat, zs, G, target, budget):
     return G, res, iters, stuck
 
 
+def _tangent_start(pat, w0, G0, w1, warm):
+    """The predictor: G0 + (w1 - w0) dG/dw, from the solution G0 at w0 to w1.
+
+    Differentiating w G - I - eta(G) G = 0 in w gives J dG/dw = -G, J the
+    linearization at (w0, G0), so the tangent is one :func:`_newton_step`.
+    Where that system is singular the whole batch starts from ``warm``.
+    """
+    try:
+        t = _newton_step(pat, w0, G0, _eta_batch(pat, G0), -G0)
+    except np.linalg.LinAlgError:
+        return warm
+    return G0 + (w1 - w0)[:, None] * t
+
+
 def _solve_continuation(law, xs, offsets, config):
     """Solve a law's batch along z = x + i*eps at each of ``offsets``, largest first.
 
-    Every point starts from H = -i*I, and the offset walks down by factors
-    of 4 from max(span, 1) / 8 (or the last offset, if larger) through every
-    offset, each level warm starting the next; the ladder stops at
-    MIN_GRID_EPSILON before its final level, so a last offset of 0 (a real
-    z) is reached too. Each level runs the damped fixed-point map (40 sweeps
-    on the first level, 6 after) toward NEWTON_HANDOFF, then Newton, on
-    G = w H at w = z, or w = sqrt(z) for a Gram law. No point takes more
-    than ``config.max_iter`` iterations in all.
+    The offset walks down by factors of LADDER_RATIO from max(span, 1) / 8
+    (or the last offset, if larger) through every offset; the ladder stops
+    at MIN_GRID_EPSILON before its final level, so a last offset of 0 (a
+    real z) is reached too. Each level solves G = w H at w = z, or
+    w = sqrt(z) for a Gram law. The first level runs 40 damped fixed-point
+    sweeps from H = -i*I toward NEWTON_HANDOFF, then Newton. Each later
+    level predicts along the tangent from the level before
+    (:func:`_tangent_start`) and runs Newton from there. A point that
+    Newton leaves stuck or unconverged restarts from the plain warm start
+    w H of the level before and takes the first level's sweeps and Newton.
+    No point takes more than ``config.max_iter`` iterations in all; a
+    prediction counts as one, and a point with none left skips it.
 
     Returns one batch per offset: G expanded to (P, d, d), g the law's
     transform read off G with its trace weights, and ``iters`` counting the
@@ -420,29 +444,52 @@ def _solve_continuation(law, xs, offsets, config):
     e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
     while e > max(offsets[-1], MIN_GRID_EPSILON) * (1 + 1e-9):
         levels.add(e)
-        e /= 4.0
+        e /= LADDER_RATIO
     levels = sorted(levels, reverse=True)
     total = np.zeros(P, dtype=int)
     snapshots = []  # the wanted levels, in the order of offsets
+
+    def verdict(G, ws, res, H, tol):
+        # z = 0 is a pole of H, which G = w H cannot give: H stays as it was,
+        # unconverged, and the sweeps from G = 0 raise SingularResolvent
+        if not law.gram:
+            H, readable = G, True
+        else:
+            readable = ws != 0
+            H = np.divide(G, ws[:, None], out=H.copy(), where=readable[:, None])
+        im_max = _block_im_max(pat, H)
+        return H, readable & (res <= tol) & (im_max <= IM_EIG_TOL), im_max
+
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
         ws = np.sqrt(zs) if law.gram else zs
-        G = ws[:, None] * H if law.gram else H
+        warm = ws[:, None] * H if law.gram else H
         wanted = eps in offsets
-        # intermediate levels only feed warm starts; full accuracy is
-        # needed only where results are consumed
+        # intermediate levels only feed the next level's start; full
+        # accuracy is needed only where results are consumed
         tol = config.tol if wanted else max(config.tol, 1e-7)
-        left = config.max_iter - total
-        G, res, fits = _fixed_point_batch(
-            pat, ws, G, max(tol, NEWTON_HANDOFF), np.minimum(40 if lev == 0 else 6, left)
-        )
-        G, res, nits, _ = _newton_batch(pat, ws, G, tol, np.minimum(60, left - fits))
-        # z = 0 is a pole of H: no step moves G = 0 there, so H stays as it was
-        H = np.divide(G, ws[:, None], out=H.copy(), where=ws[:, None] != 0) if law.gram else G
-        total += fits + nits
+        G, res = warm.copy(), np.full(P, np.inf)
+        if lev == 0:
+            retry = np.arange(P)
+        else:
+            ii = np.flatnonzero(total < config.max_iter)
+            if ii.size:
+                G[ii] = _tangent_start(pat, w_prev[ii], G_prev[ii], ws[ii], warm[ii])
+                total[ii] += 1
+            G, res, nits, _ = _newton_batch(
+                pat, ws, G, tol, np.minimum(60, config.max_iter - total))
+            total += nits
+            retry = np.flatnonzero(~verdict(G, ws, res, H, tol)[1])
+        if retry.size:
+            left = config.max_iter - total[retry]
+            Gr, res[retry], fits = _fixed_point_batch(
+                pat, ws[retry], warm[retry], max(tol, NEWTON_HANDOFF), np.minimum(40, left))
+            G[retry], res[retry], nits, _ = _newton_batch(
+                pat, ws[retry], Gr, tol, np.minimum(60, left - fits))
+            total[retry] += fits + nits
+        H, converged, im_max = verdict(G, ws, res, H, tol)
+        G_prev, w_prev = G, ws
         if wanted:
-            im_max = _block_im_max(pat, H)
-            converged = (res <= tol) & (im_max <= IM_EIG_TOL)
             snapshots.append((H, res, total.copy(), converged, im_max))
     # expanded only now: the ladder holds compressed levels
     batches = [(pat.expand(H), *rest) for H, *rest in snapshots]
@@ -496,7 +543,7 @@ def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     """Solve z G = I + eta(G) G at one point by continuation.
 
     Starts from -i*I and walks the imaginary offset down to Im z as a grid
-    solve does (damped fixed-point sweeps, then Newton, on each level). To
+    solve does (see :func:`_solve_continuation`). To
     polish an approximate solution instead, use :func:`newton_refine`. The
     best iterate is returned even when ``config.max_iter`` runs out, with
     ``converged=False``.

@@ -604,3 +604,28 @@ def test_artifact_diff_bounds_each_artifact(tmp_path, capsys):
         "c/only/a.csv only in A",
         "c/only/b.csv only in B",
     ]
+
+
+@pytest.mark.parametrize("b_text, bound, code", [
+    ("x,p\n0,4.0\n1,2.0\n", "0", 0),
+    ("x,p\n0,4.0\n1,2.000000001\n", "1e-9", 0),
+    ("x,p\n0,4.0\n1,2.00000001\n", "1e-9", 1),
+    ("x,p\n0,4.0\n1,nan\n", "1e-9", 1),
+    ("x,q\n0,4.0\n1,2.0\n", "1", 1),
+    (None, "1", 1),
+], ids=["identical", "within", "beyond", "nan", "layout", "only-in-one"])
+def test_artifact_diff_bound_sets_the_exit_code(tmp_path, capsys, b_text, bound, code):
+    """--bound REL fails on a move past REL of the largest value, a lone artifact or a layout."""
+    import runpy
+
+    diff = runpy.run_path(str(ROOT / "scripts" / "artifact_diff.py"))["main"]
+    trees = {"A": {"density.csv": "x,p\n0,4.0\n1,2.0\n", "moments.csv": "order,m\n1,3\n"},
+             "B": {"density.csv": b_text, "moments.csv": "order,m\n1,3\n"}}
+    for side, tree in trees.items():
+        (tmp_path / side / "c").mkdir(parents=True)
+        for name, text in tree.items():
+            if text is not None:
+                (tmp_path / side / "c" / name).write_text(text)
+    assert diff([str(tmp_path / "A"), str(tmp_path / "B"), "--bound", bound]) == code
+    assert diff([str(tmp_path / "A"), str(tmp_path / "B")]) == 0
+    assert "c/moments.csv both max_abs_diff=0 rel_to_max=0" in capsys.readouterr().out

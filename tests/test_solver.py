@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blockspectra as bs
 from blockspectra import covariance as cov
@@ -135,6 +135,12 @@ class TestFixedPoint:
         assert sol.converged
         assert abs(sol.G[0, 0].imag) <= 1e-8
         assert sol.G[0, 0].real == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-10)
+
+    def test_far_point_takes_few_iterations(self, semicircle_eta):
+        # the tangent predictor carries each level to the next (48 iterations
+        # with fixed-point sweeps on every level and a x4 ladder)
+        sol = bs.solve_fixed_point(semicircle_eta, 3.0 + 0.0j, TIGHT)
+        assert sol.converged and sol.iterations <= 20
 
     def test_lower_half_plane_rejected(self, semicircle_eta):
         for z in (1 - 1j, complex(np.nan, 1.0), complex(0.0, np.inf)):
@@ -304,6 +310,97 @@ class TestGrid:
             assert max_im_eigenvalue(s.G) <= 1e-8
 
 
+def test_isi_grid_takes_at_most_40_iterations_a_point(isi44):
+    # 512 points on [0, 3] at eps = 1e-4, default config (79 at most with
+    # fixed-point sweeps on every level and a x4 ladder)
+    sols = bs.solve_hh_star_grid(isi44, np.linspace(0.0, 3.0, 512), 1e-4)
+    assert all(s.converged for s in sols)
+    assert max(s.iterations for s in sols) <= 40
+
+
+LADDER_LAWS = {
+    "semicircle": lambda: (cov._map_law(_semicircle()), np.linspace(-2.5, 2.5, 41)),
+    "isi44-gram": lambda: (cov._law(bs.isi_covariance(4, 4)), np.linspace(0.0, 3.0, 41)),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_LAWS)
+def test_singular_tangent_falls_back_to_the_plain_warm_start(monkeypatch, name):
+    law, xs = LADDER_LAWS[name]()
+    (ref,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
+    newton_step, tangents = slv._newton_step, []
+
+    def singular_tangent(pat, ws, G, EG, rhs):
+        if np.array_equal(rhs, -G):  # the tangent system J t = -G
+            tangents.append(len(ws))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return newton_step(pat, ws, G, EG, rhs)
+
+    monkeypatch.setattr(slv, "_newton_step", singular_tangent)
+    (out,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
+    assert tangents == [len(xs)] * 3  # one per warm level
+    assert out.converged.all()
+    assert np.abs(out.G - ref.G).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", LADDER_LAWS)
+def test_stalled_newton_falls_back_to_the_sweeps(monkeypatch, name):
+    law, xs = LADDER_LAWS[name]()
+    (ref,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
+    newton, sweeps = slv._newton_batch, slv._fixed_point_batch
+    calls = []
+
+    def logged_sweeps(pat, zs, G, target, budget):
+        calls.append("sweeps")
+        return sweeps(pat, zs, G, target, budget)
+
+    def stalls_first(pat, zs, G, target, budget):
+        if calls and calls[-1] == "sweeps":
+            calls.append("newton")
+            return newton(pat, zs, G, target, budget)
+        calls.append("stall")  # Newton first on a warm level: no point moves
+        P = len(G)
+        return G.copy(), slv._residual_batch(pat, zs, G), np.zeros(P, int), np.ones(P, bool)
+
+    monkeypatch.setattr(slv, "_fixed_point_batch", logged_sweeps)
+    monkeypatch.setattr(slv, "_newton_batch", stalls_first)
+    (out,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
+    assert calls == ["sweeps", "newton"] + ["stall", "sweeps", "newton"] * 3
+    assert out.converged.all()
+    assert np.abs(out.G - ref.G).max() <= 1e-10
+
+
+def test_each_prediction_counts_one_iteration_and_needs_budget(monkeypatch, semicircle_eta):
+    tangent, newton, sweeps = slv._tangent_start, slv._newton_batch, slv._fixed_point_batch
+    counts = {"tangents": 0, "steps": 0, "first_level": None}
+
+    def counted_tangent(pat, w0, G0, w1, warm):
+        if counts["first_level"] is None:
+            counts["first_level"] = counts["steps"]
+        counts["tangents"] += len(w0)
+        return tangent(pat, w0, G0, w1, warm)
+
+    def counted(kernel, k):
+        def run(*args):
+            out = kernel(*args)
+            counts["steps"] += int(out[k].sum())
+            return out
+        return run
+
+    monkeypatch.setattr(slv, "_tangent_start", counted_tangent)
+    monkeypatch.setattr(slv, "_newton_batch", counted(newton, 2))
+    monkeypatch.setattr(slv, "_fixed_point_batch", counted(sweeps, 2))
+    sol = bs.solve_fixed_point(semicircle_eta, 3.0 + 0.0j, TIGHT)
+    assert sol.converged and counts["tangents"] == 6  # one per level after the first
+    assert sol.iterations == counts["steps"] + counts["tangents"]
+    # a budget spent on the first level leaves no later level a prediction
+    first_level = counts["first_level"]
+    counts.update(tangents=0, steps=0)
+    sol = bs.solve_fixed_point(semicircle_eta, 3.0 + 0.0j, bs.SolverConfig(max_iter=first_level))
+    assert counts["tangents"] == 0
+    assert not sol.converged and sol.iterations == first_level
+
+
 class TestHHStar:
     def test_marchenko_pastur_point(self, mp_spec):
         sol = bs.solve_hh_star(mp_spec, 5.0 + 0.0j, bs.SolverConfig(tol=1e-13))
@@ -385,11 +482,13 @@ class TestHHStar:
     @settings(max_examples=30, deadline=None)
     @given(a=st.integers(1, 3), b=st.integers(1, 3), complex_=st.booleans(),
            seed=st.integers(0, 2**16))
+    @example(a=1, b=1, complex_=False, seed=7)  # e = 3.0e-6: the gap reaches 2.2e-8
     def test_gram_law_is_the_hermitized_law_at_sqrt_z(self, a, b, complex_, seed):
         # X = [[0, H], [H*, 0]] has X^2 = diag(HH*, H*H), so H(z) = G(w)/w at
         # w = sqrt(z), with G the hermitized map's selfadjoint solution: off
         # the axis, on the positive real axis below and past the edge bound
-        # e (w real), and on the negative real axis (w imaginary)
+        # e (w real), and on the negative real axis (w imaginary). H scales
+        # like 1/e under tau -> s tau, so the gap is bounded as min(e, 1) |H - G/w|
         spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=complex_)
         eta = bs.eta_map(bs.hermitize_covariance(spec))
         edge = 4 * np.linalg.norm(bs.eta_apply(bs.eta1_map(spec), np.eye(b)), 2)
@@ -398,7 +497,7 @@ class TestHHStar:
             h = bs.solve_hh_star(spec, z, TIGHT)
             g = bs.solve_fixed_point(eta, w, TIGHT)
             assert h.converged and g.converged
-            assert np.abs(h.G1 - g.G[:a, :a] / w).max() <= 1e-9
+            assert min(edge, 1.0) * np.abs(h.G1 - g.G[:a, :a] / w).max() <= 1e-9
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_isi_frame_symmetry(self, K):
