@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -422,6 +421,8 @@ def _sample_eigenvalues(config, N, threads, seed):
         return orc.sample_block_gaussian(config.built, N, s).eigenvalues
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a one-thread run skips its import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(draw, seeds))
     return [draw(s) for s in seeds]

@@ -15,12 +15,13 @@ smallest set of diagonal blocks, after a permutation, that contains the
 identity and is closed under eta, products and inverses. The solution and
 every iterate live there (Helton, Rashidi Far and Speicher, IMRN 2007), so
 the batched engine stores G as its m values on the pattern and inverts
-block by block (m = d for the diagonal pattern of ISI channels, m = d^2
-for a dense map). A Gram law's map is bipartite: it sends side a of the
-pattern only into side b and back (``pattern.sides``). There Newton
-eliminates the larger side, whose block of the Jacobian is blockwise
-w - eta(G), and solves the m_A x m_A complement on the smaller one; any
-other map solves the full m x m system.
+block by block, 1x1 and 2x2 blocks in closed form (m = d for the diagonal
+pattern of ISI channels, m = d^2 for a dense map). A Gram law's map is
+bipartite: it sends side a of the pattern only into side b and back
+(``pattern.sides``). There Newton eliminates the larger side, whose
+block of the Jacobian is blockwise w - eta(G), and solves the m_A x m_A
+complement on the smaller one; any other map solves the full m x m
+system.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
@@ -28,8 +29,10 @@ factor LADDER_RATIO below the one before. The first level runs the damped
 fixed-point map, which globalizes, then Newton. Each later level is a
 predictor-corrector step (Allgower and Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003): a tangent step from the level before,
-then Newton; the sweeps run again only where Newton fails. Only
-``newton_refine`` starts from a caller's approximation.
+then Newton; the sweeps run again only where Newton fails. A level whose
+offset the caller did not ask for only feeds the next prediction, so it
+stops at PREDICTION_TOL. Only ``newton_refine`` starts from a caller's
+approximation.
 
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
 X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
@@ -65,6 +68,7 @@ IM_EIG_TOL = 1e-8          # Im G must be negative semidefinite up to this
 DAMPING_FLOOR = 1.0 / 64.0
 DAMPING_RESET_STREAK = 10
 NEWTON_HANDOFF = 1e-6      # fixed-point target before Newton takes over
+PREDICTION_TOL = 1e-3      # residual target of a level that only feeds a prediction
 LADDER_RATIO = 16.0        # each continuation level's offset over the next one's
 MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
 
@@ -147,15 +151,22 @@ class _Batch(NamedTuple):
 
 
 def _block_matmul(pat, A, B):
-    """Blockwise product of two compressed batches; 1x1 blocks multiply elementwise.
+    """Blockwise product of two compressed batches, in closed form for 1x1 and 2x2 blocks.
 
     The elementwise product is an einsum: it rounds as a 1x1 matmul does,
-    where numpy's complex multiply can fuse and move the last bit.
+    where numpy's complex multiply can fuse and move the last bit. A 2x2
+    block's product is written out, which is several times faster than a
+    stacked matmul of tiny blocks.
     """
     out = np.empty_like(B)
     for s, n, sl in pat.groups:
         if s == 1:
             np.einsum("pi,pi->pi", A[:, sl], B[:, sl], out=out[:, sl])
+        elif s == 2:
+            a, b, c, d = A[:, sl].reshape(len(A), n, 4).transpose(2, 0, 1)
+            e, f, g, h = B[:, sl].reshape(len(B), n, 4).transpose(2, 0, 1)
+            blocks = np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=2)
+            out[:, sl] = blocks.reshape(len(B), n * 4)
         else:
             blocks = A[:, sl].reshape(len(A), n, s, s) @ B[:, sl].reshape(len(B), n, s, s)
             out[:, sl] = blocks.reshape(len(B), n * s * s)
@@ -163,13 +174,25 @@ def _block_matmul(pat, A, B):
 
 
 def _block_inv(pat, A):
-    """Blockwise inverse of a compressed batch; 1x1 blocks are reciprocals."""
+    """Blockwise inverse of a compressed batch: 1x1 blocks are reciprocals, 2x2 cofactors.
+
+    A 2x2 block [[a, b], [c, d]] inverts to [[d, -b], [-c, a]] / (a d - b c).
+    A zero pivot of a 1x1 block or a zero determinant of a 2x2 block raises
+    LinAlgError, as ``np.linalg.inv`` does for a singular larger block.
+    """
     out = np.empty_like(A)
     for s, n, sl in pat.groups:
         if s == 1:
             if not A[:, sl].all():
                 raise np.linalg.LinAlgError("Singular matrix")
             out[:, sl] = 1.0 / A[:, sl]
+        elif s == 2:
+            a, b, c, d = A[:, sl].reshape(len(A), n, 4).transpose(2, 0, 1)
+            det = a * d - b * c
+            if not det.all():
+                raise np.linalg.LinAlgError("Singular matrix")
+            r = 1.0 / det
+            out[:, sl] = np.stack([d * r, -b * r, -c * r, a * r], axis=2).reshape(len(A), n * 4)
         else:
             blocks = A[:, sl].reshape(len(A), n, s, s)
             out[:, sl] = np.linalg.inv(blocks).reshape(len(A), n * s * s)
@@ -359,7 +382,9 @@ def _newton_batch(pat, zs, G, target, budget):
     """
     G = G.copy()
     P, m = G.shape
-    res = _residual_batch(pat, zs, G)
+    EG = _eta_batch(pat, G)
+    R = _residual(pat, zs, G, EG)  # kept for the accepted iterate: the next step's rhs
+    res = np.linalg.norm(R, axis=1)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
     budget = np.broadcast_to(budget, (P,))
@@ -368,13 +393,11 @@ def _newton_batch(pat, zs, G, target, budget):
         if not active.any():
             break
         ii = np.flatnonzero(active)
-        Gi, zi = G[ii], zs[ii]
-        EG = _eta_batch(pat, Gi)
-        rhs = -_residual(pat, zi, Gi, EG)
+        Gi, zi, EGi, rhs = G[ii], zs[ii], EG[ii], -R[ii]
         try:
-            step = _newton_step(pat, zi, Gi, EG, rhs)
+            step = _newton_step(pat, zi, Gi, EGi, rhs)
         except np.linalg.LinAlgError:
-            J = _jacobian(pat, zi, Gi, EG)
+            J = _jacobian(pat, zi, Gi, EGi)
             step = np.zeros((len(ii), m), dtype=complex)
             for k in range(len(ii)):
                 try:
@@ -383,20 +406,20 @@ def _newton_batch(pat, zs, G, target, budget):
                     stuck[ii[k]] = True
         factor = np.ones(len(ii))
         improved = np.zeros(len(ii), dtype=bool)
-        Gbest = Gi.copy()
         for _bt in range(9):
             pending = ~improved
             if not pending.any():
                 break
             trial = Gi + factor[:, None] * step
-            rtrial = _residual_batch(pat, zi, trial)
+            EGt = _eta_batch(pat, trial)
+            Rt = _residual(pat, zi, trial, EGt)
+            rtrial = np.linalg.norm(Rt, axis=1)
             good = pending & (rtrial < res[ii])
-            Gbest[good] = trial[good]
-            res[ii[good]] = rtrial[good]
+            at = ii[good]
+            G[at], EG[at], R[at], res[at] = trial[good], EGt[good], Rt[good], rtrial[good]
             improved |= good
             factor[pending] /= 2
         stuck[ii[~improved]] = True
-        G[ii] = Gbest
         iters[ii[improved]] += 1
     return G, res, iters, stuck
 
@@ -422,9 +445,13 @@ def _solve_continuation(law, xs, offsets, config):
     (or the last offset, if larger) through every offset; the ladder stops
     at MIN_GRID_EPSILON before its final level, so a last offset of 0 (a
     real z) is reached too. Each level solves G = w H at w = z, or
-    w = sqrt(z) for a Gram law. The first level runs 40 damped fixed-point
-    sweeps from H = -i*I toward NEWTON_HANDOFF, then Newton. Each later
-    level predicts along the tangent from the level before
+    w = sqrt(z) for a Gram law. A level at one of ``offsets`` is solved to
+    ``config.tol``; a level in between only feeds the next prediction and
+    stops at the larger of ``config.tol`` and PREDICTION_TOL. Either way a
+    point converges when its residual is within the level's tolerance and
+    Im H <= IM_EIG_TOL. The first level runs up to 40 damped fixed-point
+    sweeps from H = -i*I toward the larger of its tolerance and
+    NEWTON_HANDOFF, then Newton. Each later level predicts along the tangent from the level before
     (:func:`_tangent_start`) and runs Newton from there. A point that
     Newton leaves stuck or unconverged restarts from the plain warm start
     w H of the level before and takes the first level's sweeps and Newton.
@@ -465,9 +492,8 @@ def _solve_continuation(law, xs, offsets, config):
         ws = np.sqrt(zs) if law.gram else zs
         warm = ws[:, None] * H if law.gram else H
         wanted = eps in offsets
-        # intermediate levels only feed the next level's start; full
-        # accuracy is needed only where results are consumed
-        tol = config.tol if wanted else max(config.tol, 1e-7)
+        # a level that is not wanted only feeds the next level's prediction
+        tol = config.tol if wanted else max(config.tol, PREDICTION_TOL)
         G, res = warm.copy(), np.full(P, np.inf)
         if lev == 0:
             retry = np.arange(P)

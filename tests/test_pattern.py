@@ -263,3 +263,21 @@ def test_block_helpers_match_dense_algebra():
     assert np.abs(pat.expand(slv._block_matmul(pat, A, B)) - dense).max() <= 1e-15
     assert slv._block_im_max(pat, A).tolist() == pytest.approx(
         [slv.max_im_eigenvalue(M) for M in pat.expand(A)], abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_2x2_blocks_in_closed_form_match_numpy(n):
+    # a stack of n 2x2 blocks a point, stored row by row as the pattern stores them
+    pat = cov.Side(np.arange(4 * n), ((2, n, slice(0, 4 * n)),), None)
+    rng = np.random.default_rng(22 + n)
+    A, B = (rng.standard_normal((64, 4 * n)) + 1j * rng.standard_normal((64, 4 * n))
+            for _ in range(2))
+    blocks_a, blocks_b = A.reshape(64, n, 2, 2), B.reshape(64, n, 2, 2)
+    for got, want in [
+        (slv._block_inv(pat, A), np.linalg.inv(blocks_a)),
+        (slv._block_matmul(pat, A, B), blocks_a @ blocks_b),
+    ]:
+        assert np.abs(got - want.reshape(64, 4 * n)).max() <= 1e-13 * np.abs(want).max()
+    A[5, -4:] = [1.0, 2.0, 3.0, 6.0]  # the last block of point 5 has determinant 0
+    with pytest.raises(np.linalg.LinAlgError):
+        slv._block_inv(pat, A)
