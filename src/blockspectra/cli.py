@@ -255,7 +255,6 @@ _SECTIONS = {
     }), False),
     "solver": _Key(_section(slv.SolverConfig, {
         "tol": _Key(_float_value, False),
-        "max_iter": _Key(_count, False),
         "newton": _Key(_only_true, False),
     }), False),
     "snr": _Key(lambda raw, key: _list(raw, key, _positive), False),

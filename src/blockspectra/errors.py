@@ -36,7 +36,7 @@ class PatternViolation(BlockspectraError):
 
 # solvers
 class NoConvergence(BlockspectraError):
-    """Iteration budget exhausted before reaching the residual target."""
+    """The iteration caps ran out before the residual target was reached."""
 
 
 class SingularResolvent(BlockspectraError):

@@ -37,8 +37,10 @@ approximation.
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
 X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
 central equation for the hermitized map (its residual w G - I - eta(G) G is
-z H - I - z eta(H) H). Only ``_solve_continuation`` reads a ``cov.Law``'s
-Gram flag; ``cov._law`` builds a spec's law once per call.
+z H - I - z eta(H) H). A ``cov.Law``'s Gram flag is read by
+``_solve_continuation``, by ``spectrum._density`` (default grid and offset
+share) and by ``cli._solve_density`` and ``cli._cmd_moments``;
+``cov._law`` builds a spec's law once per call.
 
 One damped loop (``_damped_loop``) holds the damping policy for every
 iteration: the engine's fixed-point sweeps and the eliminated one-sided
@@ -68,6 +70,9 @@ IM_EIG_TOL = 1e-8          # Im G must be negative semidefinite up to this
 DAMPING_FLOOR = 1.0 / 64.0
 DAMPING_RESET_STREAK = 10
 NEWTON_HANDOFF = 1e-6      # fixed-point target before Newton takes over
+SWEEPS = 40                # damped fixed-point sweeps a ladder level runs at most
+NEWTON_STEPS = 60          # steps of one Newton run: a ladder level's, or newton_refine's
+ELIMINATED_SWEEPS = 10_000  # damped sweeps of the eliminated cross-check equation
 PREDICTION_TOL = 1e-3      # residual target of a level that only feeds a prediction
 LADDER_RATIO = 16.0        # each continuation level's offset over the next one's
 MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
@@ -75,23 +80,17 @@ MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls shared by all solvers.
+    """Iteration controls shared by all solvers: the residual target ``tol``.
 
-    ``max_iter`` bounds the iterations (fixed-point sweeps, tangent
-    predictions and Newton steps) that one point may take over its whole
-    solve, ladder levels included.
-    Newton refinement is always on: ``newton`` accepts only True.
+    ``newton`` accepts only True: every solve refines with Newton.
     """
 
     tol: float = 1e-10
-    max_iter: int = 10_000
     newton: bool = True
 
     def __post_init__(self):
         if not 0 < cov._real(self.tol, "tol") < float("inf"):
             raise BadParameter(f"tol must be a positive finite number, got {self.tol!r}")
-        if cov._count(self.max_iter, "max_iter") < 1:
-            raise BadParameter("max_iter must be >= 1")
         if self.newton is not True:
             raise BadParameter("newton must be True: every solve refines with Newton")
 
@@ -222,21 +221,15 @@ def _residual(pat, zs, G, EG):
     return zs[:, None] * G - pat.eye - _block_matmul(pat, EG, G)
 
 
-def _residual_batch(pat, zs, G, EG=None):
-    if EG is None:
-        EG = _eta_batch(pat, G)
-    return np.linalg.norm(_residual(pat, zs, G, EG), axis=1)
-
-
-def _damped_loop(G, residual, step, target, budget):
+def _damped_loop(G, residual, step, target, limit):
     """Damped iteration G <- G + theta (step(G) - G) over a batch of points.
 
     ``residual(G)`` returns the per-point residuals and a value that
     ``step(G, aux)`` reuses to form the undamped map. Per point, theta
     starts at 1, halves on a worse residual down to DAMPING_FLOOR and
     returns to 1 after DAMPING_RESET_STREAK better steps; points whose
-    residual reaches ``target`` or whose iterations reach ``budget`` (a
-    number, or one per point) stop moving.
+    residual reaches ``target`` stop moving, and the loop stops after
+    ``limit`` steps.
     """
     P = len(G)
     shape = (P,) + (1,) * (G.ndim - 1)
@@ -244,9 +237,8 @@ def _damped_loop(G, residual, step, target, budget):
     streak = np.zeros(P, dtype=int)
     res, aux = residual(G)
     iters = np.zeros(P, dtype=int)
-    budget = np.broadcast_to(budget, (P,))
-    for _ in range(budget.max()):
-        active = (res > target) & (iters < budget)
+    for _ in range(limit):
+        active = res > target
         if not active.any():
             break
         try:
@@ -271,17 +263,17 @@ def _damped_loop(G, residual, step, target, budget):
     return G, res, iters
 
 
-def _fixed_point_batch(pat, zs, G, target, budget):
+def _fixed_point_batch(pat, zs, G, target, limit):
     """The damped loop on the pattern: step G -> (z I - eta(G))^{-1}."""
 
     def residual(G):
         EG = _eta_batch(pat, G)
-        return _residual_batch(pat, zs, G, EG), EG
+        return np.linalg.norm(_residual(pat, zs, G, EG), axis=1), EG
 
     def step(G, EG):
         return _block_inv(pat, zs[:, None] * pat.eye - EG)
 
-    return _damped_loop(G, residual, step, target, budget)
+    return _damped_loop(G, residual, step, target, limit)
 
 
 def _jacobian(pat, zs, G, EG):
@@ -369,7 +361,7 @@ def _newton_step(pat, ws, G, EG, rhs):
     return x
 
 
-def _newton_batch(pat, zs, G, target, budget):
+def _newton_batch(pat, zs, G, target, limit):
     """Newton on the linearization in the pattern's coordinates.
 
     Each step solves one linear system per point (:func:`_newton_step`):
@@ -378,7 +370,7 @@ def _newton_batch(pat, zs, G, target, budget):
     :func:`_jacobian`). Where the batch's step fails on a singular matrix,
     every point solves its full system on its own, and a point whose
     system is singular stops. Steps backtrack per point. A point takes at
-    most ``budget`` steps (a number, or one per point).
+    most ``limit`` steps.
     """
     G = G.copy()
     P, m = G.shape
@@ -387,9 +379,8 @@ def _newton_batch(pat, zs, G, target, budget):
     res = np.linalg.norm(R, axis=1)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
-    budget = np.broadcast_to(budget, (P,))
-    for _ in range(budget.max()):
-        active = (res > target) & ~stuck & (iters < budget)
+    for _ in range(limit):
+        active = (res > target) & ~stuck
         if not active.any():
             break
         ii = np.flatnonzero(active)
@@ -449,14 +440,14 @@ def _solve_continuation(law, xs, offsets, config):
     ``config.tol``; a level in between only feeds the next prediction and
     stops at the larger of ``config.tol`` and PREDICTION_TOL. Either way a
     point converges when its residual is within the level's tolerance and
-    Im H <= IM_EIG_TOL. The first level runs up to 40 damped fixed-point
-    sweeps from H = -i*I toward the larger of its tolerance and
-    NEWTON_HANDOFF, then Newton. Each later level predicts along the tangent from the level before
+    Im H <= IM_EIG_TOL. The first level runs up to SWEEPS damped
+    fixed-point sweeps from H = -i*I toward the larger of its tolerance
+    and NEWTON_HANDOFF, then up to NEWTON_STEPS Newton steps. Each later
+    level predicts along the tangent from the level before
     (:func:`_tangent_start`) and runs Newton from there. A point that
     Newton leaves stuck or unconverged restarts from the plain warm start
     w H of the level before and takes the first level's sweeps and Newton.
-    No point takes more than ``config.max_iter`` iterations in all; a
-    prediction counts as one, and a point with none left skips it.
+    A prediction counts as one iteration.
 
     Returns one batch per offset: G expanded to (P, d, d), g the law's
     transform read off G with its trace weights, and ``iters`` counting the
@@ -494,24 +485,17 @@ def _solve_continuation(law, xs, offsets, config):
         wanted = eps in offsets
         # a level that is not wanted only feeds the next level's prediction
         tol = config.tol if wanted else max(config.tol, PREDICTION_TOL)
-        G, res = warm.copy(), np.full(P, np.inf)
         if lev == 0:
-            retry = np.arange(P)
+            G, res, retry = warm.copy(), np.full(P, np.inf), np.arange(P)
         else:
-            ii = np.flatnonzero(total < config.max_iter)
-            if ii.size:
-                G[ii] = _tangent_start(pat, w_prev[ii], G_prev[ii], ws[ii], warm[ii])
-                total[ii] += 1
-            G, res, nits, _ = _newton_batch(
-                pat, ws, G, tol, np.minimum(60, config.max_iter - total))
-            total += nits
+            G = _tangent_start(pat, w_prev, G_prev, ws, warm)
+            G, res, nits, _ = _newton_batch(pat, ws, G, tol, NEWTON_STEPS)
+            total += 1 + nits
             retry = np.flatnonzero(~verdict(G, ws, res, H, tol)[1])
         if retry.size:
-            left = config.max_iter - total[retry]
             Gr, res[retry], fits = _fixed_point_batch(
-                pat, ws[retry], warm[retry], max(tol, NEWTON_HANDOFF), np.minimum(40, left))
-            G[retry], res[retry], nits, _ = _newton_batch(
-                pat, ws[retry], Gr, tol, np.minimum(60, left - fits))
+                pat, ws[retry], warm[retry], max(tol, NEWTON_HANDOFF), SWEEPS)
+            G[retry], res[retry], nits, _ = _newton_batch(pat, ws[retry], Gr, tol, NEWTON_STEPS)
             total[retry] += fits + nits
         H, converged, im_max = verdict(G, ws, res, H, tol)
         G_prev, w_prev = G, ws
@@ -571,8 +555,8 @@ def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     Starts from -i*I and walks the imaginary offset down to Im z as a grid
     solve does (see :func:`_solve_continuation`). To
     polish an approximate solution instead, use :func:`newton_refine`. The
-    best iterate is returned even when ``config.max_iter`` runs out, with
-    ``converged=False``.
+    best iterate is returned, with ``converged=False``, when the ladder's
+    caps run out before the residual target.
     """
     return CauchySolution(_upper_half(z), *_solve_point(cov._map_law(eta), z, config))
 
@@ -585,7 +569,7 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     Each step then solves the linearization on the pattern's m entries
     z*dG - eta(dG) G - eta(G) dG = -(z G - I - eta(G) G), on a bipartite
     map through its complement on the smaller side. Quadratic convergence
-    when started in the basin (residual below ~1e-2).
+    when started in the basin (residual below ~1e-2), in NEWTON_STEPS steps at most.
     """
     config = config or DEFAULT_CONFIG
     z = _upper_half(z)
@@ -595,8 +579,8 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
         raise DimensionMismatch(f"G0 must be {d}x{d}")
     pat = eta.pattern
     zs = np.array([z])
-    budget = min(config.max_iter, 60)
-    G, res, its, stuck = _newton_batch(pat, zs, pat.compress(G0[None]), config.tol, budget)
+    G, res, its, stuck = _newton_batch(
+        pat, zs, pat.compress(G0[None]), config.tol, NEWTON_STEPS)
     if stuck[0] and res[0] > max(config.tol, NEWTON_HANDOFF):
         raise SingularJacobian(
             "Newton made no progress (singular or stalled linearization); "
@@ -697,10 +681,10 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
 def _solve_eliminated(outer, inner, z, config):
     """Solve the eliminated equation z G = I + outer((I - inner(G))^{-1}) G at z.
 
-    Runs the damped loop from -i*I with the step
-    G -> (z I - outer((I - inner(G))^{-1}))^{-1}; each step costs one inverse
-    on each side. The Gram route passes (eta1, eta2), the fading route
-    (eta2, eta1). Returns (G, residual, iterations, converged).
+    Runs at most ELIMINATED_SWEEPS steps of the damped loop from -i*I with
+    the step G -> (z I - outer((I - inner(G))^{-1}))^{-1}; each step costs
+    one inverse on each side. The Gram route passes (eta1, eta2), the
+    fading route (eta2, eta1). Returns (G, residual, iterations, converged).
     """
     eye_out, eye_in = np.eye(outer.dim_out), np.eye(inner.dim_out)
 
@@ -712,7 +696,7 @@ def _solve_eliminated(outer, inner, z, config):
         return np.linalg.inv(z * eye_out - W)[None]
 
     G, res, its = _damped_loop(
-        (-1j * eye_out)[None], residual, step, config.tol, config.max_iter
+        (-1j * eye_out)[None], residual, step, config.tol, ELIMINATED_SWEEPS
     )
     converged = res[0] <= config.tol and max_im_eigenvalue(G[0]) <= IM_EIG_TOL
     return G[0], float(res[0]), int(its[0]), bool(converged)
@@ -755,7 +739,7 @@ def moment_check(eta, config=None) -> MomentEstimates:
     Fits Re tr_d(z G(i R)) as a polynomial in 1/R^2 over the radii
     R = max(e, 1) * (4, 8, 16, 32, 64), with e the support edge estimate
     2 ||eta(I)||^(1/2): all lie at least 4e out, well outside the support.
-    Each radius is one ``_solve_point`` ladder, with its own max_iter. The
+    Each radius is one ``_solve_point`` ladder of its own. The
     expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
     """
     config = config or DEFAULT_CONFIG

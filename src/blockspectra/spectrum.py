@@ -6,9 +6,9 @@ step: with epsilon_1 = 2 epsilon_2,
     p(x) = -(1/pi) Im[ 2 G(x + i eps_2) - G(x + i eps_1) ]
 
 which cancels the first-order offset bias without driving the solver onto
-the real axis. Point masses at zero (Gram laws of rectangular H) are never
-recovered by inversion; they are attached analytically from the block
-counts.
+the real axis. Only ``density_h_star_h`` attaches a point mass at zero,
+(b - a)/b from the block counts; ``density_hh_star`` and ``density_gram``
+with a > b leave HH*'s atom to the inversion, which smears it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
+import contextlib
 import time
 
 import numpy as np
 import pytest
 
 import blockspectra as bs
+from blockspectra import solver as slv
 
 # wall time of expensive session fixtures, for tests with runtime budgets
 FIXTURE_SECONDS: dict[str, float] = {}
@@ -102,3 +104,32 @@ def isi44_grid_solutions(isi44, isi44_density):
     return bs.solve_hh_star_grid(
         isi44, isi44_density.xs, 1e-4, bs.SolverConfig(tol=1e-12, newton=True)
     )
+
+
+def _residual_norms(pat, zs, G):
+    return np.linalg.norm(slv._residual(pat, zs, G, slv._eta_batch(pat, G)), axis=1)
+
+
+def _stalled_newton(pat, zs, G, target, limit):
+    P = len(G)
+    return G.copy(), _residual_norms(pat, zs, G), np.zeros(P, int), np.ones(P, bool)
+
+
+def _stalled_sweeps(pat, zs, G, target, limit):
+    return G.copy(), _residual_norms(pat, zs, G), np.zeros(len(G), int)
+
+
+@pytest.fixture
+def stalled(monkeypatch):
+    """A context in which Newton and the fixed-point sweeps return their input unchanged.
+
+    Inside it every ladder level keeps its start, so a solve ends with a
+    finite, unconverged iterate and reaches the solver's failure paths.
+    """
+    @contextlib.contextmanager
+    def stall():
+        with monkeypatch.context() as m:
+            m.setattr(slv, "_newton_batch", _stalled_newton)
+            m.setattr(slv, "_fixed_point_batch", _stalled_sweeps)
+            yield
+    return stall

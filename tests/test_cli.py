@@ -53,6 +53,13 @@ NON_FINITE = {
 }
 
 
+# removed solver options: the parser refuses each as an unknown key of its section
+REMOVED_KEYS = {
+    "solver.max_iter": (dict(ISI_CONFIG, solver={"max_iter": 5}), "max_iter"),
+    "solver.damping": (dict(ISI_CONFIG, solver={"damping": 1.0}), "damping"),
+}
+
+
 def _write(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -437,16 +444,16 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError"
 
-    def test_numerical_failure_exit_one(self, tmp_path, capsys):
+    def test_numerical_failure_exit_one(self, tmp_path, capsys, stalled):
         payload = {
             "model": "selfadjoint", "d": 1, "entries": [[1, 1, 1, 1, 1.0]],
             "grid": {"xmin": -2.5, "xmax": 2.5, "points": 16, "epsilon": 1e-4},
-            "solver": {"max_iter": 2},
         }
-        code = cli.main([
-            "--config", str(_write(tmp_path, payload)), "--command", "density",
-            "--out", str(tmp_path / "out"),
-        ])
+        with stalled():
+            code = cli.main([
+                "--config", str(_write(tmp_path, payload)), "--command", "density",
+                "--out", str(tmp_path / "out"),
+            ])
         assert code == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NoConvergence"
@@ -505,6 +512,20 @@ class TestMain:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload, key", REMOVED_KEYS.values(), ids=REMOVED_KEYS.keys())
+    def test_removed_key_exit_two(self, payload, key, tmp_path, capsys):
+        with pytest.raises(errors.ValidationError, match=f"unknown key.*{key}") as err:
+            cli.parse_config(json.dumps(payload))
+        assert err.value.field == "solver"
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and key in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_refused(self, tmp_path, capsys):
