@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -360,7 +361,11 @@ def emit(artifact, path) -> Path:
     path = Path(path)
     if isinstance(artifact, CsvArtifact):
         lines = [",".join(artifact.header)]
-        lines += [",".join(_format_cell(c) for c in row) for row in artifact.rows]
+        if all(issubclass(t, float) for t in set(map(type, chain.from_iterable(artifact.rows)))):
+            floats = ",".join(["%.17g"] * len(artifact.header))  # every row in one format
+            lines += [floats % row for row in artifact.rows]
+        else:
+            lines += [",".join(_format_cell(c) for c in row) for row in artifact.rows]
         text = "\n".join(lines) + "\n"
     elif isinstance(artifact, JsonArtifact):
         text = json.dumps(artifact.payload, indent=2, sort_keys=True) + "\n"

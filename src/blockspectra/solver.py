@@ -21,7 +21,10 @@ bipartite: it sends side a of the pattern only into side b and back
 (``pattern.sides``). There Newton eliminates the larger side, whose
 block of the Jacobian is blockwise w - eta(G), and solves the m_A x m_A
 complement on the smaller one; any other map solves the full m x m
-system.
+system. When both sides are all 1x1 (ISI and every diagonal Gram law),
+the complement comes from one product with the pattern's coupling
+product, and a complement of size 1 or 2 is solved by cofactors. The
+Im G check takes a 2x2 block's top eigenvalue in closed form too.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
@@ -130,8 +133,9 @@ def imaginary_part(G) -> np.ndarray:
 
 
 def max_im_eigenvalue(G) -> float:
-    """Largest eigenvalue of the imaginary part; <= 0 selects the physical branch."""
-    return float(np.linalg.eigvalsh(imaginary_part(G)).max())
+    """Largest eigenvalue of Im G (<= 0 on the physical branch); NaN if G is not finite."""
+    G = np.asarray(G, dtype=complex)  # eigvalsh would read a NaN as 0
+    return float(np.linalg.eigvalsh(imaginary_part(G)).max()) if np.isfinite(G).all() else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,13 @@ def _block_matmul(pat, A, B):
     return out
 
 
+def _pivots(det):
+    """``det``, or LinAlgError before any division by it if an entry is 0."""
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return det
+
+
 def _block_inv(pat, A):
     """Blockwise inverse of a compressed batch: 1x1 blocks are reciprocals, 2x2 cofactors.
 
@@ -182,15 +193,10 @@ def _block_inv(pat, A):
     out = np.empty_like(A)
     for s, n, sl in pat.groups:
         if s == 1:
-            if not A[:, sl].all():
-                raise np.linalg.LinAlgError("Singular matrix")
-            out[:, sl] = 1.0 / A[:, sl]
+            out[:, sl] = 1.0 / _pivots(A[:, sl])
         elif s == 2:
             a, b, c, d = A[:, sl].reshape(len(A), n, 4).transpose(2, 0, 1)
-            det = a * d - b * c
-            if not det.all():
-                raise np.linalg.LinAlgError("Singular matrix")
-            r = 1.0 / det
+            r = 1.0 / _pivots(a * d - b * c)
             out[:, sl] = np.stack([d * r, -b * r, -c * r, a * r], axis=2).reshape(len(A), n * 4)
         else:
             blocks = A[:, sl].reshape(len(A), n, s, s)
@@ -199,16 +205,26 @@ def _block_inv(pat, A):
 
 
 def _block_im_max(pat, G):
-    """Per point, the largest eigenvalue of Im G over all blocks; a 1x1 block's is Im G."""
+    """Per point, the largest eigenvalue of Im G over all blocks, NaN if G is not finite.
+
+    A 1x1 block's is Im G; a 2x2 block [[a, b], [c, d]]'s is (p + r)/2 +
+    sqrt(((p - r)/2)^2 + |q|^2) with p = Im a, r = Im d, q = (b - c*)/2i.
+    """
     out = np.full(len(G), -np.inf)
     with np.errstate(all="ignore"):
         for s, n, sl in pat.groups:
             if s == 1:
                 top = G[:, sl].imag.max(axis=1)
+            elif s == 2:
+                a, b, c, d = G[:, sl].reshape(len(G), n, 4).transpose(2, 0, 1)
+                top = ((a.imag + d.imag) / 2
+                       + np.hypot((a.imag - d.imag) / 2, np.abs(b - c.conj()) / 2)).max(axis=1)
             else:
                 im = imaginary_part(G[:, sl].reshape(len(G), n, s, s))
                 top = np.linalg.eigvalsh(im).max(axis=(1, 2))
             out = np.maximum(out, top)
+    if not np.isfinite(G).all():  # a NaN real part, or a NaN that eigvalsh reads as 0
+        out[~np.isfinite(G).all(axis=1)] = np.nan
     return out
 
 
@@ -328,6 +344,18 @@ def _coupled_side(side, ws, eye, G, EG, rhs):
     return K, y
 
 
+def _solve_complement(S, y):
+    """x solving S x = y per point, a 1x1 or 2x2 S by cofactors; LinAlgError if S is singular."""
+    m = y.shape[1]
+    if m == 1:
+        return y / _pivots(S[:, 0])
+    if m > 2:
+        return np.linalg.solve(S, y[:, :, None])[..., 0]
+    (a, b), (c, d) = S.transpose(1, 2, 0)
+    r = 1.0 / _pivots(a * d - b * c)
+    return np.stack([(d * y[:, 0] - b * y[:, 1]) * r, (a * y[:, 1] - c * y[:, 0]) * r], axis=1)
+
+
 def _newton_step(pat, ws, G, EG, rhs):
     """The Newton step: x solving J x = rhs, J the linearization of :func:`_jacobian`.
 
@@ -336,28 +364,33 @@ def _newton_step(pat, ws, G, EG, rhs):
     each block of side X on the left by w - eta(G) and L_XY x = -eta(x) G
     on X. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X, x_A solves
     the m_A x m_A complement (I - K_A K_B) x_A = y_A + K_A y_B and
-    x_B = y_B + K_B x_A. Any other pattern solves the full m x m system.
-    Raises LinAlgError when a D_X or the system is singular at some point.
+    x_B = y_B + K_B x_A. When both sides are all 1x1, K_X = diag(u_X) T_XY
+    with u_X = D_X^{-1} G_X, so I - K_A K_B = I - u_A * (u_B Q) from the
+    pattern's coupling product Q, and neither K is formed. Any other
+    pattern solves the full m x m system. Raises LinAlgError when a D_X or
+    the system is singular at some point.
     """
     if pat.sides is None:
         return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
     A, B = pat.sides
-    KA, yA = _coupled_side(A, ws, pat.eye, G, EG, rhs)
-    P, mA, mB = KA.shape
-    scalar = B.groups[-1][0] == 1
-    if scalar:
-        # 1x1 blocks: K_B = diag(u_B) T_BA, so K_B is never formed
-        W = _block_inv(B, ws[:, None] - EG[:, B.index])
-        uB, yB = W * G[:, B.index], W * rhs[:, B.index]
-        S = -((KA * uB[:, None, :]).reshape(P * mA, mB) @ B.coupling).reshape(P, mA, mA)
-    else:
+    Q, P, mA = pat._coupling_product, len(G), len(A.index)
+    if Q is None:
+        KA, yA = _coupled_side(A, ws, pat.eye, G, EG, rhs)
         KB, yB = _coupled_side(B, ws, pat.eye, G, EG, rhs)
         S = -(KA @ KB)
+        b = yA + (KA @ yB[:, :, None])[..., 0]
+    else:
+        WA = _block_inv(A, ws[:, None] - EG[:, A.index])
+        WB = _block_inv(B, ws[:, None] - EG[:, B.index])
+        uA, uB, yB = WA * G[:, A.index], WB * G[:, B.index], WB * rhs[:, B.index]
+        S = (uB @ Q).reshape(P, mA, mA)
+        S *= -uA[:, :, None]
+        b = WA * rhs[:, A.index] + uA * (yB @ A.coupling.T)
     S[:, np.arange(mA), np.arange(mA)] += 1
-    xA = np.linalg.solve(S, (yA + (KA @ yB[:, :, None])[..., 0])[:, :, None])[..., 0]
+    xA = _solve_complement(S, b)
     x = np.empty_like(G)
     x[:, A.index] = xA
-    x[:, B.index] = yB + (uB * (xA @ B.coupling.T) if scalar else (KB @ xA[:, :, None])[..., 0])
+    x[:, B.index] = yB + ((KB @ xA[:, :, None])[..., 0] if Q is None else uB * (xA @ B.coupling.T))
     return x
 
 
@@ -384,7 +417,8 @@ def _newton_batch(pat, zs, G, target, limit):
         if not active.any():
             break
         ii = np.flatnonzero(active)
-        Gi, zi, EGi, rhs = G[ii], zs[ii], EG[ii], -R[ii]
+        # all active: no gathered copies; backtracking writes a row of G only as it stops pending
+        Gi, zi, EGi, rhs = (G, zs, EG, -R) if len(ii) == P else (G[ii], zs[ii], EG[ii], -R[ii])
         try:
             step = _newton_step(pat, zi, Gi, EGi, rhs)
         except np.linalg.LinAlgError:

@@ -1,5 +1,6 @@
 """Invariant sparsity pattern of a covariance map and the solves that use it."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,9 @@ def test_isi_sides_are_the_two_frames(K, L):
     assert B.index.tolist() == list(range(K, 2 * K + L - 1))
     assert A.groups == ((1, K, slice(0, K)),)
     assert B.groups == ((1, K + L - 1, slice(0, K + L - 1)),)
+    # both sides scalar: the complement's product Q[k, (i, j)] = T_AB[i, k] T_BA[k, j]
+    Q = np.einsum("ik,kj->kij", A.coupling, B.coupling).reshape(K + L - 1, K * K)
+    assert (pat._coupling_product == Q).all()
 
 
 def test_nonsep_t2_sides_are_two_scalars_and_a_block():
@@ -208,6 +212,7 @@ def test_nonsep_t2_sides_are_two_scalars_and_a_block():
     _assert_sides(pat, [(0,), (1,)], [(2, 3)])
     A, B = pat.sides
     assert A.groups == ((1, 2, slice(0, 2)),) and B.groups == ((2, 1, slice(0, 4)),)
+    assert pat._coupling_product is None
 
 
 def test_rotated_isi_sides_are_its_two_dense_blocks():
@@ -215,6 +220,7 @@ def test_rotated_isi_sides_are_its_two_dense_blocks():
     _assert_sides(pat, [(0, 1, 2)], [(3, 4, 5, 6)])
     A, B = pat.sides
     assert A.groups == ((3, 1, slice(0, 9)),) and B.groups == ((4, 1, slice(0, 16)),)
+    assert pat._coupling_product is None
 
 
 @pytest.mark.parametrize("config", ["semicircle", "selfadjoint_complex_d2"])
@@ -249,6 +255,15 @@ def test_newton_step_eliminates_one_side_of_random_gram_laws(a, b, complex_, see
     _assert_step_is_the_full_solve(cov._law(spec), seed)
 
 
+@settings(max_examples=25, deadline=None)
+@given(K=st.integers(1, 6), L=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_newton_step_on_scalar_sides_is_the_full_solve(K, L, seed):
+    taps = np.random.default_rng(seed).uniform(0.05, 3.0, L)
+    law = cov._law(bs.isi_covariance(K, L, taps))
+    assert law.eta.pattern._coupling_product is not None
+    _assert_step_is_the_full_solve(law, seed)
+
+
 def test_newton_step_eliminates_one_side_of_block_laws():
     _assert_step_is_the_full_solve(_law_of("nonsep_t2"), 3)
     _assert_step_is_the_full_solve(cov._law(_rotated_hh_star(bs.isi_covariance(3, 2), 11)), 4)
@@ -281,3 +296,28 @@ def test_2x2_blocks_in_closed_form_match_numpy(n):
     A[5, -4:] = [1.0, 2.0, 3.0, 6.0]  # the last block of point 5 has determinant 0
     with pytest.raises(np.linalg.LinAlgError):
         slv._block_inv(pat, A)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_2x2_im_check_in_closed_form_matches_eigvalsh(n):
+    pat = cov.Side(np.arange(4 * n), ((2, n, slice(0, 4 * n)),), None)
+    rng = np.random.default_rng(40 + n)
+    G = rng.standard_normal((256, 4 * n)) + 1j * rng.standard_normal((256, 4 * n))
+    G[:8, 1::4] = G[:8, 2::4].conj()  # q = 0 at 8 points: Im G is diagonal there
+    want = np.linalg.eigvalsh(slv.imaginary_part(G.reshape(256, n, 2, 2))).max(axis=(1, 2))
+    # both round at a few ulp of the eigenvalue, so the bound is relative to it
+    assert (np.abs(slv._block_im_max(pat, G) - want) <= 1e-15 * np.maximum(np.abs(want), 1)).all()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_small_complements_in_closed_form_match_numpy(m):
+    rng = np.random.default_rng(50 + m)
+    S = rng.standard_normal((64, m, m)) + 1j * rng.standard_normal((64, m, m))
+    y = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
+    want = np.linalg.solve(S, y[:, :, None])[..., 0]
+    assert np.abs(slv._solve_complement(S, y) - want).max() <= 1e-13 * np.abs(want).max()
+    S[7] = [[0.0]] if m == 1 else [[1.0, 2.0], [2.0, 4.0]]  # singular at point 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any division by zero
+        with pytest.raises(np.linalg.LinAlgError):
+            slv._solve_complement(S, y)

@@ -235,6 +235,23 @@ def test_newton_batch_falls_back_to_each_point_when_one_jacobian_is_singular(sem
     assert res[1] <= 1e-12
 
 
+def test_non_finite_matrix_fails_the_im_check():
+    # eigvalsh reads NaN as 0, which would put the matrix on the physical branch
+    assert np.isnan(max_im_eigenvalue(np.array([[np.nan, 0], [0, -1j]])))
+    assert np.isnan(max_im_eigenvalue(np.array([[-1j, np.inf], [0, -1j]])))
+    assert max_im_eigenvalue(np.array([[-1j, 0], [0, -2j]])) == -1.0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_non_finite_block_fails_the_block_im_check(s):
+    pat = cov.Side(np.arange(2 * s * s), ((s, 2, slice(0, 2 * s * s)),), None)
+    G = np.tile(-1j * np.eye(s).ravel(), (3, 2))
+    G[1, 0], G[2, -1] = np.nan, complex(0, np.inf)
+    got = slv._block_im_max(pat, G)
+    assert got[0] == -1.0 and np.isnan(got[1]) and np.isnan(got[2])
+    assert not (got <= slv.IM_EIG_TOL)[1:].any()
+
+
 def test_newton_batch_falls_back_to_each_point_on_a_bipartite_law():
     # hermitized ISI: at w = 0 from G = 0 each side's block w - eta(G) is
     # zero, and so is the whole Jacobian; the other point must still step
