@@ -35,7 +35,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -350,22 +349,13 @@ class JsonArtifact:
     payload: dict
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
-
-
 def emit(artifact, path) -> Path:
     """Write one artifact atomically (temp file + rename)."""
     path = Path(path)
     if isinstance(artifact, CsvArtifact):
         lines = [",".join(artifact.header)]
-        if all(issubclass(t, float) for t in set(map(type, chain.from_iterable(artifact.rows)))):
-            floats = ",".join(["%.17g"] * len(artifact.header))  # every row in one format
-            lines += [floats % row for row in artifact.rows]
-        else:
-            lines += [",".join(_format_cell(c) for c in row) for row in artifact.rows]
+        fmt = ",".join(["%.17g"] * len(artifact.header))  # an integer up to 2**53 prints whole
+        lines += [fmt % row for row in artifact.rows]
         text = "\n".join(lines) + "\n"
     elif isinstance(artifact, JsonArtifact):
         text = json.dumps(artifact.payload, indent=2, sort_keys=True) + "\n"

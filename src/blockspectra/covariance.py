@@ -368,9 +368,6 @@ class InvariantPattern:
     sends side a into side b and back), it
     holds one :class:`Side` per colour, the smaller first. It is None when
     the tensor couples a block to its own side, or couples no blocks at all.
-    When both sides hold only 1x1 blocks, ``_coupling_product`` holds the
-    products Q[k, i m_A + j] = T_AB[i, k] T_BA[k, j] of the two couplings
-    (A the smaller side, T_AB its ``coupling``), m_B x m_A^2; else None.
     """
 
     def __init__(self, tensor):
@@ -399,10 +396,19 @@ class InvariantPattern:
         self.eye = (self.flat // d == self.flat % d).astype(float)
         self.tensor = tensor.reshape(d * d, d * d)[np.ix_(self.flat, self.flat)]
         self.sides = self._bipartition(reach[np.ix_(self.flat, self.flat)])
-        A, B = self.sides or (None, None)
-        self._coupling_product = (
-            (A.coupling.T[:, :, None] * B.coupling[:, None, :]).reshape(len(B.index), -1)
-            if self.sides and A.groups[-1][0] == B.groups[-1][0] == 1 else None)
+
+    @cached_property
+    def coupling_product(self):
+        """Q[k, i, j] = T_AB[i, k] T_BA[k, j], m_B x m_A x m_A, when both sides are all 1x1.
+
+        A is the smaller side and T_AB its ``coupling``. A Gram law's Newton
+        step on such sides forms its Schur complement from Q alone. None on
+        any other pattern; computed on first use.
+        """
+        if self.sides is None or any(side.groups[-1][0] > 1 for side in self.sides):
+            return None
+        A, B = self.sides
+        return A.coupling.T[:, :, None] * B.coupling[:, None, :]
 
     def _bipartition(self, reach):
         """The two Sides of a 2-colouring of the blocks under ``reach``, or None."""

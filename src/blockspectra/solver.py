@@ -23,8 +23,8 @@ block of the Jacobian is blockwise w - eta(G), and solves the m_A x m_A
 complement on the smaller one; any other map solves the full m x m
 system. When both sides are all 1x1 (ISI and every diagonal Gram law),
 the complement comes from one product with the pattern's coupling
-product, and a complement of size 1 or 2 is solved by cofactors. The
-Im G check takes a 2x2 block's top eigenvalue in closed form too.
+product, and a 2x2 complement is solved by cofactors. The Im G check
+takes a 2x2 block's top eigenvalue in closed form too.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
@@ -205,7 +205,7 @@ def _block_inv(pat, A):
 
 
 def _block_im_max(pat, G):
-    """Per point, the largest eigenvalue of Im G over all blocks, NaN if G is not finite.
+    """Per point, the largest eigenvalue of Im G over all blocks.
 
     A 1x1 block's is Im G; a 2x2 block [[a, b], [c, d]]'s is (p + r)/2 +
     sqrt(((p - r)/2)^2 + |q|^2) with p = Im a, r = Im d, q = (b - c*)/2i.
@@ -223,8 +223,6 @@ def _block_im_max(pat, G):
                 im = imaginary_part(G[:, sl].reshape(len(G), n, s, s))
                 top = np.linalg.eigvalsh(im).max(axis=(1, 2))
             out = np.maximum(out, top)
-    if not np.isfinite(G).all():  # a NaN real part, or a NaN that eigvalsh reads as 0
-        out[~np.isfinite(G).all(axis=1)] = np.nan
     return out
 
 
@@ -345,11 +343,8 @@ def _coupled_side(side, ws, eye, G, EG, rhs):
 
 
 def _solve_complement(S, y):
-    """x solving S x = y per point, a 1x1 or 2x2 S by cofactors; LinAlgError if S is singular."""
-    m = y.shape[1]
-    if m == 1:
-        return y / _pivots(S[:, 0])
-    if m > 2:
+    """x solving S x = y per point, a 2x2 S by cofactors; LinAlgError if S is singular."""
+    if y.shape[1] != 2:
         return np.linalg.solve(S, y[:, :, None])[..., 0]
     (a, b), (c, d) = S.transpose(1, 2, 0)
     r = 1.0 / _pivots(a * d - b * c)
@@ -373,7 +368,7 @@ def _newton_step(pat, ws, G, EG, rhs):
     if pat.sides is None:
         return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
     A, B = pat.sides
-    Q, P, mA = pat._coupling_product, len(G), len(A.index)
+    Q, P, mA = pat.coupling_product, len(G), len(A.index)
     if Q is None:
         KA, yA = _coupled_side(A, ws, pat.eye, G, EG, rhs)
         KB, yB = _coupled_side(B, ws, pat.eye, G, EG, rhs)
@@ -383,7 +378,7 @@ def _newton_step(pat, ws, G, EG, rhs):
         WA = _block_inv(A, ws[:, None] - EG[:, A.index])
         WB = _block_inv(B, ws[:, None] - EG[:, B.index])
         uA, uB, yB = WA * G[:, A.index], WB * G[:, B.index], WB * rhs[:, B.index]
-        S = (uB @ Q).reshape(P, mA, mA)
+        S = (uB @ Q.reshape(len(Q), -1)).reshape(P, mA, mA)
         S *= -uA[:, :, None]
         b = WA * rhs[:, A.index] + uA * (yB @ A.coupling.T)
     S[:, np.arange(mA), np.arange(mA)] += 1
@@ -417,7 +412,9 @@ def _newton_batch(pat, zs, G, target, limit):
         if not active.any():
             break
         ii = np.flatnonzero(active)
-        # all active: no gathered copies; backtracking writes a row of G only as it stops pending
+        # every point active: Gi and EGi are G and EG, not copies. Backtracking
+        # writes a row of G only as that point leaves `pending`, and reads only
+        # pending rows of Gi, so the aliasing changes no value.
         Gi, zi, EGi, rhs = (G, zs, EG, -R) if len(ii) == P else (G[ii], zs[ii], EG[ii], -R[ii])
         try:
             step = _newton_step(pat, zi, Gi, EGi, rhs)

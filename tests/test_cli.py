@@ -219,16 +219,15 @@ class TestEmit:
         assert lines[1].split(",")[1] == "%.17g" % (1 / 3)
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_all_float_rows_print_as_each_cell_does(self, tmp_path):
-        # an all-float artifact is printed row by row with one format; a row
-        # with an integer keeps the cell formatter, which prints large integers whole
-        values = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, 1 / 3, 2.0, 1e17])
-        rows = tuple(zip(values, values[::-1]))
-        for art in (cli.CsvArtifact(("a", "b"), rows),
-                    cli.CsvArtifact(("a", "b"), rows + ((10**18, 0.5),))):
-            lines = cli.emit(art, tmp_path / "t.csv").read_text().split("\n")
-            assert lines[1:-1] == [",".join(cli._format_cell(c) for c in row) for row in art.rows]
-        assert lines[-2] == "1000000000000000000,0.5"
+    def test_every_cell_prints_in_one_format(self, tmp_path):
+        # "%.17g" round-trips every float and prints an integer up to 2**53 whole
+        rows = ((1, 0.1), (np.int64(8), -0.0), (2.0, np.nan), (np.inf, -np.inf),
+                (1e300, 5e-324), (np.float64(1 / 3), 2**53))
+        lines = cli.emit(cli.CsvArtifact(("a", "b"), rows), tmp_path / "t.csv").read_text()
+        assert lines.split("\n")[1:-1] == [
+            "1,0.10000000000000001", "8,-0", "2,nan", "inf,-inf",
+            "1.0000000000000001e+300,4.9406564584124654e-324",
+            "0.33333333333333331,9007199254740992"]
 
     def test_json_artifact(self, tmp_path):
         path = cli.emit(cli.JsonArtifact({"b": 1, "a": 2}), tmp_path / "t.json")
