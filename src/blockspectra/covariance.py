@@ -37,6 +37,7 @@ assembled from eta1 and eta2; any other spec gives its weighted map.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import operator
 import reprlib
@@ -329,18 +330,14 @@ class EtaMap:
 
 
 class Side(NamedTuple):
-    """One side of a bipartite pattern.
+    """One side of a bipartite pattern: the contiguous ``span`` of stored entries it holds.
 
-    ``index`` holds the side's stored entries (positions in the compressed
-    values), block by block, so ``groups`` lists (s, n, slice) for its n
-    blocks of size s as :class:`InvariantPattern` does, the slices indexing
-    ``index``. ``coupling`` is the restricted tensor's rows on this side and
-    columns on the other: the part of the map that writes this side.
+    ``groups`` lists (s, n, slice) for its n blocks of size s as
+    :class:`InvariantPattern` does, the slices indexing the span's values.
     """
 
-    index: np.ndarray
+    span: slice
     groups: tuple
-    coupling: np.ndarray
 
 
 class InvariantPattern:
@@ -356,18 +353,19 @@ class InvariantPattern:
     inverses, so every fixed-point and Newton iterate of z G = I + s eta(G) G
     stays on it.
 
-    Values on the pattern are stored flat ("compressed"), blocks grouped by
-    size: ``groups`` lists (s, n, slice) for the n blocks of size s, each
-    stored row-major in its slice. ``flat`` holds the i*d+j position of
-    every stored entry, ``eye`` the identity and ``tensor`` the m x m
-    restriction of the map to the m stored entries.
+    ``sides`` is the map's bipartition, or None. When the map couples each
+    block only to blocks of the other colour of a 2-colouring (a Gram law's
+    hermitized map sends side a into side b and back), it holds one
+    :class:`Side` per colour, the one with fewer stored entries (A) first;
+    it is None when the map couples a block to its own side, or no blocks.
 
-    ``sides`` is the map's bipartition, or None. When the restricted tensor
-    couples each block only to blocks of the other colour of a 2-colouring,
-    its entries counted as for the blocks (a Gram law's hermitized map
-    sends side a into side b and back), it
-    holds one :class:`Side` per colour, the smaller first. It is None when
-    the tensor couples a block to its own side, or couples no blocks at all.
+    Values on the pattern are stored flat ("compressed"), block after block
+    in the order (side, size, indices), or (size, indices) without sides, so
+    side A is the range [0, m_A). Each block is stored row-major; ``groups``
+    lists (s, n, slice) for each maximal run of n blocks of size s. ``flat``
+    holds the i*d+j position of every stored entry, ``diagonal`` that of
+    entry (i, i) for i = 0..d-1, ``eye`` the identity and ``tensor`` the
+    m x m restriction of the map to the m stored entries.
     """
 
     def __init__(self, tensor):
@@ -384,66 +382,30 @@ class InvariantPattern:
             S = grown
         blocks = sorted({tuple(np.flatnonzero(row).tolist()) for row in S},
                         key=lambda b: (len(b), b))
-        self.d = d
-        self.blocks = tuple(blocks)
-        groups, flat = [], []
-        for s in sorted({len(b) for b in blocks}):
-            members = [b for b in blocks if len(b) == s]
-            groups.append((s, len(members), slice(len(flat), len(flat) + len(members) * s * s)))
-            flat += [i * d + j for b in members for i in b for j in b]
-        self.groups = tuple(groups)
-        self.flat = np.array(flat)
+        blocks, nA = _bipartition(blocks, reach, S)
+        sizes = [len(b) for b in blocks]
+        self.d, self.blocks = d, tuple(blocks)
+        self.groups = _runs(sizes)
+        self.flat = np.array([i * d + j for b in blocks for i in b for j in b])
+        self.diagonal = np.nonzero(self.flat == (d + 1) * np.arange(d)[:, None])[1]
         self.eye = (self.flat // d == self.flat % d).astype(float)
         self.tensor = tensor.reshape(d * d, d * d)[np.ix_(self.flat, self.flat)]
-        self.sides = self._bipartition(reach[np.ix_(self.flat, self.flat)])
+        mA = sum(s * s for s in sizes[:nA])
+        self.sides = (Side(slice(0, mA), _runs(sizes[:nA])),
+                      Side(slice(mA, len(self.flat)), _runs(sizes[nA:]))) if nA else None
 
     @cached_property
     def coupling_product(self):
         """Q[k, i, j] = T_AB[i, k] T_BA[k, j], m_B x m_A x m_A, when both sides are all 1x1.
 
-        A is the smaller side and T_AB its ``coupling``. A Gram law's Newton
-        step on such sides forms its Schur complement from Q alone. None on
-        any other pattern; computed on first use.
+        T_AB = tensor[A, B] is the part of the map that writes side A. A Gram
+        law's Newton step on such sides forms its Schur complement from Q
+        alone. None on any other pattern; computed on first use.
         """
         if self.sides is None or any(side.groups[-1][0] > 1 for side in self.sides):
             return None
-        A, B = self.sides
-        return A.coupling.T[:, :, None] * B.coupling[:, None, :]
-
-    def _bipartition(self, reach):
-        """The two Sides of a 2-colouring of the blocks under ``reach``, or None."""
-        sizes = [len(b) ** 2 for b in self.blocks]  # stored in this order
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        adj = np.zeros((len(sizes),) * 2, dtype=bool)
-        rows, cols = np.nonzero(reach)
-        adj[owner[rows], owner[cols]] = True
-        adj |= adj.T
-        colour = np.full(len(sizes), -1)
-        for start in range(len(sizes)):
-            if colour[start] >= 0:
-                continue
-            colour[start], todo = 0, [start]
-            while todo:
-                p = todo.pop()
-                for q in np.flatnonzero(adj[p]):
-                    if colour[q] == colour[p]:
-                        return None
-                    if colour[q] < 0:
-                        colour[q] = 1 - colour[p]
-                        todo.append(q)
-        sides = sorted((np.flatnonzero(colour[owner] == c) for c in (0, 1)), key=len)
-        if not sides[0].size:
-            return None
-        return tuple(self._side(index, other) for index, other in zip(sides, sides[::-1]))
-
-    def _side(self, index, other) -> Side:
-        groups, start = [], 0
-        for s, _, sl in self.groups:
-            n = int(np.count_nonzero((index >= sl.start) & (index < sl.stop))) // (s * s)
-            if n:
-                groups.append((s, n, slice(start, start + n * s * s)))
-                start += n * s * s
-        return Side(index, tuple(groups), self.tensor[np.ix_(index, other)])
+        A, B = (side.span for side in self.sides)
+        return self.tensor[A, B].T[:, :, None] * self.tensor[B, A][:, None, :]
 
     def compress(self, G) -> np.ndarray:
         """Pinch (..., d, d) matrices onto the pattern: their stored entries."""
@@ -455,6 +417,42 @@ class InvariantPattern:
         out = np.zeros((*Gc.shape[:-1], self.d * self.d), dtype=complex)
         out[..., self.flat] = Gc
         return out.reshape(*Gc.shape[:-1], self.d, self.d)
+
+
+def _bipartition(blocks, reach, S):
+    """The blocks with side A's first, and A's block count (0 without sides).
+
+    A is the colour with fewer stored entries of a 2-colouring of the blocks
+    of the pattern S under ``reach``, the map's links between i*d+j entries.
+    """
+    d, on = len(S), np.flatnonzero(S)
+    owner = np.array(sorted((i, n) for n, b in enumerate(blocks) for i in b))[:, 1]
+    rows, cols = np.nonzero(reach[:, on])  # columns on S: rows are on S too
+    adj = np.zeros((len(blocks),) * 2, dtype=bool)
+    adj[owner[rows // d], owner[on[cols] // d]] = True
+    adj |= adj.T
+    colour, todo = np.full(len(blocks), -1), []
+    for start in range(len(blocks)):
+        if colour[start] < 0:
+            colour[start], todo = 0, [start]
+        while todo:
+            p = todo.pop()
+            if (colour[adj[p]] == colour[p]).any():
+                return blocks, 0
+            fresh = np.flatnonzero(adj[p] & (colour < 0))
+            colour[fresh] = 1 - colour[p]
+            todo += fresh.tolist()
+    entries = np.array([len(b) ** 2 for b in blocks])
+    if entries[colour == 1].sum() < entries[colour == 0].sum():
+        colour = 1 - colour  # also when no block is coupled: then A is empty
+    return [blocks[n] for n in np.argsort(colour, kind="stable")], int(np.sum(colour == 0))
+
+
+def _runs(sizes):
+    """(s, n, slice) for each maximal run of n blocks of size s, stored in this order."""
+    runs = [(s, len(list(run))) for s, run in itertools.groupby(sizes)]
+    ends = list(itertools.accumulate((n * s * s for s, n in runs), initial=0))
+    return tuple((s, n, slice(a, b)) for (s, n), a, b in zip(runs, ends, ends[1:]))
 
 
 def eta_apply(eta: EtaMap, D) -> np.ndarray:

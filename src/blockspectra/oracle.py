@@ -209,17 +209,23 @@ def empirical_spectrum(sample: EnsembleSample) -> np.ndarray:
 
 
 def ks_distance(eigenvalues, theoretical_cdf) -> float:
-    """Kolmogorov-Smirnov distance of a sample against a CDF callable."""
-    e = np.sort(cov._numbers(eigenvalues, "eigenvalues"))
+    """Kolmogorov-Smirnov distance of a sample against a CDF callable.
+
+    At each distinct sample x, F(x) meets the empirical CDF after x's step
+    and F(x-) the one before it: F at the float below x where samples tie
+    (as at an atom of F), else F(x).
+    """
+    e = cov._numbers(eigenvalues, "eigenvalues")
     n = e.size
     if n == 0:
         raise BadParameter("need a nonempty eigenvalue list")
     if not np.isfinite(e).all():
         raise BadParameter("eigenvalues must be finite")
-    F = np.asarray(theoretical_cdf(e), dtype=float)
-    up = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(up - F), np.max(F - lo), 0.0))
+    x, ties = np.unique(e, return_counts=True)
+    after = np.cumsum(ties)
+    F = np.asarray(theoretical_cdf(x), dtype=float)
+    left = np.where(ties > 1, np.asarray(theoretical_cdf(np.nextafter(x, -np.inf)), dtype=float), F)
+    return float(max(np.max(after / n - F), np.max(left - (after - ties) / n), 0.0))
 
 
 def nc2_moment(eta, m: int, trace_weights=None):

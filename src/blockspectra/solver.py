@@ -14,17 +14,20 @@ Every solve runs in the invariant pattern of eta (``EtaMap.pattern``): the
 smallest set of diagonal blocks, after a permutation, that contains the
 identity and is closed under eta, products and inverses. The solution and
 every iterate live there (Helton, Rashidi Far and Speicher, IMRN 2007), so
-the batched engine stores G as its m values on the pattern and inverts
-block by block, 1x1 and 2x2 blocks in closed form (m = d for the diagonal
-pattern of ISI channels, m = d^2 for a dense map). A Gram law's map is
-bipartite: it sends side a of the pattern only into side b and back
-(``pattern.sides``). There Newton eliminates the larger side, whose
-block of the Jacobian is blockwise w - eta(G), and solves the m_A x m_A
-complement on the smaller one; any other map solves the full m x m
-system. When both sides are all 1x1 (ISI and every diagonal Gram law),
-the complement comes from one product with the pattern's coupling
-product, and a 2x2 complement is solved by cofactors. The Im G check
-takes a 2x2 block's top eigenvalue in closed form too.
+the batched engine stores G as its m values on the pattern, in the
+pattern's layout, and inverts block by block, 1x1 and 2x2 blocks in closed
+form (m = d for the diagonal pattern of ISI channels, m = d^2 for a dense
+map). Only the routes that return d x d matrices expand; a density reads
+its transform off the stored diagonal. A Gram law's map is bipartite: it
+sends side a of the pattern only into side b and back (``pattern.sides``),
+and the smaller side is stored first, so each side is a slice. There
+Newton eliminates the larger side, whose block of the Jacobian is
+blockwise w - eta(G), and solves the m_A x m_A complement on the smaller
+one; any other map solves the full m x m system. When both sides are all
+1x1 (ISI and every diagonal Gram law), the complement comes from one
+product with the pattern's coupling product, and a 2x2 complement is
+solved by cofactors. The Im G check takes a 2x2 block's top eigenvalue in
+closed form too.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
@@ -40,9 +43,7 @@ approximation.
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
 X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
 central equation for the hermitized map (its residual w G - I - eta(G) G is
-z H - I - z eta(H) H). A ``cov.Law``'s Gram flag is read by
-``_solve_continuation``, by ``spectrum._density`` (default grid and offset
-share) and by ``cli._solve_density`` and ``cli._cmd_moments``;
+z H - I - z eta(H) H). A ``cov.Law`` carries the Gram flag, and
 ``cov._law`` builds a spec's law once per call.
 
 One damped loop (``_damped_loop``) holds the damping policy for every
@@ -145,7 +146,7 @@ def max_im_eigenvalue(G) -> float:
 # ---------------------------------------------------------------------------
 
 class _Batch(NamedTuple):
-    G: np.ndarray          # expanded (P, d, d)
+    G: np.ndarray          # compressed (P, m)
     g: np.ndarray          # the law's transform, tr(G) read with its trace weights
     res: np.ndarray
     iters: np.ndarray
@@ -294,9 +295,7 @@ def _jacobian(pat, zs, G, EG):
     """Linearization on the pattern: column c is z E_c - eta(E_c) G - eta(G) E_c.
 
     E_c is the pattern's c-th basis matrix; the result has shape (P, m, m).
-    Newton forms it only on a pattern without sides, and for the per-point
-    fallback; a bipartite pattern's step forms its coupling pieces alone
-    (:func:`_newton_step`).
+    Newton forms it only on a pattern without sides (:func:`_newton_step`).
     """
     P, m = G.shape
     lin = np.empty((P, m, m), dtype=complex)
@@ -315,27 +314,27 @@ def _jacobian(pat, zs, G, EG):
     return lin
 
 
-def _coupled_side(side, ws, eye, G, EG, rhs):
+def _coupled_side(pat, side, other, ws, G, EG, rhs):
     """One side X of a bipartite pattern: K = D^{-1} eta(.) G and y = D^{-1} rhs on X.
 
     D multiplies each block of X on the left by w - eta(G); column c of K is
     D^{-1} (eta(E_c) G) for the c-th stored entry of the other side.
     """
-    P, ix = len(G), side.index
-    W = _block_inv(side, ws[:, None] * eye[ix] - EG[:, ix])
-    K = np.empty((P, len(ix), side.coupling.shape[1]), dtype=complex)
-    y = np.empty((P, len(ix)), dtype=complex)
+    X, coupling = side.span, pat.tensor[side.span, other.span]
+    # point-major copies of the side: einsum then loops fastest over the points
+    P, G, rhs = len(G), np.asfortranarray(G[:, X]), np.asfortranarray(rhs[:, X])
+    W = _block_inv(side, ws[:, None] * pat.eye[X] - EG[:, X])
+    K, y = np.empty((P, *coupling.shape), dtype=complex), np.empty_like(W)
     for s, n, sl in side.groups:
-        rows = ix[sl]
         if s == 1:
-            np.multiply((W[:, sl] * G[:, rows])[:, :, None], side.coupling[sl], out=K[:, sl])
-            np.multiply(W[:, sl], rhs[:, rows], out=y[:, sl])
+            np.multiply((W[:, sl] * G[:, sl])[:, :, None], coupling[sl], out=K[:, sl])
+            np.multiply(W[:, sl], rhs[:, sl], out=y[:, sl])
             continue
         # eta(E_c) G and rhs side by side as columns, then one blockwise W
-        T = side.coupling[sl].reshape(n, s, s, -1)
+        T = coupling[sl].reshape(n, s, s, -1)
         M = np.concatenate(
-            [np.einsum("nitc,pntj->pnijc", T, G[:, rows].reshape(P, n, s, s)),
-             rhs[:, rows].reshape(P, n, s, s, 1)], axis=4)
+            [np.einsum("nitc,pntj->pnijc", T, G[:, sl].reshape(P, n, s, s)),
+             rhs[:, sl].reshape(P, n, s, s, 1)], axis=4)
         WM = np.einsum("pniu,pnujc->pnijc", W[:, sl].reshape(P, n, s, s), M)
         K[:, sl] = WM[..., :-1].reshape(P, n * s * s, -1)
         y[:, sl] = WM[..., -1].reshape(P, n * s * s)
@@ -354,10 +353,11 @@ def _solve_complement(S, y):
 def _newton_step(pat, ws, G, EG, rhs):
     """The Newton step: x solving J x = rhs, J the linearization of :func:`_jacobian`.
 
-    On a bipartite pattern (``pat.sides``, smaller side A first) the larger
-    side B is eliminated: J = [[D_A, L_AB], [L_BA, D_B]], D_X multiplying
-    each block of side X on the left by w - eta(G) and L_XY x = -eta(x) G
-    on X. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X, x_A solves
+    On a bipartite pattern (``pat.sides``: the smaller side A stored as
+    [0, m_A), the larger side B after it) B is eliminated: J = [[D_A, L_AB],
+    [L_BA, D_B]], D_X multiplying each block of side X on the left by
+    w - eta(G) and L_XY x = -eta(x) G on X, read off the tensor's slice
+    T_XY. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X, x_A solves
     the m_A x m_A complement (I - K_A K_B) x_A = y_A + K_A y_B and
     x_B = y_B + K_B x_A. When both sides are all 1x1, K_X = diag(u_X) T_XY
     with u_X = D_X^{-1} G_X, so I - K_A K_B = I - u_A * (u_B Q) from the
@@ -368,37 +368,34 @@ def _newton_step(pat, ws, G, EG, rhs):
     if pat.sides is None:
         return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
     A, B = pat.sides
-    Q, P, mA = pat.coupling_product, len(G), len(A.index)
+    Q, P, mA, T = pat.coupling_product, len(G), A.span.stop, pat.tensor
     if Q is None:
-        KA, yA = _coupled_side(A, ws, pat.eye, G, EG, rhs)
-        KB, yB = _coupled_side(B, ws, pat.eye, G, EG, rhs)
+        KA, yA = _coupled_side(pat, A, B, ws, G, EG, rhs)
+        KB, yB = _coupled_side(pat, B, A, ws, G, EG, rhs)
         S = -(KA @ KB)
         b = yA + (KA @ yB[:, :, None])[..., 0]
     else:
-        WA = _block_inv(A, ws[:, None] - EG[:, A.index])
-        WB = _block_inv(B, ws[:, None] - EG[:, B.index])
-        uA, uB, yB = WA * G[:, A.index], WB * G[:, B.index], WB * rhs[:, B.index]
+        WA = _block_inv(A, ws[:, None] - EG[:, :mA])
+        WB = _block_inv(B, ws[:, None] - EG[:, mA:])
+        uA, uB, yB = WA * G[:, :mA], WB * G[:, mA:], WB * rhs[:, mA:]
         S = (uB @ Q.reshape(len(Q), -1)).reshape(P, mA, mA)
         S *= -uA[:, :, None]
-        b = WA * rhs[:, A.index] + uA * (yB @ A.coupling.T)
+        b = WA * rhs[:, :mA] + uA * (yB @ T[:mA, mA:].T)
     S[:, np.arange(mA), np.arange(mA)] += 1
     xA = _solve_complement(S, b)
     x = np.empty_like(G)
-    x[:, A.index] = xA
-    x[:, B.index] = yB + ((KB @ xA[:, :, None])[..., 0] if Q is None else uB * (xA @ B.coupling.T))
+    x[:, :mA] = xA
+    x[:, mA:] = yB + ((KB @ xA[:, :, None])[..., 0] if Q is None else uB * (xA @ T[mA:, :mA].T))
     return x
 
 
 def _newton_batch(pat, zs, G, target, limit):
     """Newton on the linearization in the pattern's coordinates.
 
-    Each step solves one linear system per point (:func:`_newton_step`):
-    the m_A x m_A complement of a bipartite pattern, else the full m x m
-    system (m = d for a diagonal pattern, d^2 for a dense map; see
-    :func:`_jacobian`). Where the batch's step fails on a singular matrix,
-    every point solves its full system on its own, and a point whose
-    system is singular stops. Steps backtrack per point. A point takes at
-    most ``limit`` steps.
+    Each step solves one linear system per point (:func:`_newton_step`).
+    Where the batch's step fails on a singular matrix, every point takes
+    the same step on its own, and a point whose step is singular stops.
+    Steps backtrack per point. A point takes at most ``limit`` steps.
     """
     G = G.copy()
     P, m = G.shape
@@ -419,11 +416,10 @@ def _newton_batch(pat, zs, G, target, limit):
         try:
             step = _newton_step(pat, zi, Gi, EGi, rhs)
         except np.linalg.LinAlgError:
-            J = _jacobian(pat, zi, Gi, EGi)
             step = np.zeros((len(ii), m), dtype=complex)
             for k in range(len(ii)):
                 try:
-                    step[k] = np.linalg.solve(J[k], rhs[k])
+                    step[k] = _newton_step(pat, *(v[k:k + 1] for v in (zi, Gi, EGi, rhs)))[0]
                 except np.linalg.LinAlgError:
                     stuck[ii[k]] = True
         factor = np.ones(len(ii))
@@ -480,9 +476,9 @@ def _solve_continuation(law, xs, offsets, config):
     w H of the level before and takes the first level's sweeps and Newton.
     A prediction counts as one iteration.
 
-    Returns one batch per offset: G expanded to (P, d, d), g the law's
-    transform read off G with its trace weights, and ``iters`` counting the
-    ladder down to that offset.
+    Returns one batch per offset: G compressed to (P, m), g the law's
+    transform read off its diagonal with the trace weights, and ``iters``
+    counting the ladder down to that offset.
     """
     config = config or DEFAULT_CONFIG
     pat = law.eta.pattern
@@ -531,18 +527,18 @@ def _solve_continuation(law, xs, offsets, config):
         H, converged, im_max = verdict(G, ws, res, H, tol)
         G_prev, w_prev = G, ws
         if wanted:
-            snapshots.append((H, res, total.copy(), converged, im_max))
-    # expanded only now: the ladder holds compressed levels
-    batches = [(pat.expand(H), *rest) for H, *rest in snapshots]
-    return [_Batch(G, (G.diagonal(axis1=1, axis2=2) * law.weights).sum(axis=1), *rest)
-            for G, *rest in batches]
+            # the product C-ordered, so the sum runs as over an expanded G's diagonal
+            g = np.ascontiguousarray(H[:, pat.diagonal] * law.weights).sum(axis=1)
+            snapshots.append(_Batch(H, g, res, total.copy(), converged, im_max))
+    return snapshots
 
 
 def _solve_point(law, z, config):
     """One point through the ladder: (G, residual, iterations, converged)."""
     z = _upper_half(z)
     (out,) = _solve_continuation(law, [z.real], (z.imag,), config)
-    return out.G[0], float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
+    G = law.eta.pattern.expand(out.G[0])
+    return G, float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
 
 
 def _solve_converged(law, xs, offsets, config):
@@ -622,8 +618,8 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
                           bool(converged))
 
 
-def _check_grid(xs, epsilon):
-    """A nonempty finite monotone 1-d grid, and a finite offset at or above the floor."""
+def _check_grid(xs):
+    """A nonempty finite monotone 1-d grid, or BadParameter."""
     xs = cov._numbers(xs, "xs")
     if xs.ndim != 1 or len(xs) == 0:
         raise BadParameter("xs must be a nonempty 1-d array")
@@ -632,8 +628,6 @@ def _check_grid(xs, epsilon):
     diffs = np.diff(xs)
     if len(xs) > 1 and not ((diffs >= 0).all() or (diffs <= 0).all()):
         raise BadParameter("xs must be monotone")
-    if not MIN_GRID_EPSILON <= cov._real(epsilon, "epsilon") < np.inf:
-        raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
     return xs
 
 
@@ -654,12 +648,12 @@ def solve_grid(eta, xs, epsilon, config=None):
 
 def _solve_law_grid(law, xs, epsilon, config):
     """A law's grid solve: (solutions, the transform read with the law's weights)."""
-    xs = _check_grid(xs, epsilon)
+    xs = _check_grid(xs)
+    if not MIN_GRID_EPSILON <= cov._real(epsilon, "epsilon") < np.inf:
+        raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
     (out,) = _solve_converged(law, xs, (float(epsilon),), config)
-    sols = [
-        CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
-        for x, G, r, k in zip(xs, out.G, out.res, out.iters)
-    ]
+    sols = [CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
+            for x, G, r, k in zip(xs, law.eta.pattern.expand(out.G), out.res, out.iters)]
     return sols, out.g
 
 

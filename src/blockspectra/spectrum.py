@@ -225,7 +225,7 @@ def _density(law, xs, npoints, epsilon, config) -> SpectralDensity:
             xs = _gram_grid(hi, npoints, epsilon if epsilon is not None else span_share * hi)
         else:
             xs = np.linspace(-1.35 * edge, 1.35 * edge, _points(npoints))
-    xs = slv._check_grid(xs, slv.MIN_GRID_EPSILON)
+    xs = slv._check_grid(xs)
     if len(xs) < 2 or (np.diff(xs) <= 0).any():
         raise GridError("xs must be strictly increasing, with at least two points")
     eps2 = epsilon if epsilon is not None else span_share * float(xs[-1] - xs[0])

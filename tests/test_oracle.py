@@ -276,6 +276,25 @@ class TestKsDistance:
 
         assert bs.ks_distance(x, emp) <= 1.0 / len(x) + 1e-12
 
+    def test_tied_samples_at_an_atom(self):
+        # half the sample tied at an atom of F at 0: the left limit F(0-) = 0
+        # meets the empirical CDF before the tie, F(0) = 0.5 the one after it
+        x = np.concatenate([np.zeros(1000), np.random.default_rng(3).uniform(0, 1, 1000)])
+
+        def F(t):
+            return 0.5 * (np.asarray(t) >= 0) + 0.5 * np.clip(t, 0, 1)
+
+        assert bs.ks_distance(x, F) <= 0.05
+        assert bs.ks_distance(x[::-1], F) == bs.ks_distance(x, F)
+
+    def test_lone_samples_read_as_before_grouping(self):
+        # without ties the distance is the usual max of i/n - F and F - (i-1)/n
+        x = np.sort(np.random.default_rng(5).standard_normal(300))
+        F = semicircle_cdf(x)
+        n = len(x)
+        usual = max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(n) / n), 0.0)
+        assert bs.ks_distance(x, semicircle_cdf) == usual
+
     def test_disjoint_supports(self):
         x = -np.abs(np.random.default_rng(1).standard_normal(100)) - 5.0
         assert bs.ks_distance(x, semicircle_cdf) >= 0.99

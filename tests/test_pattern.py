@@ -180,16 +180,16 @@ def _law_of(config):
 
 
 def _assert_sides(pat, blocks_a, blocks_b):
-    """The sides hold the stored entries of the named blocks, and the map only crosses them."""
-    A, B = pat.sides
+    """The sides hold the named blocks, A first, and the map only crosses them."""
+    A, B = (side.span for side in pat.sides)
     owners = [block for block in pat.blocks for _ in range(len(block) ** 2)]
-    assert {owners[i] for i in A.index} == set(blocks_a)
-    assert {owners[i] for i in B.index} == set(blocks_b)
-    assert sorted(np.concatenate([A.index, B.index])) == list(range(len(pat.flat)))
-    for side, other in ((A, B), (B, A)):
-        assert (pat.tensor[np.ix_(side.index, side.index)] == 0).all()
-        assert (side.coupling == pat.tensor[np.ix_(side.index, other.index)]).all()
-        assert sum(s * s * n for s, n, _ in side.groups) == len(side.index)
+    assert set(owners[A]) == set(blocks_a)
+    assert set(owners[B]) == set(blocks_b)
+    assert (A.start, A.stop, B.stop) == (0, B.start, len(pat.flat))
+    for side in pat.sides:
+        X = side.span
+        assert (pat.tensor[X, X] == 0).all()
+        assert sum(s * s * n for s, n, _ in side.groups) == X.stop - X.start
 
 
 @settings(max_examples=15, deadline=None)
@@ -198,12 +198,13 @@ def test_isi_sides_are_the_two_frames(K, L):
     pat = cov._law(bs.isi_covariance(K, L)).eta.pattern
     _assert_sides(pat, [(i,) for i in range(K)], [(i,) for i in range(K, 2 * K + L - 1)])
     A, B = pat.sides
-    assert A.index.tolist() == list(range(K))
-    assert B.index.tolist() == list(range(K, 2 * K + L - 1))
+    assert A.span == slice(0, K)
+    assert B.span == slice(K, 2 * K + L - 1)
     assert A.groups == ((1, K, slice(0, K)),)
     assert B.groups == ((1, K + L - 1, slice(0, K + L - 1)),)
     # both sides scalar: the complement's product Q[k, (i, j)] = T_AB[i, k] T_BA[k, j]
-    assert (pat.coupling_product == np.einsum("ik,kj->kij", A.coupling, B.coupling)).all()
+    T_AB, T_BA = pat.tensor[A.span, B.span], pat.tensor[B.span, A.span]
+    assert (pat.coupling_product == np.einsum("ik,kj->kij", T_AB, T_BA)).all()
 
 
 def test_nonsep_t2_sides_are_two_scalars_and_a_block():
@@ -229,6 +230,61 @@ def test_selfadjoint_laws_have_no_sides(config):
 
 def test_uncoupled_map_has_no_sides():
     assert bs.EtaMap(np.zeros((3, 3, 3, 3))).pattern.sides is None
+
+
+def _small_side_with_the_large_block():
+    """hh_star with a=2, b=5, tau(i,k;j,k) = v_i v_j: side a is one 2x2 block, side b five 1x1."""
+    v = (1.0, 0.5)
+    return bs.hh_star_covariance(2, 5, [(i + 1, k + 1, j + 1, k + 1, v[i] * v[j])
+                                        for i in range(2) for j in range(2) for k in range(5)])
+
+
+def test_smaller_side_is_stored_first_even_with_the_larger_blocks():
+    # ordered by block size alone, side b's five 1x1 blocks would come first
+    pat = cov._law(_small_side_with_the_large_block()).eta.pattern
+    _assert_sides(pat, [(0, 1)], [(i,) for i in range(2, 7)])
+    A, B = pat.sides
+    assert A.span == slice(0, 4) and B.span == slice(4, 9)
+    assert pat.groups == ((2, 1, slice(0, 4)), (1, 5, slice(4, 9)))
+    assert A.groups == ((2, 1, slice(0, 4)),) and B.groups == ((1, 5, slice(0, 5)),)
+    assert pat.coupling_product is None
+
+
+def test_smaller_side_first_keeps_the_solution():
+    spec = _small_side_with_the_large_block()
+    _assert_step_is_the_full_solve(cov._law(spec), 6)
+    sol = bs.solve_hh_star(spec, 1 + 0.1j, TIGHT)
+    assert sol.converged and sol.residual <= 1e-12
+    # G1 as solved with side b stored first, and by the eliminated equation
+    before = np.array([[0.6958171360663482 - 1.6414030575838534j,
+                        -0.14714093691732086 - 0.7711965782968774j],
+                       [-0.1471409369173208 - 0.7711965782968774j,
+                        0.9165285414423295 - 0.4846081901385376j]])
+    assert np.abs(sol.G1 - before).max() <= 1e-12
+    direct = bs.solve_hh_star_direct(spec, 1 + 0.1j, bs.SolverConfig(tol=1e-14))
+    assert direct.converged and np.abs(sol.G1 - direct.G).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.integers(1, 4), b=st.integers(1, 4), complex_=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_gram_layout_stores_side_a_first(a, b, complex_, seed):
+    spec = random_hh_star_spec(a, b, np.random.default_rng(seed), complex_=complex_)
+    pat = cov._law(spec).eta.pattern
+    A, B = (side.span for side in pat.sides)
+    m = len(pat.flat)
+    assert (A.start, A.stop, B.stop) == (0, B.start, m) and A.stop <= m - A.stop
+    assert (pat.tensor[A, A] == 0).all() and (pat.tensor[B, B] == 0).all()
+    # no block straddles m_A: the blocks' stored ends step onto it
+    ends = np.cumsum([len(block) ** 2 for block in pat.blocks])
+    assert A.stop in ends
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    assert (pat.compress(pat.expand(values)) == values).all()
+    dense = pat.expand(values)
+    assert (pat.expand(pat.compress(dense)) == dense).all()
+    assert (pat.expand(pat.eye) == np.eye(pat.d)).all()
+    assert (values[:, pat.diagonal] == dense.diagonal(axis1=1, axis2=2)).all()
 
 
 def _assert_step_is_the_full_solve(law, seed):
@@ -282,7 +338,7 @@ def test_block_helpers_match_dense_algebra():
 @pytest.mark.parametrize("n", [1, 3])
 def test_2x2_blocks_in_closed_form_match_numpy(n):
     # a stack of n 2x2 blocks a point, stored row by row as the pattern stores them
-    pat = cov.Side(np.arange(4 * n), ((2, n, slice(0, 4 * n)),), None)
+    pat = cov.Side(slice(0, 4 * n), ((2, n, slice(0, 4 * n)),))
     rng = np.random.default_rng(22 + n)
     A, B = (rng.standard_normal((64, 4 * n)) + 1j * rng.standard_normal((64, 4 * n))
             for _ in range(2))
@@ -299,7 +355,7 @@ def test_2x2_blocks_in_closed_form_match_numpy(n):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_2x2_im_check_in_closed_form_matches_eigvalsh(n):
-    pat = cov.Side(np.arange(4 * n), ((2, n, slice(0, 4 * n)),), None)
+    pat = cov.Side(slice(0, 4 * n), ((2, n, slice(0, 4 * n)),))
     rng = np.random.default_rng(40 + n)
     G = rng.standard_normal((256, 4 * n)) + 1j * rng.standard_normal((256, 4 * n))
     G[:8, 1::4] = G[:8, 2::4].conj()  # q = 0 at 8 points: Im G is diagonal there

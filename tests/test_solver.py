@@ -247,7 +247,7 @@ def test_non_finite_block_fails_the_block_im_check(s):
     # 1x1 and 2x2 blocks are read in closed form, which carries a NaN or an
     # infinite Im G through; a point with any non-finite entry also fails on
     # its residual, which every caller checks with it
-    pat = cov.Side(np.arange(2 * s * s), ((s, 2, slice(0, 2 * s * s)),), None)
+    pat = cov.Side(slice(0, 2 * s * s), ((s, 2, slice(0, 2 * s * s)),))
     G = np.tile(-1j * np.eye(s).ravel(), (3, 2))
     G[1, 0], G[2, -1] = complex(0, np.nan), complex(0, np.inf)
     got = slv._block_im_max(pat, G)
@@ -346,6 +346,26 @@ def test_loose_levels_converge_at_the_isi_lower_edge(isi44):
         direct = bs.solve_hh_star_direct(isi44, s.z, TIGHT)
         assert direct.converged
         assert abs(np.trace(direct.G) / isi44.a - s.g) <= 1e-9
+
+
+def test_bipartite_newton_never_forms_the_full_jacobian(monkeypatch):
+    # the singular batch of the test above, then a Gram grid: every step and
+    # fallback goes through the complement on the smaller side
+    jacobian = slv._jacobian
+
+    def guarded(pat, zs, G, EG):
+        assert pat.sides is None, "formed the full Jacobian of a bipartite pattern"
+        return jacobian(pat, zs, G, EG)
+
+    monkeypatch.setattr(slv, "_jacobian", guarded)
+    eta = cov._law(bs.isi_covariance(2, 2)).eta
+    pat, w = eta.pattern, np.sqrt(1.5 + 0.1j)
+    exact = pat.compress(bs.solve_fixed_point(eta, w, TIGHT).G)
+    G0 = np.array([np.zeros_like(exact), exact * (1 + 1e-3)])
+    _, res, _, stuck = slv._newton_batch(pat, np.array([0j, w]), G0, 1e-12, 60)
+    assert stuck.tolist() == [True, False] and res[1] <= 1e-12
+    sols = bs.solve_hh_star_grid(bs.isi_covariance(3, 2), np.linspace(0.0, 4.0, 9), 1e-3, TIGHT)
+    assert all(s.converged for s in sols)
 
 
 LADDER_LAWS = {

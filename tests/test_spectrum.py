@@ -122,6 +122,20 @@ def test_grid_the_density_cannot_invert_refused_before_solving(
             bs.density_gram(gram, 1, **kwargs)
 
 
+@pytest.mark.parametrize("law", ["selfadjoint", "gram"])
+def test_density_reads_compressed_values(monkeypatch, law, isi44):
+    # the transform is read off the pattern's diagonal: no (P, d, d) stack is expanded
+    def refuse(pat, Gc):
+        raise AssertionError(f"expanded {Gc.shape[:-1]} values to d x d")
+
+    monkeypatch.setattr(cov.InvariantPattern, "expand", refuse)
+    if law == "gram":
+        dens = bs.density_hh_star(isi44)
+    else:
+        dens = bs.density_from_eta(bs.eta_map(random_selfadjoint_spec(3, np.random.default_rng(4))))
+    assert abs(bs.mass(dens) - 1) <= spc.MASS_TOL
+
+
 class TestCdf:
     def test_semicircle_median(self):
         xs = np.linspace(-2.2, 2.2, 801)
