@@ -160,9 +160,9 @@ class FadingSolution:
 def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
     """Solve the non-separable fading equation at one upper-half-plane point.
 
-    Iterates G1 -> (z id - eta2((id - eta1(G1))^{-1}))^{-1} from -i*id through
-    the solver's damped loop (the eliminated Gram equation with the maps
-    swapped); each iterate costs one q x q and one p x p inverse. The
+    Iterates G1 -> (G1 + (z id - eta2((id - eta1(G1))^{-1}))^{-1}) / 2 from
+    -i*id through the solver's sweep loop (the eliminated Gram equation with
+    the maps swapped); each iterate costs one q x q and one p x p inverse. The
     converged G1 has negative-semidefinite imaginary part.
     """
     config = config or slv.DEFAULT_CONFIG

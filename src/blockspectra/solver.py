@@ -31,14 +31,14 @@ closed form too.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
-factor LADDER_RATIO below the one before. The first level runs the damped
-fixed-point map, which globalizes, then Newton. Each later level is a
+factor LADDER_RATIO below the one before. The first level runs sweeps of
+the fixed-point map, which globalize, then Newton. Each later level is a
 predictor-corrector step (Allgower and Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003): a tangent step from the level before,
 then Newton; the sweeps run again only where Newton fails. A level whose
 offset the caller did not ask for only feeds the next prediction, so it
-stops at PREDICTION_TOL. Only ``newton_refine`` starts from a caller's
-approximation.
+stops at PREDICTION_TOL, and its Im H check is held to that bound too.
+Only ``newton_refine`` starts from a caller's approximation.
 
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
 X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
@@ -46,11 +46,13 @@ central equation for the hermitized map (its residual w G - I - eta(G) G is
 z H - I - z eta(H) H). A ``cov.Law`` carries the Gram flag, and
 ``cov._law`` builds a spec's law once per call.
 
-One damped loop (``_damped_loop``) holds the damping policy for every
-iteration: the engine's fixed-point sweeps and the eliminated one-sided
-equation z G = I + outer((I - inner(G))^{-1}) G behind the cross-check
-routes ``solve_hh_star_direct`` and ``nonsep.solve_fading``. Each passes
-its own step and residual.
+One loop (``_sweep_loop``) runs every fixed-point iteration, each step
+replacing G by the caller's map, with no damping. The engine's sweeps pass
+the plain map G -> (z I - eta(G))^{-1}. The eliminated one-sided equation
+z G = I + outer((I - inner(G))^{-1}) G behind the cross-check routes
+``solve_hh_star_direct`` and ``nonsep.solve_fading`` passes the averaged
+map G -> (G + (z I - W)^{-1}) / 2, with W = outer((I - inner(G))^{-1}):
+its plain map contracts too slowly near the real axis.
 """
 
 from __future__ import annotations
@@ -71,12 +73,10 @@ from .errors import (
 )
 
 IM_EIG_TOL = 1e-8          # Im G must be negative semidefinite up to this
-DAMPING_FLOOR = 1.0 / 64.0
-DAMPING_RESET_STREAK = 10
 NEWTON_HANDOFF = 1e-6      # fixed-point target before Newton takes over
-SWEEPS = 40                # damped fixed-point sweeps a ladder level runs at most
+SWEEPS = 40                # fixed-point sweeps a ladder level runs at most
 NEWTON_STEPS = 60          # steps of one Newton run: a ladder level's, or newton_refine's
-ELIMINATED_SWEEPS = 10_000  # damped sweeps of the eliminated cross-check equation
+ELIMINATED_SWEEPS = 10_000  # averaged sweeps of the eliminated cross-check equation
 PREDICTION_TOL = 1e-3      # residual target of a level that only feeds a prediction
 LADDER_RATIO = 16.0        # each continuation level's offset over the next one's
 MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
@@ -236,22 +236,16 @@ def _residual(pat, zs, G, EG):
     return zs[:, None] * G - pat.eye - _block_matmul(pat, EG, G)
 
 
-def _damped_loop(G, residual, step, target, limit):
-    """Damped iteration G <- G + theta (step(G) - G) over a batch of points.
+def _sweep_loop(G, residual, step, target, limit):
+    """Fixed-point iteration G <- step(G) over a batch of points.
 
     ``residual(G)`` returns the per-point residuals and a value that
-    ``step(G, aux)`` reuses to form the undamped map. Per point, theta
-    starts at 1, halves on a worse residual down to DAMPING_FLOOR and
-    returns to 1 after DAMPING_RESET_STREAK better steps; points whose
-    residual reaches ``target`` stop moving, and the loop stops after
-    ``limit`` steps.
+    ``step(G, aux)`` reuses to form the map; points whose residual reaches
+    ``target`` stop moving, and the loop stops after ``limit`` steps.
     """
-    P = len(G)
-    shape = (P,) + (1,) * (G.ndim - 1)
-    theta = np.ones(P)
-    streak = np.zeros(P, dtype=int)
+    shape = (len(G),) + (1,) * (G.ndim - 1)
     res, aux = residual(G)
-    iters = np.zeros(P, dtype=int)
+    iters = np.zeros(len(G), dtype=int)
     for _ in range(limit):
         active = res > target
         if not active.any():
@@ -263,23 +257,14 @@ def _damped_loop(G, residual, step, target, limit):
                 "z*id - eta(G) not invertible at an iterate; "
                 "check the covariance map or move z away from the real axis"
             ) from exc
-        Gn = np.where(active.reshape(shape), G + theta.reshape(shape) * (F - G), G)
-        resn, auxn = residual(Gn)
-        worse = active & (resn > res)
-        theta[worse] = np.maximum(theta[worse] / 2, DAMPING_FLOOR)
-        streak[worse] = 0
-        better = active & ~worse
-        streak[better] += 1
-        refresh = streak >= DAMPING_RESET_STREAK
-        theta[refresh] = 1.0
-        streak[refresh] = 0
+        G = np.where(active.reshape(shape), F, G)
+        res, aux = residual(G)
         iters[active] += 1
-        G, res, aux = Gn, resn, auxn
     return G, res, iters
 
 
 def _fixed_point_batch(pat, zs, G, target, limit):
-    """The damped loop on the pattern: step G -> (z I - eta(G))^{-1}."""
+    """The sweep loop on the pattern with the plain map G -> (z I - eta(G))^{-1}."""
 
     def residual(G):
         EG = _eta_batch(pat, G)
@@ -288,7 +273,7 @@ def _fixed_point_batch(pat, zs, G, target, limit):
     def step(G, EG):
         return _block_inv(pat, zs[:, None] * pat.eye - EG)
 
-    return _damped_loop(G, residual, step, target, limit)
+    return _sweep_loop(G, residual, step, target, limit)
 
 
 def _jacobian(pat, zs, G, EG):
@@ -465,13 +450,15 @@ def _solve_continuation(law, xs, offsets, config):
     real z) is reached too. Each level solves G = w H at w = z, or
     w = sqrt(z) for a Gram law. A level at one of ``offsets`` is solved to
     ``config.tol``; a level in between only feeds the next prediction and
-    stops at the larger of ``config.tol`` and PREDICTION_TOL. Either way a
-    point converges when its residual is within the level's tolerance and
-    Im H <= IM_EIG_TOL. The first level runs up to SWEEPS damped
-    fixed-point sweeps from H = -i*I toward the larger of its tolerance
-    and NEWTON_HANDOFF, then up to NEWTON_STEPS Newton steps. Each later
-    level predicts along the tangent from the level before
-    (:func:`_tangent_start`) and runs Newton from there. A point that
+    stops at the larger of ``config.tol`` and PREDICTION_TOL. A point
+    converges when its residual is within the level's tolerance and the
+    largest eigenvalue of Im H is within IM_EIG_TOL at a wanted level, or
+    within the level's own tolerance at a level in between. The first
+    level runs up to SWEEPS fixed-point sweeps of the plain map from
+    H = -i*I toward the larger of its tolerance and NEWTON_HANDOFF, then up
+    to NEWTON_STEPS Newton steps. Each later level predicts along the
+    tangent from the level before (:func:`_tangent_start`) and runs Newton
+    from there. A point that
     Newton leaves stuck or unconverged restarts from the plain warm start
     w H of the level before and takes the first level's sweeps and Newton.
     A prediction counts as one iteration.
@@ -494,7 +481,7 @@ def _solve_continuation(law, xs, offsets, config):
     total = np.zeros(P, dtype=int)
     snapshots = []  # the wanted levels, in the order of offsets
 
-    def verdict(G, ws, res, H, tol):
+    def verdict(G, ws, res, H, tol, im_tol):
         # z = 0 is a pole of H, which G = w H cannot give: H stays as it was,
         # unconverged, and the sweeps from G = 0 raise SingularResolvent
         if not law.gram:
@@ -503,28 +490,30 @@ def _solve_continuation(law, xs, offsets, config):
             readable = ws != 0
             H = np.divide(G, ws[:, None], out=H.copy(), where=readable[:, None])
         im_max = _block_im_max(pat, H)
-        return H, readable & (res <= tol) & (im_max <= IM_EIG_TOL), im_max
+        return H, readable & (res <= tol) & (im_max <= im_tol), im_max
 
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
         ws = np.sqrt(zs) if law.gram else zs
         warm = ws[:, None] * H if law.gram else H
         wanted = eps in offsets
-        # a level that is not wanted only feeds the next level's prediction
+        # a level that is not wanted only feeds the next level's prediction,
+        # and is judged by that level's own tolerance
         tol = config.tol if wanted else max(config.tol, PREDICTION_TOL)
+        im_tol = IM_EIG_TOL if wanted else max(IM_EIG_TOL, tol)
         if lev == 0:
             G, res, retry = warm.copy(), np.full(P, np.inf), np.arange(P)
         else:
             G = _tangent_start(pat, w_prev, G_prev, ws, warm)
             G, res, nits, _ = _newton_batch(pat, ws, G, tol, NEWTON_STEPS)
             total += 1 + nits
-            retry = np.flatnonzero(~verdict(G, ws, res, H, tol)[1])
+            retry = np.flatnonzero(~verdict(G, ws, res, H, tol, im_tol)[1])
         if retry.size:
             Gr, res[retry], fits = _fixed_point_batch(
                 pat, ws[retry], warm[retry], max(tol, NEWTON_HANDOFF), SWEEPS)
             G[retry], res[retry], nits, _ = _newton_batch(pat, ws[retry], Gr, tol, NEWTON_STEPS)
             total[retry] += fits + nits
-        H, converged, im_max = verdict(G, ws, res, H, tol)
+        H, converged, im_max = verdict(G, ws, res, H, tol, im_tol)
         G_prev, w_prev = G, ws
         if wanted:
             # the product C-ordered, so the sum runs as over an expanded G's diagonal
@@ -706,10 +695,11 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
 def _solve_eliminated(outer, inner, z, config):
     """Solve the eliminated equation z G = I + outer((I - inner(G))^{-1}) G at z.
 
-    Runs at most ELIMINATED_SWEEPS steps of the damped loop from -i*I with
-    the step G -> (z I - outer((I - inner(G))^{-1}))^{-1}; each step costs
-    one inverse on each side. The Gram route passes (eta1, eta2), the
-    fading route (eta2, eta1). Returns (G, residual, iterations, converged).
+    Runs at most ELIMINATED_SWEEPS steps of the sweep loop from -i*I with
+    the averaged step G -> (G + (z I - outer((I - inner(G))^{-1}))^{-1}) / 2;
+    each step costs one inverse on each side. The Gram route passes
+    (eta1, eta2), the fading route (eta2, eta1). Returns (G, residual,
+    iterations, converged).
     """
     eye_out, eye_in = np.eye(outer.dim_out), np.eye(inner.dim_out)
 
@@ -718,9 +708,9 @@ def _solve_eliminated(outer, inner, z, config):
         return np.array([np.linalg.norm(z * G[0] - eye_out - W @ G[0])]), W
 
     def step(G, W):
-        return np.linalg.inv(z * eye_out - W)[None]
+        return (G + np.linalg.inv(z * eye_out - W)) / 2
 
-    G, res, its = _damped_loop(
+    G, res, its = _sweep_loop(
         (-1j * eye_out)[None], residual, step, config.tol, ELIMINATED_SWEEPS
     )
     converged = res[0] <= config.tol and max_im_eigenvalue(G[0]) <= IM_EIG_TOL
@@ -730,8 +720,8 @@ def _solve_eliminated(outer, inner, z, config):
 def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
     """Verification route: solve the eliminated equation for G1 directly.
 
-    Iterates G1 -> (z I_a - eta1((I_b - eta2(G1))^{-1}))^{-1} through the
-    engine's damped loop. Kept as an independent cross-check of the
+    Iterates the average of G1 and (z I_a - eta1((I_b - eta2(G1))^{-1}))^{-1}
+    through the engine's sweep loop. Kept as an independent cross-check of the
     hermitized route; both must agree.
     """
     config = config or DEFAULT_CONFIG
