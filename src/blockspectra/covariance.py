@@ -356,16 +356,24 @@ class InvariantPattern:
     ``sides`` is the map's bipartition, or None. When the map couples each
     block only to blocks of the other colour of a 2-colouring (a Gram law's
     hermitized map sends side a into side b and back), it holds one
-    :class:`Side` per colour, the one with fewer stored entries (A) first;
+    :class:`Side` per colour, the one with fewer stored values (A) first;
     it is None when the map couples a block to its own side, or no blocks.
 
-    Values on the pattern are stored flat ("compressed"), block after block
-    in the order (side, size, indices), or (size, indices) without sides, so
-    side A is the range [0, m_A). Each block is stored row-major; ``groups``
-    lists (s, n, slice) for each maximal run of n blocks of size s. ``flat``
-    holds the i*d+j position of every stored entry, ``diagonal`` that of
-    entry (i, i) for i = 0..d-1, ``eye`` the identity and ``tensor`` the
-    m x m restriction of the map to the m stored entries.
+    Identical blocks are stored once, as the classes of the coarsest
+    equitable partition (``classes``): blocks of one side and size share a
+    class when their couplings summed over each class agree, entry by entry
+    in block order, to ``PATTERN_RTOL`` of the largest map entry. The map
+    keeps matrices that are equal across each class, so the solution is
+    one, and the engine solves the quotient (ISI frames fold in mirror pairs).
+
+    Values are stored flat ("compressed"), class after class in the order
+    (side, size, indices of the first member), so side A is the range
+    [0, m_A), each class row-major as its first member's block. ``groups``
+    lists (s, n, slice) for each run of n classes of size s; ``counts`` the
+    number of entries each of the m stored values stands for, and ``flat``
+    their i*d+j positions, grouped by stored value; ``diagonal`` the stored
+    index of entry (i, i); ``eye`` the identity; ``tensor`` the m x m
+    quotient map: the first member's rows, the columns summed over each class.
     """
 
     def __init__(self, tensor):
@@ -382,17 +390,31 @@ class InvariantPattern:
             S = grown
         blocks = sorted({tuple(np.flatnonzero(row).tolist()) for row in S},
                         key=lambda b: (len(b), b))
-        blocks, nA = _bipartition(blocks, reach, S)
-        sizes = [len(b) for b in blocks]
-        self.d, self.blocks = d, tuple(blocks)
+        T, colour = tensor.reshape(d * d, d * d), _colouring(blocks, reach, S)
+        side = np.ones(len(blocks), dtype=int) if colour is None else colour  # 0: side A
+        pos = [[i * d + j for i in b for j in b] for b in blocks]
+        classes = _equitable(pos, side, T, PATTERN_RTOL * mag.max(initial=0.0))
+        sizes = np.array([len(blocks[c[0]]) for c in classes])
+        on_b = side[[c[0] for c in classes]]
+        if (sizes**2)[on_b == 1].sum() < (sizes**2)[on_b == 0].sum():
+            side, on_b = 1 - side, 1 - on_b  # also when no block is coupled: then A is empty
+        order = np.argsort(on_b, kind="stable")
+        classes, sizes, nA = [classes[k] for k in order], sizes[order].tolist(), np.sum(on_b == 0)
+        self.d, self.blocks = d, tuple(blocks[n] for n in np.argsort(side, kind="stable"))
+        self.classes = tuple(tuple(blocks[n] for n in c) for c in classes)
         self.groups = _runs(sizes)
-        self.flat = np.array([i * d + j for b in blocks for i in b for j in b])
-        self.diagonal = np.nonzero(self.flat == (d + 1) * np.arange(d)[:, None])[1]
-        self.eye = (self.flat // d == self.flat % d).astype(float)
-        self.tensor = tensor.reshape(d * d, d * d)[np.ix_(self.flat, self.flat)]
+        self.flat = np.concatenate([np.array([pos[n] for n in c]).T.ravel() for c in classes])
+        self.counts = np.repeat([len(c) for c in classes], np.square(sizes))
+        starts = np.cumsum(self.counts) - self.counts
+        stored = np.repeat(np.arange(len(starts)), self.counts)
+        self.diagonal = stored[np.nonzero(self.flat == (d + 1) * np.arange(d)[:, None])[1]]
+        first = self.flat[starts]
+        self.eye = (first // d == first % d).astype(float)
+        self.tensor = np.add.reduceat(T[np.ix_(first, self.flat)], starts, axis=1)
+        self._root = np.sqrt(self.counts) if len(self.flat) > len(first) else None
         mA = sum(s * s for s in sizes[:nA])
         self.sides = (Side(slice(0, mA), _runs(sizes[:nA])),
-                      Side(slice(mA, len(self.flat)), _runs(sizes[nA:]))) if nA else None
+                      Side(slice(mA, len(first)), _runs(sizes[nA:]))) if nA else None
 
     @cached_property
     def coupling_product(self):
@@ -408,22 +430,63 @@ class InvariantPattern:
         return self.tensor[A, B].T[:, :, None] * self.tensor[B, A][:, None, :]
 
     def compress(self, G) -> np.ndarray:
-        """Pinch (..., d, d) matrices onto the pattern: their stored entries."""
+        """Pinch (..., d, d) matrices onto the pattern: the mean of each stored value's entries."""
         G = np.asarray(G, dtype=complex)
-        return G.reshape(*G.shape[:-2], self.d * self.d)[..., self.flat]
+        entries = G.reshape(*G.shape[:-2], self.d * self.d)[..., self.flat]
+        return np.add.reduceat(entries, np.cumsum(self.counts) - self.counts, axis=-1) / self.counts
 
     def expand(self, Gc) -> np.ndarray:
         """Compressed values back to (..., d, d), exact zeros off the pattern."""
         out = np.zeros((*Gc.shape[:-1], self.d * self.d), dtype=complex)
-        out[..., self.flat] = Gc
+        out[..., self.flat] = np.repeat(Gc, self.counts, axis=-1)
         return out.reshape(*Gc.shape[:-1], self.d, self.d)
 
+    def norm(self, R) -> np.ndarray:
+        """Per row, the Frobenius norm of the d x d matrix that the compressed row stands for."""
+        return np.linalg.norm(R if self._root is None else R * self._root, axis=-1)
 
-def _bipartition(blocks, reach, S):
-    """The blocks with side A's first, and A's block count (0 without sides).
 
-    A is the colour with fewer stored entries of a 2-colouring of the blocks
-    of the pattern S under ``reach``, the map's links between i*d+j entries.
+def _equitable(pos, side, T, tol):
+    """The coarsest equitable partition of the blocks (``pos``: their i*d+j entries).
+
+    Blocks start in one class per ``side`` label and size. A class splits
+    until its members' couplings ``T`` summed over each class agree to
+    ``tol``: each block joins the first of its class that it agrees with.
+    Returns arrays of block numbers, in the order of their first members.
+    """
+    R = T[np.ix_(*2 * [np.concatenate(pos)])]
+    entries = np.array([len(p) for p in pos])
+    starts = np.cumsum(entries) - entries
+    owner = np.repeat(np.arange(len(pos)), entries)
+    within = np.arange(entries.sum()) - starts[owner]
+    kinds = {}
+    label = np.array([kinds.setdefault((k, len(p)), len(kinds)) for k, p in zip(side, pos)])
+    count, width = len(kinds), entries.max()
+    while count < len(pos):
+        keys = label[owner] * width + within
+        order = np.argsort(keys, kind="stable")
+        cuts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        summed = np.add.reduceat(R[:, order], cuts, axis=1)  # one column per class and position
+        new, split = np.empty_like(label), 0
+        for k in range(count):
+            members = np.flatnonzero(label == k)
+            rows = starts[members][:, None] + np.arange(entries[members[0]])
+            sig = summed[rows].reshape(len(members), -1)
+            while members.size:
+                same = np.abs(sig - sig[0]).max(axis=1) <= tol
+                new[members[same]], split = split, split + 1
+                members, sig = members[~same], sig[~same]
+        if split == count:
+            break
+        label, count = new, split
+    return sorted((np.flatnonzero(label == k) for k in range(count)), key=lambda c: c[0])
+
+
+def _colouring(blocks, reach, S):
+    """A 2-colouring (0 or 1 per block) of the blocks of the pattern S under ``reach``, or None.
+
+    ``reach`` holds the map's links between i*d+j entries; None when a
+    block is linked to its own colour. Block 0's colour is 0.
     """
     d, on = len(S), np.flatnonzero(S)
     owner = np.array(sorted((i, n) for n, b in enumerate(blocks) for i in b))[:, 1]
@@ -438,14 +501,11 @@ def _bipartition(blocks, reach, S):
         while todo:
             p = todo.pop()
             if (colour[adj[p]] == colour[p]).any():
-                return blocks, 0
+                return None
             fresh = np.flatnonzero(adj[p] & (colour < 0))
             colour[fresh] = 1 - colour[p]
             todo += fresh.tolist()
-    entries = np.array([len(b) ** 2 for b in blocks])
-    if entries[colour == 1].sum() < entries[colour == 0].sum():
-        colour = 1 - colour  # also when no block is coupled: then A is empty
-    return [blocks[n] for n in np.argsort(colour, kind="stable")], int(np.sum(colour == 0))
+    return colour
 
 
 def _runs(sizes):

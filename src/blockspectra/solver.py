@@ -16,18 +16,19 @@ identity and is closed under eta, products and inverses. The solution and
 every iterate live there (Helton, Rashidi Far and Speicher, IMRN 2007), so
 the batched engine stores G as its m values on the pattern, in the
 pattern's layout, and inverts block by block, 1x1 and 2x2 blocks in closed
-form (m = d for the diagonal pattern of ISI channels, m = d^2 for a dense
-map). Only the routes that return d x d matrices expand; a density reads
-its transform off the stored diagonal. A Gram law's map is bipartite: it
-sends side a of the pattern only into side b and back (``pattern.sides``),
-and the smaller side is stored first, so each side is a slice. There
-Newton eliminates the larger side, whose block of the Jacobian is
-blockwise w - eta(G), and solves the m_A x m_A complement on the smaller
-one; any other map solves the full m x m system. When both sides are all
-1x1 (ISI and every diagonal Gram law), the complement comes from one
-product with the pattern's coupling product, and a 2x2 complement is
-solved by cofactors. The Im G check takes a 2x2 block's top eigenvalue in
-closed form too.
+form. Identical blocks are stored once, so the engine solves the quotient
+map (m = 6, not 11, for ISI K = L = 4; m = d^2 for a dense map); residual
+norms weight each stored value by the entries it stands for. Only the
+routes that return d x d matrices expand; a density reads its transform
+off the stored diagonal. A Gram law's map is bipartite: it sends side a
+of the pattern only into side b and back (``pattern.sides``), and the
+smaller side is stored first, so each side is a slice. There Newton
+eliminates the larger side, whose block of the Jacobian is blockwise
+w - eta(G), and solves the m_A x m_A complement on the smaller one; any
+other map solves the full m x m system. When both sides are all 1x1 (ISI
+and every diagonal Gram law), the complement comes from one product with
+the pattern's coupling product. A 1x1 or 2x2 complement is solved in
+closed form, and so is the Im G check of a 2x2 block.
 
 Every solve, one point or a grid, starts from -i*I and walks the imaginary
 offset down a continuation ladder (``_solve_continuation``), each offset a
@@ -215,7 +216,7 @@ def _block_im_max(pat, G):
     with np.errstate(all="ignore"):
         for s, n, sl in pat.groups:
             if s == 1:
-                top = G[:, sl].imag.max(axis=1)
+                top = np.ascontiguousarray(G[:, sl].imag.T).max(axis=0)
             elif s == 2:
                 a, b, c, d = G[:, sl].reshape(len(G), n, 4).transpose(2, 0, 1)
                 top = ((a.imag + d.imag) / 2
@@ -268,7 +269,7 @@ def _fixed_point_batch(pat, zs, G, target, limit):
 
     def residual(G):
         EG = _eta_batch(pat, G)
-        return np.linalg.norm(_residual(pat, zs, G, EG), axis=1), EG
+        return pat.norm(_residual(pat, zs, G, EG)), EG
 
     def step(G, EG):
         return _block_inv(pat, zs[:, None] * pat.eye - EG)
@@ -327,7 +328,9 @@ def _coupled_side(pat, side, other, ws, G, EG, rhs):
 
 
 def _solve_complement(S, y):
-    """x solving S x = y per point, a 2x2 S by cofactors; LinAlgError if S is singular."""
+    """x solving S x = y per point, 1x1 and 2x2 S in closed form; LinAlgError if S is singular."""
+    if y.shape[1] == 1:
+        return y / _pivots(S[:, 0])
     if y.shape[1] != 2:
         return np.linalg.solve(S, y[:, :, None])[..., 0]
     (a, b), (c, d) = S.transpose(1, 2, 0)
@@ -386,7 +389,7 @@ def _newton_batch(pat, zs, G, target, limit):
     P, m = G.shape
     EG = _eta_batch(pat, G)
     R = _residual(pat, zs, G, EG)  # kept for the accepted iterate: the next step's rhs
-    res = np.linalg.norm(R, axis=1)
+    res = pat.norm(R)
     iters = np.zeros(P, dtype=int)
     stuck = np.zeros(P, dtype=bool)
     for _ in range(limit):
@@ -416,7 +419,7 @@ def _newton_batch(pat, zs, G, target, limit):
             trial = Gi + factor[:, None] * step
             EGt = _eta_batch(pat, trial)
             Rt = _residual(pat, zi, trial, EGt)
-            rtrial = np.linalg.norm(Rt, axis=1)
+            rtrial = pat.norm(Rt)
             good = pending & (rtrial < res[ii])
             at = ii[good]
             G[at], EG[at], R[at], res[at] = trial[good], EGt[good], Rt[good], rtrial[good]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
-from blockspectra import errors
+from blockspectra import covariance as cov, errors
 
 from reference_laws import mp1_cauchy
 
@@ -223,6 +223,24 @@ def test_random_complex_family_spec_solves_as_the_family(seed, p, q, t):
         g_fading = bs.solve_fading(fam, z, TIGHT).g
         g_spec = bs.solve_hh_star(fam.spec, z, TIGHT).g
         assert abs(g_fading - g_spec) <= 1e-9
+
+
+def test_lcm_copies_fold_into_one_stored_block_a_side():
+    # p=2, q=3: the spec on lcm(p, q) = 6 blocks a side repeats each 2x2 Psi
+    # block three times and each 3x3 PsiHat block twice; the engine stores one
+    rng = np.random.default_rng(12)
+    fam = bs.CorrelationFamily(psi=tuple(_rand_real_psd(2, rng) for _ in range(2)),
+                               psi_hat=tuple(_rand_real_psd(3, rng) for _ in range(2)))
+    pat = cov._law(fam.spec).eta.pattern
+    assert (len(pat.flat), len(pat.eye)) == (30, 13)
+    assert pat.groups == ((2, 1, slice(0, 4)), (3, 1, slice(4, 13)))
+    for z in (0.4 + 0.05j, 1.5 + 0.1j, 4.0 + 0.3j):
+        block = bs.solve_hh_star(fam.spec, z, TIGHT)
+        ref = bs.solve_fading(fam, z, TIGHT)
+        assert block.converged and ref.converged
+        assert (block.G1 == np.kron(block.G1[::3, ::3], np.eye(3))).all()
+        assert np.abs(block.G1[::3, ::3] - ref.G1).max() <= 1e-10
+        assert abs(block.g - ref.g) <= 1e-10
 
 
 class TestFadingDensity:
