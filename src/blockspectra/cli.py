@@ -30,6 +30,7 @@ trace weights that read G, and whether it is a Gram law.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -305,10 +306,10 @@ MODELS = tuple(_MODELS)
 
 
 def parse_config(source) -> ProblemConfig:
-    """Parse and validate a problem config from JSON text or a file path."""
+    """Parse and validate a problem config from JSON text (starting "{" or "[") or a file path."""
     if isinstance(source, Path):
         text = _read_file(source)
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     else:
         text = _read_file(Path(source))
@@ -350,7 +351,7 @@ class JsonArtifact:
 
 
 def emit(artifact, path) -> Path:
-    """Write one artifact atomically (temp file + rename)."""
+    """Write one artifact atomically (temp file + rename); a failed write leaves no temp file."""
     path = Path(path)
     if isinstance(artifact, CsvArtifact):
         lines = [",".join(artifact.header)]
@@ -366,6 +367,8 @@ def emit(artifact, path) -> Path:
         tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 

@@ -411,7 +411,6 @@ class InvariantPattern:
         first = self.flat[starts]
         self.eye = (first // d == first % d).astype(float)
         self.tensor = np.add.reduceat(T[np.ix_(first, self.flat)], starts, axis=1)
-        self._root = np.sqrt(self.counts) if len(self.flat) > len(first) else None
         mA = sum(s * s for s in sizes[:nA])
         self.sides = (Side(slice(0, mA), _runs(sizes[:nA])),
                       Side(slice(mA, len(first)), _runs(sizes[nA:]))) if nA else None
@@ -443,7 +442,7 @@ class InvariantPattern:
 
     def norm(self, R) -> np.ndarray:
         """Per row, the Frobenius norm of the d x d matrix that the compressed row stands for."""
-        return np.linalg.norm(R if self._root is None else R * self._root, axis=-1)
+        return np.sqrt(np.abs(R) ** 2 @ self.counts)
 
 
 def _equitable(pos, side, T, tol):

@@ -158,15 +158,13 @@ class _Batch(NamedTuple):
 def _block_matmul(pat, A, B):
     """Blockwise product of two compressed batches, in closed form for 1x1 and 2x2 blocks.
 
-    The elementwise product is an einsum: it rounds as a 1x1 matmul does,
-    where numpy's complex multiply can fuse and move the last bit. A 2x2
-    block's product is written out, which is several times faster than a
-    stacked matmul of tiny blocks.
+    A 2x2 block's product is written out, which is several times faster
+    than a stacked matmul of tiny blocks.
     """
     out = np.empty_like(B)
     for s, n, sl in pat.groups:
         if s == 1:
-            np.einsum("pi,pi->pi", A[:, sl], B[:, sl], out=out[:, sl])
+            np.multiply(A[:, sl], B[:, sl], out=out[:, sl])
         elif s == 2:
             a, b, c, d = A[:, sl].reshape(len(A), n, 4).transpose(2, 0, 1)
             e, f, g, h = B[:, sl].reshape(len(B), n, 4).transpose(2, 0, 1)
@@ -482,6 +480,7 @@ def _solve_continuation(law, xs, offsets, config):
         e /= LADDER_RATIO
     levels = sorted(levels, reverse=True)
     total = np.zeros(P, dtype=int)
+    trace = np.bincount(pat.diagonal, law.weights, len(pat.eye))
     snapshots = []  # the wanted levels, in the order of offsets
 
     def verdict(G, ws, res, H, tol, im_tol):
@@ -519,9 +518,7 @@ def _solve_continuation(law, xs, offsets, config):
         H, converged, im_max = verdict(G, ws, res, H, tol, im_tol)
         G_prev, w_prev = G, ws
         if wanted:
-            # the product C-ordered, so the sum runs as over an expanded G's diagonal
-            g = np.ascontiguousarray(H[:, pat.diagonal] * law.weights).sum(axis=1)
-            snapshots.append(_Batch(H, g, res, total.copy(), converged, im_max))
+            snapshots.append(_Batch(H, H @ trace, res, total.copy(), converged, im_max))
     return snapshots
 
 

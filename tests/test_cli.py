@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -236,6 +237,62 @@ class TestEmit:
     def test_io_error(self):
         with pytest.raises(errors.IoError):
             cli.emit(cli.JsonArtifact({}), "/nonexistent-dir/x.json")
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "a.json").mkdir()  # the temp file is written, then cannot replace a directory
+        with pytest.raises(errors.IoError, match="cannot write"):
+            cli.emit(cli.JsonArtifact({}), tmp_path / "a.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return path
+
+
+def _with(model, **keys):
+    return json.dumps(dict(MODEL_CONFIGS[model], **keys))
+
+
+# outside input that the front end refuses: (error, message, call on a scratch directory)
+REFUSALS = {
+    "entry-text": (errors.ValidationError, "entries[0]: expected a number",
+                   lambda tmp: cli.parse_config(_with("selfadjoint", entries=[[1, 1, 1, 1, "x"]]))),
+    "K-fraction": (errors.ValidationError, "K: expected an integer",
+                   lambda tmp: cli.parse_config(_with("isi", K=2.5))),
+    "taps-text": (errors.ValidationError, "taps: expected a number",
+                  lambda tmp: cli.parse_config(_with("isi", taps=["a", 1]))),
+    "taps-empty": (errors.ValidationError, "taps: expected a nonempty list",
+                   lambda tmp: cli.parse_config(_with("isi", taps=[]))),
+    "entries-object": (errors.ValidationError, "entries: expected a list",
+                       lambda tmp: cli.parse_config(_with("selfadjoint", entries={}))),
+    "entry-short": (errors.ValidationError, "entries[0]: expected [i, j, k, l, value]",
+                    lambda tmp: cli.parse_config(_with("selfadjoint", entries=[[1, 1, 1]]))),
+    "psi-empty": (errors.ValidationError, "psi: expected a nonempty list of matrices",
+                  lambda tmp: cli.parse_config(_with("nonsep", psi=[]))),
+    "psi-number": (errors.ValidationError, "psi[0]: expected a matrix",
+                   lambda tmp: cli.parse_config(_with("nonsep", psi=[5]))),
+    "psi-not-square": (errors.ValidationError, "psi[0]: matrix must be square",
+                       lambda tmp: cli.parse_config(_with("nonsep", psi=[[[1.0, 0.0]]]))),
+    "list-text": (errors.ValidationError, "config: top level must be an object",
+                  lambda tmp: cli.parse_config("[1, 2]")),
+    "list-file": (errors.ValidationError, "config: top level must be an object",
+                  lambda tmp: cli.parse_config(_file(tmp, "[1, 2]"))),
+    "missing-file": (errors.ValidationError, "cannot read config file",
+                     lambda tmp: cli.parse_config(tmp / "absent.json")),
+    "emit-object": (errors.IoError, "unknown artifact type object",
+                    lambda tmp: cli.emit(object(), tmp / "x.json")),
+    "out-dir-is-a-file": (errors.IoError, "cannot create output directory",
+                          lambda tmp: cli.run("density", cli.parse_config(json.dumps(ISI_CONFIG)),
+                                              _file(tmp, ""))),
+}
+
+
+@pytest.mark.parametrize("error, message, call", REFUSALS.values(), ids=list(REFUSALS))
+def test_outside_input_is_refused(error, message, call, tmp_path):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
 
 
 class TestCommands:

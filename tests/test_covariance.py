@@ -143,6 +143,11 @@ class TestValidation:
             # sigma(1,1;1,2) needs alpha_1 = alpha_2
             bs.rectangular_covariance((1 / 3, 2 / 3), [(1, 1, 1, 2, 1.0)])
 
+    def test_alpha_pattern_skips_zero_entries(self):
+        # sigma(1,1;1,2) = 0 couples nothing, so unequal weights do not matter
+        spec = bs.rectangular_covariance((1 / 3, 2 / 3), [(1, 1, 1, 1, 1.0), (1, 1, 1, 2, 0.0)])
+        assert spec.alpha == (1 / 3, 2 / 3)
+
     def test_replace_checks_indices(self):
         with pytest.raises(errors.IndexOutOfRange):
             replace(bs.isi_covariance(2, 2), entries=((1, 9, 1, 1, 1.0),))
@@ -161,6 +166,32 @@ class TestValidation:
         assert spec.choi_min_eig < 0
         with pytest.raises(errors.NotPSD):
             bs.sample_block_gaussian(spec, 4, 0)
+
+
+def _selfadjoint():
+    return bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)])
+
+
+# outside input that the covariance layer refuses: (error, call)
+REFUSALS = {
+    "unknown-kind": (errors.WrongKind, lambda: CovarianceSpec("nope")),
+    "hh-star-no-blocks": (errors.BadParameter, lambda: bs.hh_star_covariance(0, 1, [])),
+    "selfadjoint-no-blocks": (errors.BadParameter, lambda: bs.selfadjoint_covariance(0, [])),
+    "ragged-taps": (errors.BadParameter,
+                    lambda: bs.isi_covariance(2, 2, tap_var=[[1.0], [1.0, 2.0]])),
+    "rectangular-no-alpha": (errors.WeightError, lambda: CovarianceSpec("rectangular", d=2)),
+    "eta-tensor-shape": (errors.DimensionMismatch, lambda: bs.EtaMap(np.zeros((2, 3, 2, 2)))),
+    "choi-of-rectangular-map": (errors.DimensionMismatch,
+                                lambda: bs.choi_matrix(bs.eta1_map(bs.isi_covariance(2, 2)))),
+    "eta-alpha-of-selfadjoint": (errors.WrongKind, lambda: bs.eta_alpha_map(_selfadjoint())),
+    "eta2-of-selfadjoint": (errors.WrongKind, lambda: bs.eta2_map(_selfadjoint())),
+}
+
+
+@pytest.mark.parametrize("error, call", REFUSALS.values(), ids=list(REFUSALS))
+def test_outside_input_is_refused(error, call):
+    with pytest.raises(error):
+        call()
 
 
 class TestEtaApply:

@@ -348,6 +348,14 @@ class TestNc2Moments:
         with pytest.raises(errors.OrderTooLarge):
             bs.nc2_moment(semicircle_eta, 18)
 
+    @pytest.mark.parametrize("call", [
+        lambda eta: bs.nc2_moment(eta, -2),
+        lambda eta: bs.nc2_moment(bs.eta1_map(bs.isi_covariance(2, 2)), 2),
+    ], ids=["negative-order", "map-not-square"])
+    def test_outside_input_is_refused(self, semicircle_eta, call):
+        with pytest.raises(errors.BadParameter):
+            call(semicircle_eta)
+
     def test_m2_is_eta_of_identity(self):
         rng = np.random.default_rng(5)
         eta = bs.eta_map(random_selfadjoint_spec(3, rng))

@@ -252,6 +252,29 @@ def test_folded_isi_grid_solves_the_unreduced_equation(K, L, seed):
         assert slv.max_im_eigenvalue(s.G) <= slv.IM_EIG_TOL
 
 
+def _real_p2_q3_family():
+    rng = np.random.default_rng(12)
+    psd = [rng.standard_normal((n, n)) for n in (2, 2, 3, 3)]
+    psd = [A @ A.T / len(A) for A in psd]
+    return bs.CorrelationFamily(psi=tuple(psd[:2]), psi_hat=tuple(psd[2:])).spec
+
+
+@pytest.mark.parametrize("spec", [lambda: bs.isi_covariance(5, 4), _real_p2_q3_family],
+                         ids=["isi-k5-l4", "nonsep-p2-q3"])
+def test_ladder_g_is_the_weighted_diagonal_of_the_expanded_solution(spec):
+    # both laws fold, and their stored trace weights (ISI: 1/5 and 2/5) are not
+    # powers of two: g sums one weight per stored value, in another order than
+    # the expanded diagonal, and must agree with it to rounding
+    law = cov._law(spec())
+    pat = law.eta.pattern
+    assert len(pat.eye) < len(pat.flat)
+    xs = slv._edge_estimate(law.eta) ** 2 * np.linspace(0.0, 1.2, 25)
+    for batch in slv._solve_continuation(law, xs, (1e-2, 1e-4), TIGHT):
+        assert batch.converged.all()
+        want = pat.expand(batch.G).diagonal(axis1=1, axis2=2) @ law.weights
+        assert (np.abs(batch.g - want) <= 1e-15 * np.abs(want)).all()
+
+
 def test_isi_frames_fold_beyond_mirror_pairs_when_taps_outnumber_frames():
     # K=2, L=4: the middle output frames 1-3 each see both input frames through
     # the same taps, so they fold into one class

@@ -52,10 +52,13 @@ def _semicircle():
     lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[np.nan]),
     lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[-1.0]),
     lambda: bs.nc2_moment(_semicircle(), 2, trace_weights=[2.0]),
+    lambda: bs.solve_fixed_point(_semicircle(), [1j, 2j]),
+    lambda: bs.solve_grid(_semicircle(), [], 1e-3),
+    lambda: bs.solve_grid(_semicircle(), [[0.0, 1.0]], 1e-3),
 ], ids=["tol-text", "snr-nan", "snr-inf",
         "empty-family", "trace-weights-shape", "density-weights-nan",
         "density-weights-negative", "density-weights-sum-2", "moment-weights-nan",
-        "moment-weights-negative", "moment-weights-sum-2"])
+        "moment-weights-negative", "moment-weights-sum-2", "z-array", "xs-empty", "xs-2d"])
 def test_bad_argument_is_bad_parameter(call):
     with pytest.raises(errors.BadParameter):
         call()

@@ -72,6 +72,16 @@ class TestStieltjesInvert:
                                atom_at_zero=1.5)
 
 
+@pytest.mark.parametrize("error, call", [
+    (errors.GridError, lambda: bs.SpectralDensity(xs=np.array([0.0, 1.0, 2.0]), ps=np.ones(2))),
+    (errors.BadParameter,
+     lambda: bs.moments_from_density(bs.SpectralDensity(xs=[0.0, 1.0], ps=[1.0, 1.0]), -1)),
+], ids=["lengths-differ", "negative-moment-order"])
+def test_outside_input_is_refused(error, call):
+    with pytest.raises(error):
+        call()
+
+
 @pytest.fixture
 def no_solve(monkeypatch):
     """Make every grid solve fail, so a test sees whether inputs are refused first."""
