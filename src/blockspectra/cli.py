@@ -426,19 +426,20 @@ def _sample_eigenvalues(config, N, threads, seed):
 
 
 def _resolve_threads(threads) -> int:
+    """``threads``, or $BLOCKSPECTRA_THREADS, lowered to the CPUs; 0 means all of them."""
     if threads is None:
         raw = os.environ.get(ENV_THREADS, "0")
         try:
             threads = int(raw)
         except ValueError as exc:
             raise ValidationError(ENV_THREADS, f"{ENV_THREADS} must be an integer") from exc
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
     if threads < 0:
         raise ValidationError("threads", "threads must be >= 0")
-    return threads
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus) if threads else cpus
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +579,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override mc seed")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker threads; 0 = auto (default: ${ENV_THREADS} or 0)",
+        help="worker threads, lowered to the CPUs this process may run on; "
+             f"0 = all of them (default: ${ENV_THREADS} or 0)",
     )
     try:
         args = parser.parse_args(argv)

@@ -60,8 +60,10 @@ from .errors import (
 
 KINDS = ("selfadjoint", "hh_star", "rectangular")
 
+# relative to the largest entry: a difference below this counts as symmetric
 SYMMETRY_TOL = 1e-12
-CHOI_FLAG_EIG = -1e-10
+# relative to the scale: an eigenvalue above this counts as nonnegative
+PSD_FLOOR = -1e-10
 # a map entry counts toward the invariant pattern above this share of the largest
 PATTERN_RTOL = 1e-14
 
@@ -112,7 +114,7 @@ class CovarianceSpec:
         closed = tuple((i, j, k, l, v) for (i, j, k, l), v in sorted(table.items()))
         object.__setattr__(self, "entries", closed)
         min_eig = _choi_min_eig(self)
-        if min_eig < CHOI_FLAG_EIG:
+        if min_eig < PSD_FLOOR:
             warnings.warn(
                 f"covariance map is not positivity-preserving "
                 f"(Choi min eigenvalue {min_eig:.3e}); solving may still work, "

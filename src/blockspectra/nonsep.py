@@ -38,9 +38,6 @@ from . import solver as slv
 from . import spectrum as spc
 from .errors import BadParameter, DimensionMismatch
 
-HERMITICITY_TOL = 1e-12
-PSD_FLOOR = -1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationFamily:
@@ -76,9 +73,9 @@ class CorrelationFamily:
                 if not np.isfinite(m).all():
                     raise BadParameter(f"{name}[{s}] has a non-finite entry")
                 scale = max(1.0, float(np.abs(m).max()))
-                if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
+                if np.abs(m - m.conj().T).max() > cov.SYMMETRY_TOL * scale:
                     raise BadParameter(f"{name}[{s}] is not Hermitian")
-                if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < PSD_FLOOR * scale:
+                if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < cov.PSD_FLOOR * scale:
                     raise BadParameter(f"{name}[{s}] is not positive semidefinite")
 
     @property

@@ -25,7 +25,9 @@ of the pattern only into side b and back (``pattern.sides``), and the
 smaller side is stored first, so each side is a slice. There Newton
 eliminates the larger side, whose block of the Jacobian is blockwise
 w - eta(G), and solves the m_A x m_A complement on the smaller one; any
-other map solves the full m x m system. When both sides are all 1x1 (ISI
+other map solves the full m x m system. Each Newton step forms that
+blockwise inverse, the fixed-point map's resolvent, once over the whole
+pattern, and each side reads its slice. When both sides are all 1x1 (ISI
 and every diagonal Gram law), the complement comes from one product with
 the pattern's coupling product. A 1x1 or 2x2 complement is solved in
 closed form, and so is the Im G check of a 2x2 block.
@@ -36,9 +38,11 @@ factor LADDER_RATIO below the one before. The first level runs sweeps of
 the fixed-point map, which globalize, then Newton. Each later level is a
 predictor-corrector step (Allgower and Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003): a tangent step from the level before,
-then Newton; the sweeps run again only where Newton fails. A level whose
-offset the caller did not ask for only feeds the next prediction, so it
-stops at PREDICTION_TOL, and its Im H check is held to that bound too.
+then Newton; the sweeps run again only where Newton fails. The sweeps
+always stop at the loose tolerance, the larger of the residual target and
+PREDICTION_TOL, and hand over to Newton. A level whose offset the caller
+did not ask for only feeds the next prediction, so it stops at the loose
+tolerance too, and its Im H check is held to it as well.
 Only ``newton_refine`` starts from a caller's approximation.
 
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
@@ -74,7 +78,6 @@ from .errors import (
 )
 
 IM_EIG_TOL = 1e-8          # Im G must be negative semidefinite up to this
-NEWTON_HANDOFF = 1e-6      # fixed-point target before Newton takes over
 SWEEPS = 40                # fixed-point sweeps a ladder level runs at most
 NEWTON_STEPS = 60          # steps of one Newton run: a ladder level's, or newton_refine's
 ELIMINATED_SWEEPS = 10_000  # averaged sweeps of the eliminated cross-check equation
@@ -298,16 +301,16 @@ def _jacobian(pat, zs, G, EG):
     return lin
 
 
-def _coupled_side(pat, side, other, ws, G, EG, rhs):
+def _coupled_side(pat, side, other, W, G, rhs):
     """One side X of a bipartite pattern: K = D^{-1} eta(.) G and y = D^{-1} rhs on X.
 
-    D multiplies each block of X on the left by w - eta(G); column c of K is
+    D multiplies each block of X on the left by w - eta(G), and ``W`` is
+    D^{-1}, the side's slice of the step's resolvent; column c of K is
     D^{-1} (eta(E_c) G) for the c-th stored entry of the other side.
     """
     X, coupling = side.span, pat.tensor[side.span, other.span]
     # point-major copies of the side: einsum then loops fastest over the points
     P, G, rhs = len(G), np.asfortranarray(G[:, X]), np.asfortranarray(rhs[:, X])
-    W = _block_inv(side, ws[:, None] * pat.eye[X] - EG[:, X])
     K, y = np.empty((P, *coupling.shape), dtype=complex), np.empty_like(W)
     for s, n, sl in side.groups:
         if s == 1:
@@ -343,8 +346,10 @@ def _newton_step(pat, ws, G, EG, rhs):
     [0, m_A), the larger side B after it) B is eliminated: J = [[D_A, L_AB],
     [L_BA, D_B]], D_X multiplying each block of side X on the left by
     w - eta(G) and L_XY x = -eta(x) G on X, read off the tensor's slice
-    T_XY. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X, x_A solves
-    the m_A x m_A complement (I - K_A K_B) x_A = y_A + K_A y_B and
+    T_XY. Each D_X^{-1} is side X's slice of the blockwise inverse of
+    w - eta(G) over the whole pattern, the fixed-point map's resolvent,
+    formed once a step. With K_X = -D_X^{-1} L_XY and y_X = D_X^{-1} rhs_X,
+    x_A solves the m_A x m_A complement (I - K_A K_B) x_A = y_A + K_A y_B and
     x_B = y_B + K_B x_A. When both sides are all 1x1, K_X = diag(u_X) T_XY
     with u_X = D_X^{-1} G_X, so I - K_A K_B = I - u_A * (u_B Q) from the
     pattern's coupling product Q, and neither K is formed. Any other
@@ -355,14 +360,14 @@ def _newton_step(pat, ws, G, EG, rhs):
         return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
     A, B = pat.sides
     Q, P, mA, T = pat.coupling_product, len(G), A.span.stop, pat.tensor
+    W = _block_inv(pat, ws[:, None] * pat.eye - EG)
+    WA, WB = W[:, :mA], W[:, mA:]
     if Q is None:
-        KA, yA = _coupled_side(pat, A, B, ws, G, EG, rhs)
-        KB, yB = _coupled_side(pat, B, A, ws, G, EG, rhs)
+        KA, yA = _coupled_side(pat, A, B, WA, G, rhs)
+        KB, yB = _coupled_side(pat, B, A, WB, G, rhs)
         S = -(KA @ KB)
         b = yA + (KA @ yB[:, :, None])[..., 0]
     else:
-        WA = _block_inv(A, ws[:, None] - EG[:, :mA])
-        WB = _block_inv(B, ws[:, None] - EG[:, mA:])
         uA, uB, yB = WA * G[:, :mA], WB * G[:, mA:], WB * rhs[:, mA:]
         S = (uB @ Q.reshape(len(Q), -1)).reshape(P, mA, mA)
         S *= -uA[:, :, None]
@@ -449,17 +454,15 @@ def _solve_continuation(law, xs, offsets, config):
     (or the last offset, if larger) through every offset; the ladder stops
     at MIN_GRID_EPSILON before its final level, so a last offset of 0 (a
     real z) is reached too. Each level solves G = w H at w = z, or
-    w = sqrt(z) for a Gram law. A level at one of ``offsets`` is solved to
-    ``config.tol``; a level in between only feeds the next prediction and
-    stops at the larger of ``config.tol`` and PREDICTION_TOL. A point
-    converges when its residual is within the level's tolerance and the
-    largest eigenvalue of Im H is within IM_EIG_TOL at a wanted level, or
-    within the level's own tolerance at a level in between. The first
-    level runs up to SWEEPS fixed-point sweeps of the plain map from
-    H = -i*I toward the larger of its tolerance and NEWTON_HANDOFF, then up
-    to NEWTON_STEPS Newton steps. Each later level predicts along the
-    tangent from the level before (:func:`_tangent_start`) and runs Newton
-    from there. A point that
+    w = sqrt(z) for a Gram law. The loose tolerance is the larger of
+    ``config.tol`` and PREDICTION_TOL. A level at one of ``offsets`` is
+    held to ``config.tol`` for its residual and IM_EIG_TOL for the largest
+    eigenvalue of Im H; a level in between only feeds the next prediction
+    and is held to the loose tolerance for both. The first level runs up
+    to SWEEPS fixed-point sweeps of the plain map from H = -i*I toward the
+    loose tolerance, then up to NEWTON_STEPS Newton steps. Each later level
+    predicts along the tangent from the level before
+    (:func:`_tangent_start`) and runs Newton from there. A point that
     Newton leaves stuck or unconverged restarts from the plain warm start
     w H of the level before and takes the first level's sweeps and Newton.
     A prediction counts as one iteration.
@@ -473,7 +476,7 @@ def _solve_continuation(law, xs, offsets, config):
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
     H = np.tile(-1j * pat.eye, (P, 1))
-    levels = set(offsets)
+    levels, loose = set(offsets), max(config.tol, PREDICTION_TOL)
     e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
     while e > max(offsets[-1], MIN_GRID_EPSILON) * (1 + 1e-9):
         levels.add(e)
@@ -499,10 +502,8 @@ def _solve_continuation(law, xs, offsets, config):
         ws = np.sqrt(zs) if law.gram else zs
         warm = ws[:, None] * H if law.gram else H
         wanted = eps in offsets
-        # a level that is not wanted only feeds the next level's prediction,
-        # and is judged by that level's own tolerance
-        tol = config.tol if wanted else max(config.tol, PREDICTION_TOL)
-        im_tol = IM_EIG_TOL if wanted else max(IM_EIG_TOL, tol)
+        # a level that is not wanted only feeds the next level's prediction
+        tol, im_tol = (config.tol, IM_EIG_TOL) if wanted else (loose, loose)
         if lev == 0:
             G, res, retry = warm.copy(), np.full(P, np.inf), np.arange(P)
         else:
@@ -511,8 +512,7 @@ def _solve_continuation(law, xs, offsets, config):
             total += 1 + nits
             retry = np.flatnonzero(~verdict(G, ws, res, H, tol, im_tol)[1])
         if retry.size:
-            Gr, res[retry], fits = _fixed_point_batch(
-                pat, ws[retry], warm[retry], max(tol, NEWTON_HANDOFF), SWEEPS)
+            Gr, res[retry], fits = _fixed_point_batch(pat, ws[retry], warm[retry], loose, SWEEPS)
             G[retry], res[retry], nits, _ = _newton_batch(pat, ws[retry], Gr, tol, NEWTON_STEPS)
             total[retry] += fits + nits
         H, converged, im_max = verdict(G, ws, res, H, tol, im_tol)
@@ -586,6 +586,7 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     z*dG - eta(dG) G - eta(G) dG = -(z G - I - eta(G) G), on a bipartite
     map through its complement on the smaller side. Quadratic convergence
     when started in the basin (residual below ~1e-2), in NEWTON_STEPS steps at most.
+    Raises SingularJacobian when Newton sticks above max(tol, PREDICTION_TOL).
     """
     config = config or DEFAULT_CONFIG
     z = _upper_half(z)
@@ -597,7 +598,7 @@ def newton_refine(eta, z, G0, config=None) -> CauchySolution:
     zs = np.array([z])
     G, res, its, stuck = _newton_batch(
         pat, zs, pat.compress(G0[None]), config.tol, NEWTON_STEPS)
-    if stuck[0] and res[0] > max(config.tol, NEWTON_HANDOFF):
+    if stuck[0] and res[0] > max(config.tol, PREDICTION_TOL):
         raise SingularJacobian(
             "Newton made no progress (singular or stalled linearization); "
             "fall back to solve_fixed_point"

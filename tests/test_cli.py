@@ -416,7 +416,10 @@ class TestCommands:
         assert (tmp_path / "a" / "eigenvalues.csv").read_bytes() != (
             tmp_path / "b" / "eigenvalues.csv").read_bytes()
 
-    def test_threads_give_identical_bytes(self, tmp_path):
+    def test_threads_give_identical_bytes(self, tmp_path, monkeypatch):
+        # four CPUs, so the pool of four threads is not lowered to one
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert cli._resolve_threads(4) == 4
         payload = dict(ISI_CONFIG)
         payload["mc"] = {"N": 20, "realizations": 6, "seed": 2}
         cfg = cli.parse_config(json.dumps(payload))
@@ -642,6 +645,14 @@ class TestMain:
         assert cli._resolve_threads(0) == 1
         monkeypatch.setenv(cli.ENV_THREADS, "0")
         assert cli._resolve_threads(None) == 1
+
+    def test_threads_are_lowered_to_the_affinity_mask(self, monkeypatch):
+        # only the count is resolved: no thread starts
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._resolve_threads(10**6) == 2
+        monkeypatch.setenv(cli.ENV_THREADS, str(10**6))
+        assert cli._resolve_threads(None) == 2
+        assert cli._resolve_threads(1) == 1
 
     def test_auto_threads_without_affinity(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)

@@ -391,6 +391,33 @@ def test_bipartite_newton_never_forms_the_full_jacobian(monkeypatch):
     assert all(s.converged for s in sols)
 
 
+@pytest.mark.parametrize("config, scalar_sides", [("isi_k4_l4", True), ("nonsep_t2", False)])
+def test_each_newton_step_inverts_the_resolvent_once(monkeypatch, tmp_path, config, scalar_sides):
+    # the sweeps and Newton's eliminated sides share one blockwise inverse of
+    # w - eta(G), formed over the whole pattern and never over a Side
+    block_inv, newton_step = slv._block_inv, slv._newton_step
+    inverses, per_step, patterns = [0], [], []
+
+    def counted_inv(pat, A):
+        assert isinstance(pat, cov.InvariantPattern), "inverted a side on its own"
+        inverses[0] += 1
+        return block_inv(pat, A)
+
+    def counted_step(pat, *args):
+        before = inverses[0]
+        out = newton_step(pat, *args)
+        per_step.append(inverses[0] - before)
+        patterns.append(pat)
+        return out
+
+    monkeypatch.setattr(slv, "_block_inv", counted_inv)
+    monkeypatch.setattr(slv, "_newton_step", counted_step)
+    cli.run("density", cli.parse_config(CONFIGS / f"{config}.json"), out_dir=tmp_path)
+    assert per_step and set(per_step) == {1}
+    assert all(p.sides is not None for p in patterns)
+    assert {p.coupling_product is not None for p in patterns} == {scalar_sides}
+
+
 LADDER_LAWS = {
     "semicircle": lambda: (cov._map_law(_semicircle()), np.linspace(-2.5, 2.5, 41)),
     "isi44-gram": lambda: (cov._law(bs.isi_covariance(4, 4)), np.linspace(0.0, 3.0, 41)),
@@ -639,6 +666,9 @@ class TestMomentCheck:
         assert m.m0 == pytest.approx(1.0, abs=1e-6)
         assert m.m2 == pytest.approx(1.0, abs=1e-3)
         assert m.m4 == pytest.approx(2.0, abs=1e-3)
+        # the first level's sweeps hand over at PREDICTION_TOL and Newton
+        # finishes: m4 is good to 1.5e-6 (3.3e-6 with a 1e-6 hand-over)
+        assert abs(m.m4 - 2.0) <= 2e-6
 
     def test_isi_second_moment_matches_recursion(self, isi44):
         eta = bs.eta_map(bs.hermitize_covariance(isi44))
