@@ -29,27 +29,28 @@ other map solves the full m x m system. Each Newton step forms that
 blockwise inverse, the fixed-point map's resolvent, once over the whole
 pattern, and each side reads its slice. When both sides are all 1x1 (ISI
 and every diagonal Gram law), the complement comes from one product with
-the pattern's coupling product. A 1x1 or 2x2 complement is solved in
-closed form, and so is the Im G check of a 2x2 block.
+the pattern's coupling product. A 1x1 or 2x2 system, full or complement,
+is solved in closed form, and so is the Im G check of a 2x2 block.
 
-Every solve, one point or a grid, starts from -i*I and walks the imaginary
-offset down a continuation ladder (``_solve_continuation``), each offset a
-factor LADDER_RATIO below the one before. The first level runs sweeps of
-the fixed-point map, which globalize, then Newton. Each later level is a
-predictor-corrector step (Allgower and Georg, Introduction to Numerical
-Continuation Methods, SIAM 2003): a tangent step from the level before,
-then Newton; the sweeps run again only where Newton fails. The sweeps
-always stop at the loose tolerance, the larger of the residual target and
-PREDICTION_TOL, and hand over to Newton. A level whose offset the caller
-did not ask for only feeds the next prediction, so it stops at the loose
-tolerance too, and its Im H check is held to it as well.
+Every solve, one point or a grid, of any law, starts from G = -i*I and walks
+the imaginary offset down a continuation ladder (``_solve_continuation``),
+each offset a factor LADDER_RATIO below the one before. The first level runs
+sweeps of the fixed-point map, which globalize, then Newton. Each later level
+is a predictor-corrector step (Allgower and Georg, Introduction to Numerical
+Continuation Methods, SIAM 2003): a tangent step from the level before, then
+Newton; the sweeps run again only where Newton fails, from the level
+before's G. The sweeps always stop at the loose tolerance, the larger of the
+residual target and PREDICTION_TOL, and hand over to Newton. A level whose
+offset the caller did not ask for only feeds the next prediction, so it
+stops at the loose tolerance too, and its Im H check is held to it as well.
 Only ``newton_refine`` starts from a caller's approximation.
 
 A Gram (HH*) law is read off its hermitization X = [[0, H], [H*, 0]]: as
 X^2 = diag(HH*, H*H), H(z) = G(w)/w at w = sqrt(z), where G solves the
 central equation for the hermitized map (its residual w G - I - eta(G) G is
-z H - I - z eta(H) H). A ``cov.Law`` carries the Gram flag, and
-``cov._law`` builds a spec's law once per call.
+z H - I - z eta(H) H). The ladder carries G and reads H only where a level
+is judged; z = 0, the pole of H, is refused. A ``cov.Law`` carries the Gram
+flag, and ``cov._law`` builds a spec's law once per call.
 
 One loop (``_sweep_loop``) runs every fixed-point iteration, each step
 replacing G by the caller's map, with no damping. The engine's sweeps pass
@@ -328,8 +329,8 @@ def _coupled_side(pat, side, other, W, G, rhs):
     return K, y
 
 
-def _solve_complement(S, y):
-    """x solving S x = y per point, 1x1 and 2x2 S in closed form; LinAlgError if S is singular."""
+def _solve_linear(S, y):
+    """x solving each Newton system S x = y, 1x1 and 2x2 in closed form; LinAlgError if singular."""
     if y.shape[1] == 1:
         return y / _pivots(S[:, 0])
     if y.shape[1] != 2:
@@ -357,7 +358,7 @@ def _newton_step(pat, ws, G, EG, rhs):
     the system is singular at some point.
     """
     if pat.sides is None:
-        return np.linalg.solve(_jacobian(pat, ws, G, EG), rhs[:, :, None])[..., 0]
+        return _solve_linear(_jacobian(pat, ws, G, EG), rhs)
     A, B = pat.sides
     Q, P, mA, T = pat.coupling_product, len(G), A.span.stop, pat.tensor
     W = _block_inv(pat, ws[:, None] * pat.eye - EG)
@@ -373,7 +374,7 @@ def _newton_step(pat, ws, G, EG, rhs):
         S *= -uA[:, :, None]
         b = WA * rhs[:, :mA] + uA * (yB @ T[:mA, mA:].T)
     S[:, np.arange(mA), np.arange(mA)] += 1
-    xA = _solve_complement(S, b)
+    xA = _solve_linear(S, b)
     x = np.empty_like(G)
     x[:, :mA] = xA
     x[:, mA:] = yB + ((KB @ xA[:, :, None])[..., 0] if Q is None else uB * (xA @ T[mA:, :mA].T))
@@ -433,17 +434,17 @@ def _newton_batch(pat, zs, G, target, limit):
     return G, res, iters, stuck
 
 
-def _tangent_start(pat, w0, G0, w1, warm):
+def _tangent_start(pat, w0, G0, w1):
     """The predictor: G0 + (w1 - w0) dG/dw, from the solution G0 at w0 to w1.
 
     Differentiating w G - I - eta(G) G = 0 in w gives J dG/dw = -G, J the
     linearization at (w0, G0), so the tangent is one :func:`_newton_step`.
-    Where that system is singular the whole batch starts from ``warm``.
+    Where that system is singular the whole batch starts from G0 itself.
     """
     try:
         t = _newton_step(pat, w0, G0, _eta_batch(pat, G0), -G0)
     except np.linalg.LinAlgError:
-        return warm
+        return G0
     return G0 + (w1 - w0)[:, None] * t
 
 
@@ -453,19 +454,20 @@ def _solve_continuation(law, xs, offsets, config):
     The offset walks down by factors of LADDER_RATIO from max(span, 1) / 8
     (or the last offset, if larger) through every offset; the ladder stops
     at MIN_GRID_EPSILON before its final level, so a last offset of 0 (a
-    real z) is reached too. Each level solves G = w H at w = z, or
-    w = sqrt(z) for a Gram law. The loose tolerance is the larger of
-    ``config.tol`` and PREDICTION_TOL. A level at one of ``offsets`` is
-    held to ``config.tol`` for its residual and IM_EIG_TOL for the largest
-    eigenvalue of Im H; a level in between only feeds the next prediction
-    and is held to the loose tolerance for both. The first level runs up
-    to SWEEPS fixed-point sweeps of the plain map from H = -i*I toward the
-    loose tolerance, then up to NEWTON_STEPS Newton steps. Each later level
-    predicts along the tangent from the level before
-    (:func:`_tangent_start`) and runs Newton from there. A point that
-    Newton leaves stuck or unconverged restarts from the plain warm start
-    w H of the level before and takes the first level's sweeps and Newton.
-    A prediction counts as one iteration.
+    real z) is reached too. Each level solves w G = I + eta(G) G at w = z,
+    or w = sqrt(z) for a Gram law, and hands the next level only its G.
+    The loose tolerance is the larger of ``config.tol`` and PREDICTION_TOL.
+    A level at one of ``offsets`` is held to ``config.tol`` for its
+    residual and IM_EIG_TOL for the largest eigenvalue of Im H (H = G/w
+    for a Gram law, G otherwise); a level in between only feeds the next
+    prediction and is held to the loose tolerance for both. The first
+    level runs up to SWEEPS fixed-point sweeps of the plain map from
+    G = -i*I toward the loose tolerance, then up to NEWTON_STEPS Newton
+    steps. Each later level predicts along the tangent from the level
+    before (:func:`_tangent_start`) and runs Newton from there. A point
+    that Newton leaves stuck or unconverged restarts from the level
+    before's G through the first level's sweeps and Newton. A prediction
+    counts as one iteration.
 
     Returns one batch per offset: G compressed to (P, m), g the law's
     transform read off its diagonal with the trace weights, and ``iters``
@@ -475,7 +477,7 @@ def _solve_continuation(law, xs, offsets, config):
     pat = law.eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
-    H = np.tile(-1j * pat.eye, (P, 1))
+    G_prev = np.tile(-1j * pat.eye, (P, 1))
     levels, loose = set(offsets), max(config.tol, PREDICTION_TOL)
     e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
     while e > max(offsets[-1], MIN_GRID_EPSILON) * (1 + 1e-9):
@@ -486,36 +488,30 @@ def _solve_continuation(law, xs, offsets, config):
     trace = np.bincount(pat.diagonal, law.weights, len(pat.eye))
     snapshots = []  # the wanted levels, in the order of offsets
 
-    def verdict(G, ws, res, H, tol, im_tol):
-        # z = 0 is a pole of H, which G = w H cannot give: H stays as it was,
-        # unconverged, and the sweeps from G = 0 raise SingularResolvent
-        if not law.gram:
-            H, readable = G, True
-        else:
-            readable = ws != 0
-            H = np.divide(G, ws[:, None], out=H.copy(), where=readable[:, None])
+    def verdict(G, ws, res, tol, im_tol):
+        H = G / ws[:, None] if law.gram else G
         im_max = _block_im_max(pat, H)
-        return H, readable & (res <= tol) & (im_max <= im_tol), im_max
+        return H, (res <= tol) & (im_max <= im_tol), im_max
 
     for lev, eps in enumerate(levels):
         zs = xs + 1j * eps
         ws = np.sqrt(zs) if law.gram else zs
-        warm = ws[:, None] * H if law.gram else H
         wanted = eps in offsets
         # a level that is not wanted only feeds the next level's prediction
         tol, im_tol = (config.tol, IM_EIG_TOL) if wanted else (loose, loose)
         if lev == 0:
-            G, res, retry = warm.copy(), np.full(P, np.inf), np.arange(P)
+            G, res, retry = G_prev.copy(), np.full(P, np.inf), np.arange(P)
         else:
-            G = _tangent_start(pat, w_prev, G_prev, ws, warm)
+            G = _tangent_start(pat, w_prev, G_prev, ws)
             G, res, nits, _ = _newton_batch(pat, ws, G, tol, NEWTON_STEPS)
             total += 1 + nits
-            retry = np.flatnonzero(~verdict(G, ws, res, H, tol, im_tol)[1])
+            H, converged, im_max = verdict(G, ws, res, tol, im_tol)
+            retry = np.flatnonzero(~converged)
         if retry.size:
-            Gr, res[retry], fits = _fixed_point_batch(pat, ws[retry], warm[retry], loose, SWEEPS)
+            Gr, res[retry], fits = _fixed_point_batch(pat, ws[retry], G_prev[retry], loose, SWEEPS)
             G[retry], res[retry], nits, _ = _newton_batch(pat, ws[retry], Gr, tol, NEWTON_STEPS)
             total[retry] += fits + nits
-        H, converged, im_max = verdict(G, ws, res, H, tol, im_tol)
+            H, converged, im_max = verdict(G, ws, res, tol, im_tol)
         G_prev, w_prev = G, ws
         if wanted:
             snapshots.append(_Batch(H, H @ trace, res, total.copy(), converged, im_max))
@@ -523,8 +519,10 @@ def _solve_continuation(law, xs, offsets, config):
 
 
 def _solve_point(law, z, config):
-    """One point through the ladder: (G, residual, iterations, converged)."""
+    """One point through the ladder: (G, residual, iterations, converged); a Gram law refuses 0."""
     z = _upper_half(z)
+    if law.gram and z == 0:
+        raise BadParameter("z = 0 is a pole of a Gram law's transform G(sqrt z)/sqrt z")
     (out,) = _solve_continuation(law, [z.real], (z.imag,), config)
     G = law.eta.pattern.expand(out.G[0])
     return G, float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
@@ -666,7 +664,8 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     block diagonal H = diag(G1, G2); the corners stay exactly zero along the
     iteration because the hermitized map annihilates them. Returns the blocks,
     the scalar transform g = tr_a(G1), and the residuals of the two split
-    equations z G1 = I + z eta1(G2) G1 and z G2 = I + z eta2(G1) G2.
+    equations z G1 = I + z eta1(G2) G1 and z G2 = I + z eta2(G1) G2. z = 0,
+    the pole of H, raises BadParameter.
     """
     law = cov._hh_star_law(spec)
     H, res, its, converged = _solve_point(law, z, config)

@@ -457,9 +457,9 @@ def test_small_complements_match_numpy(m):
     S = rng.standard_normal((64, m, m)) + 1j * rng.standard_normal((64, m, m))
     y = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
     want = np.linalg.solve(S, y[:, :, None])[..., 0]
-    assert np.abs(slv._solve_complement(S, y) - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(slv._solve_linear(S, y) - want).max() <= 1e-13 * np.abs(want).max()
     S[7] = [[0.0]] if m == 1 else [[1.0, 2.0], [2.0, 4.0]]  # singular at point 7
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # raised before any division by zero
         with pytest.raises(np.linalg.LinAlgError):
-            slv._solve_complement(S, y)
+            slv._solve_linear(S, y)

@@ -425,7 +425,7 @@ LADDER_LAWS = {
 
 
 @pytest.mark.parametrize("name", LADDER_LAWS)
-def test_singular_tangent_falls_back_to_the_plain_warm_start(monkeypatch, name):
+def test_singular_tangent_falls_back_to_the_level_before(monkeypatch, name):
     law, xs = LADDER_LAWS[name]()
     (ref,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
     newton_step, tangents = slv._newton_step, []
@@ -471,13 +471,83 @@ def test_stalled_newton_falls_back_to_the_sweeps(monkeypatch, name):
     assert np.abs(out.G - ref.G).max() <= 1e-10
 
 
+def test_gram_ladder_starts_and_restarts_from_g(monkeypatch):
+    # every law's first level sweeps from G = -i*I, and a retry on a later
+    # level sweeps from the level before's G as it is, not rescaled by w
+    law, xs = LADDER_LAWS["isi44-gram"]()
+    pat, P = law.eta.pattern, len(xs)
+    newton, sweeps = slv._newton_batch, slv._fixed_point_batch
+    starts, solved = [], []
+
+    def logged_sweeps(pat, zs, G, target, budget):
+        starts.append(G.copy())
+        return sweeps(pat, zs, G, target, budget)
+
+    def stalls_second(pat, zs, G, target, budget):
+        if len(solved) == 1:  # Newton first on the second level: no point moves
+            solved.append(None)
+            return G.copy(), np.full(len(G), np.inf), np.zeros(len(G), int), np.ones(len(G), bool)
+        out = newton(pat, zs, G, target, budget)
+        solved.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(slv, "_fixed_point_batch", logged_sweeps)
+    monkeypatch.setattr(slv, "_newton_batch", stalls_second)
+    (out,) = slv._solve_converged(law, xs, (1e-3,), TIGHT)
+    assert out.converged.all() and len(starts) == 2
+    assert np.array_equal(starts[0], np.tile(-1j * pat.eye, (P, 1)))
+    assert np.array_equal(starts[1], solved[0])
+
+
+def test_a_level_without_retries_judges_once(monkeypatch):
+    # the verdict after Newton stands when no point retries: one Im check a level
+    config = cli.parse_config(CONFIGS / "isi_k4_l4.json")
+    tangent, im_max, sweeps = slv._tangent_start, slv._block_im_max, slv._fixed_point_batch
+    counts = {"tangents": 0, "checks": 0, "sweeps": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            counts[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(slv, "_tangent_start", counted("tangents", tangent))
+    monkeypatch.setattr(slv, "_block_im_max", counted("checks", im_max))
+    monkeypatch.setattr(slv, "_fixed_point_batch", counted("sweeps", sweeps))
+    cli._solve_density(config, cov._law(config.built))
+    assert counts["sweeps"] == 1 and counts["tangents"] > 0  # the first level's only
+    assert counts["checks"] == counts["tangents"] + 1
+
+
+@pytest.mark.parametrize("config", ["semicircle", "selfadjoint_complex_d2", "isi_k4_l4", "nonsep_t2"])
+def test_each_newton_step_solves_one_linear_system(monkeypatch, tmp_path, config):
+    # the full linearization and a bipartite complement go through one solver
+    solve, newton_step = slv._solve_linear, slv._newton_step
+    solves, per_step = [0], []
+
+    def counted_solve(S, y):
+        solves[0] += 1
+        return solve(S, y)
+
+    def counted_step(*args):
+        before = solves[0]
+        out = newton_step(*args)
+        per_step.append(solves[0] - before)
+        return out
+
+    monkeypatch.setattr(slv, "_solve_linear", counted_solve)
+    monkeypatch.setattr(slv, "_newton_step", counted_step)
+    cli.run("density", cli.parse_config(CONFIGS / f"{config}.json"), out_dir=tmp_path)
+    assert per_step and set(per_step) == {1}
+
+
 def test_each_prediction_counts_one_iteration(monkeypatch, semicircle_eta):
     tangent, newton, sweeps = slv._tangent_start, slv._newton_batch, slv._fixed_point_batch
     counts = {"tangents": 0, "steps": 0}
 
-    def counted_tangent(pat, w0, G0, w1, warm):
+    def counted_tangent(pat, w0, G0, w1):
         counts["tangents"] += len(w0)
-        return tangent(pat, w0, G0, w1, warm)
+        return tangent(pat, w0, G0, w1)
 
     def counted(kernel, k):
         def run(*args):
@@ -509,13 +579,12 @@ class TestHHStar:
             assert sol.converged
             assert sol.g == pytest.approx(complex(mp1_cauchy(z)), abs=1e-10)
 
-    def test_pole_at_zero_keeps_a_finite_unconverged_iterate(self, mp_spec, stalled):
-        # w = sqrt(0) = 0: with every step stalled, the last level keeps
-        # G = w H = 0 and H must not become G/w = 0/0
+    def test_gram_pole_at_zero_is_refused(self, mp_spec, stalled):
+        # H(z) = G(sqrt z)/sqrt z has a pole at z = 0: refused before any level runs
         with stalled():
-            sol = bs.solve_hh_star(mp_spec, 0.0)
-        assert not sol.converged and np.isfinite(sol.G1).all()
-        with pytest.raises(errors.SingularResolvent):
+            with pytest.raises(errors.BadParameter):
+                bs.solve_hh_star(mp_spec, 0.0)
+        with pytest.raises(errors.BadParameter):
             bs.solve_hh_star(mp_spec, 0.0)
 
     def test_isi_diagonal_structure_and_printed_system(self, isi44):
