@@ -15,12 +15,14 @@ ensemble sparsely, as coordinate entries over 1-based block indices:
   k, l over the b column blocks.
 
 A spec is validated when it is made, by its constructor (and so also by
-``dataclasses.replace``): indices are range-checked, the entry list is
-closed under the symmetries implied by a realizable Hermitian ensemble,
-weights are checked, and ``choi_min_eig`` is set to the minimum eigenvalue
-of the Choi matrix of the induced covariance map (positivity-preservation
-check; a deficit is flagged with a warning, not an error, so exploratory
-specs still run). Every spec in existence is therefore a valid one.
+``dataclasses.replace``): a spec whose dense map would take more than
+``MAX_MAP_BYTES`` is refused before anything is built, indices are
+range-checked, the entry list is closed under the symmetries implied by a
+realizable Hermitian ensemble, weights are checked, and ``choi_min_eig`` is
+set to the minimum eigenvalue of the Choi matrix of the induced covariance
+map (positivity-preservation check; a deficit is flagged with a warning,
+not an error, so exploratory specs still run). Every spec in existence is
+therefore a valid one.
 
 The covariance maps themselves are materialized as :class:`EtaMap`
 coefficient tensors:
@@ -66,6 +68,8 @@ SYMMETRY_TOL = 1e-12
 PSD_FLOOR = -1e-10
 # a map entry counts toward the invariant pattern above this share of the largest
 PATTERN_RTOL = 1e-14
+# largest dense covariance map a spec may need: dim^4 complex entries of 16 bytes
+MAX_MAP_BYTES = 2**29
 
 Entry = tuple[int, int, int, int, complex]
 
@@ -93,7 +97,6 @@ class CovarianceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise WrongKind(f"unknown covariance kind {self.kind!r}")
-        object.__setattr__(self, "entries", tuple(_entry(e) for e in self.entries))
         if self.kind == "hh_star":
             object.__setattr__(self, "a", _count(self.a, "block count a"))
             object.__setattr__(self, "b", _count(self.b, "block count b"))
@@ -103,6 +106,10 @@ class CovarianceSpec:
             object.__setattr__(self, "d", _count(self.d, "block count d"))
             if self.d < 1:
                 raise BadParameter(f"{self.kind} spec needs block count d >= 1")
+        if 16 * self.dim**4 > MAX_MAP_BYTES:
+            raise BadParameter(f"block dimension {self.dim} needs a {16 * self.dim**4}-byte "
+                               f"covariance map, above the {MAX_MAP_BYTES}-byte limit")
+        object.__setattr__(self, "entries", tuple(_entry(e) for e in self.entries))
         _check_indices(self)
         if self.kind == "rectangular":
             _check_alpha(self)

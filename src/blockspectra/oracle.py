@@ -7,7 +7,9 @@ operator-valued semicircular element,
 
     M_m = sum_{j+k=m-2} eta(M_j) M_k,    M_0 = I,  odd moments zero,
 
-which enumerates non-crossing pairings without ever touching the solver.
+which enumerates non-crossing pairings without solving any equation. It
+runs on the map's invariant pattern, with the engine's blockwise product;
+the tests keep the dense recursion on the d^4 tensor as the independent check.
 
 Every ensemble is drawn by one function, :func:`_draw_blocks`: a block
 matrix whose N x N blocks mix iid circular normals with a factor of the
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
+from . import solver as slv
 from .errors import BadParameter, NotPSD, OrderTooLarge
 
 MAX_MOMENT_ORDER = 16
@@ -231,9 +234,11 @@ def nc2_moment(eta, m: int, trace_weights=None):
     """Matrix moment of the operator-valued semicircular element of eta.
 
     Exact via the recursion M_m = sum_{j+k=m-2} eta(M_j) M_k, which resums
-    the non-crossing-pairing expansion of the mixed moments. Returns the
-    matrix and its trace weighted by ``trace_weights`` (as in
-    ``density_from_eta``). Odd orders are zero; orders above 16 are refused.
+    the non-crossing-pairing expansion of the mixed moments. It runs on the
+    stored values of the map's invariant pattern (``EtaMap.pattern``) and
+    expands only M_m. Returns the matrix and its trace weighted by
+    ``trace_weights`` (as in ``density_from_eta``). Odd orders are zero;
+    orders above 16 are refused.
     """
     m = cov._count(m, "moment order")
     if m < 0:
@@ -242,16 +247,13 @@ def nc2_moment(eta, m: int, trace_weights=None):
         raise OrderTooLarge(f"moment order {m} exceeds {MAX_MOMENT_ORDER}")
     if eta.dim_in != eta.dim_out:
         raise BadParameter("nc2_moment needs a square covariance map")
-    d = eta.dim_in
-    w = cov._trace_weights(trace_weights, d)
-    M = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
-    for order in range(2, m + 1):
-        acc = np.zeros((d, d), dtype=complex)
-        for j in range(order - 1):
-            acc += cov.eta_apply(eta, M[j]) @ M[order - 2 - j]
-        M.append(acc)
-    out = M[m]
-    return out, complex(np.dot(w, np.diagonal(out)))
+    w, pat = cov._trace_weights(trace_weights, eta.dim_in), eta.pattern
+    M = np.array([pat.eye], dtype=complex)  # M_0, M_2, ... compressed, one per row
+    for _ in range(m // 2):
+        terms = slv._block_matmul(pat, slv._eta_batch(pat, M), M[::-1])
+        M = np.vstack([M, terms.sum(axis=0, keepdims=True)])
+    out = M[-1] if m % 2 == 0 else np.zeros_like(M[0])
+    return pat.expand(out), complex(np.dot(w, out[pat.diagonal]))
 
 
 def histogram(values):

@@ -645,16 +645,15 @@ def _solve_law_grid(law, xs, epsilon, config):
     return sols, out.g
 
 
-def _hh_star_solution(law, a, z, H, res, its, converged) -> HHStarSolution:
-    """H split into its blocks; the split residuals read eta1, eta2 as corners of the law's map."""
-    G1, G2 = H[:a, :a], H[a:, a:]
-    T = law.eta.tensor
-    eta1_G2 = np.einsum("ijkl,kl->ij", T[:a, :a, a:, a:], G2)
-    eta2_G1 = np.einsum("ijkl,kl->ij", T[a:, a:, :a, :a], G1)
-    r1 = float(np.linalg.norm(z * G1 - np.eye(len(G1)) - z * eta1_G2 @ G1))
-    r2 = float(np.linalg.norm(z * G2 - np.eye(len(G2)) - z * eta2_G1 @ G2))
-    return HHStarSolution(complex(z), G1, G2, complex(np.trace(G1) / a), float(res),
-                          (r1, r2), int(its), bool(converged))
+def _hh_star_solutions(law, a, sols) -> list[HHStarSolution]:
+    """Each H split into its blocks; the split residuals are the a and b blocks of the residual."""
+    pat, zs = law.eta.pattern, np.array([s.z for s in sols])
+    H = pat.compress([s.G for s in sols])
+    R = pat.expand(_residual(pat, zs, H, zs[:, None] * _eta_batch(pat, H)))  # z H - I - z eta(H) H
+    r1, r2 = (np.linalg.norm(R[:, X, X], axis=(1, 2)) for X in (slice(a), slice(a, None)))
+    return [HHStarSolution(s.z, s.G[:a, :a], s.G[a:, a:], complex(np.trace(s.G[:a, :a]) / a),
+                           s.residual, (float(x), float(y)), s.iterations, s.converged)
+            for s, x, y in zip(sols, r1, r2)]
 
 
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
@@ -668,18 +667,14 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     the pole of H, raises BadParameter.
     """
     law = cov._hh_star_law(spec)
-    H, res, its, converged = _solve_point(law, z, config)
-    return _hh_star_solution(law, spec.a, complex(z), H, res, its, converged)
+    sol = CauchySolution(_upper_half(z), *_solve_point(law, z, config))
+    return _hh_star_solutions(law, spec.a, [sol])[0]
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
     """Gram-law solutions along z = x + i*epsilon, solved by continuation."""
     law = cov._hh_star_law(spec)
-    sols, _ = _solve_law_grid(law, xs, epsilon, config)
-    return [
-        _hh_star_solution(law, spec.a, s.z, s.G, s.residual, s.iterations, True)
-        for s in sols
-    ]
+    return _hh_star_solutions(law, spec.a, _solve_law_grid(law, xs, epsilon, config)[0])
 
 
 def solve_gram_grid(eta, side, xs, epsilon, config=None):
@@ -734,8 +729,9 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
 
 def _edge_estimate(eta) -> float:
     """Support edge estimate 2 sqrt(||eta(I)||) of the law of a square map."""
-    m2 = cov.eta_apply(eta, np.eye(eta.dim_in))
-    lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
+    pat = eta.pattern
+    iE = 1j * (pat.eye @ pat.tensor.T)  # Im(i eta(I)), read per block, is its Hermitian part
+    lam = max(max_im_eigenvalue(iE[sl].reshape(n, s, s)) for s, n, sl in pat.groups)
     return 2.0 * np.sqrt(max(lam, 1e-12))
 
 

@@ -1,7 +1,9 @@
 """Closed-form reference laws used as independent test oracles.
 
 These are textbook formulas evaluated directly (stable branch choices for
-z in the upper half plane); they never touch the package's solvers.
+z in the upper half plane); they never touch the package's solvers. The
+dense moment recursion and edge estimate read only a map's d^4 tensor, so
+they check the package's versions, which read the invariant pattern.
 """
 
 import numpy as np
@@ -51,3 +53,30 @@ def catalan(n):
     for i in range(n):
         c = c * 2 * (2 * i + 1) // (i + 2)
     return c
+
+
+def _dense_eta(eta, D):
+    """eta(D)_ij = sum_kl tensor[i,j,k,l] D_kl on the dense tensor."""
+    return np.einsum("ijkl,kl->ij", eta.tensor, D)
+
+
+def dense_nc2_moment(eta, m, weights):
+    """M_m of the recursion M_m = sum_{j+k=m-2} eta(M_j) M_k on d x d matrices, and its trace.
+
+    The trace is read with ``weights``, one per block.
+    """
+    d = eta.tensor.shape[0]
+    M = [np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)]
+    for order in range(2, m + 1):
+        acc = np.zeros((d, d), dtype=complex)
+        for j in range(order - 1):
+            acc += _dense_eta(eta, M[j]) @ M[order - 2 - j]
+        M.append(acc)
+    return M[m], complex(np.dot(weights, np.diagonal(M[m])))
+
+
+def dense_edge_estimate(eta):
+    """2 sqrt(lam), lam the largest eigenvalue of the Hermitian part of eta(I), on d x d matrices."""
+    m2 = _dense_eta(eta, np.eye(eta.tensor.shape[0]))
+    lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
+    return 2.0 * np.sqrt(max(lam, 1e-12))

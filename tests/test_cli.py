@@ -570,6 +570,18 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError" and "solver.newton" in err["message"]
 
+    def test_map_too_large_exit_two(self, tmp_path, capsys):
+        # its dense map would take 16 * 100**4 bytes: refused as the spec is made
+        payload = {"model": "selfadjoint", "d": 100, "entries": [[1, 1, 1, 1, 1]]}
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and "block dimension 100" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("payload, field", NON_FINITE.values(), ids=NON_FINITE.keys())
     def test_non_finite_number_exit_two(self, payload, field, tmp_path, capsys):
         with pytest.raises(errors.ValidationError) as err:

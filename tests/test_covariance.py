@@ -194,6 +194,25 @@ def test_outside_input_is_refused(error, call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bs.selfadjoint_covariance(100, [(1, 1, 1, 1, 1.0)]),
+    lambda: bs.isi_covariance(64, 4),
+    lambda: bs.hh_star_covariance(40, 37, []),
+    # the size is checked before the entries are read
+    lambda: bs.selfadjoint_covariance(77, [("not", "an", "entry")]),
+], ids=["selfadjoint-d100", "isi-k64", "hh-star-77", "before-entries"])
+def test_spec_whose_dense_map_cannot_fit_is_refused(call):
+    with pytest.raises(errors.BadParameter, match=r"block dimension \d+ needs a \d+-byte"):
+        call()
+
+
+def test_map_size_limit_lies_between_dimensions_76_and_77(monkeypatch):
+    monkeypatch.setattr(cov, "_choi_min_eig", lambda spec: 0.0)  # it would build the map
+    assert bs.selfadjoint_covariance(76, [(1, 1, 1, 1, 1.0)]).dim == 76
+    with pytest.raises(errors.BadParameter, match="block dimension 77"):
+        bs.selfadjoint_covariance(77, [(1, 1, 1, 1, 1.0)])
+
+
 class TestEtaApply:
     def test_scalar(self):
         eta = bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)]))
