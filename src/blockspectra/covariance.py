@@ -106,9 +106,7 @@ class CovarianceSpec:
             object.__setattr__(self, "d", _count(self.d, "block count d"))
             if self.d < 1:
                 raise BadParameter(f"{self.kind} spec needs block count d >= 1")
-        if 16 * self.dim**4 > MAX_MAP_BYTES:
-            raise BadParameter(f"block dimension {self.dim} needs a {16 * self.dim**4}-byte "
-                               f"covariance map, above the {MAX_MAP_BYTES}-byte limit")
+        _check_map_size(self.dim)
         object.__setattr__(self, "entries", tuple(_entry(e) for e in self.entries))
         _check_indices(self)
         if self.kind == "rectangular":
@@ -153,6 +151,13 @@ def rectangular_covariance(alpha, entries) -> CovarianceSpec:
     if alpha.ndim != 1:
         raise BadParameter(f"alpha must be a sequence of block weights, got {alpha}")
     return CovarianceSpec("rectangular", d=len(alpha), alpha=tuple(alpha), entries=tuple(entries))
+
+
+def _check_map_size(dim):
+    """BadParameter if the dense map of a spec on ``dim`` blocks would pass MAX_MAP_BYTES."""
+    if 16 * dim**4 > MAX_MAP_BYTES:
+        raise BadParameter(f"block dimension {dim} needs a {16 * dim**4}-byte "
+                           f"covariance map, above the {MAX_MAP_BYTES}-byte limit")
 
 
 def _count(value, what) -> int:

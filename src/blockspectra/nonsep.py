@@ -97,9 +97,11 @@ class CorrelationFamily:
         tau(i,k;j,l) = 2 sum_s Psi_s[i,j] PsiHat_s[l,k], with Psi_s (x) I_{n/p}
         and I_{n/q} (x) PsiHat_s: identical copies of each family, which leave
         its law unchanged. The nonzero entries with (i,k) <= (j,l) are given;
-        the spec's closure adds their conjugate partners.
+        the spec's closure adds their conjugate partners. A family whose spec
+        would be refused for its size is refused before the table is built.
         """
         n = math.lcm(self.p, self.q)
+        cov._check_map_size(2 * n)
         T = 2 * sum(
             np.einsum("ij,lk->ikjl", np.kron(P, np.eye(n // self.p)),
                       np.kron(np.eye(n // self.q), H))

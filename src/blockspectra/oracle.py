@@ -257,9 +257,18 @@ def nc2_moment(eta, m: int, trace_weights=None):
 
 
 def histogram(values):
-    """Histogram payload with Freedman-Diaconis bins, for artifacts."""
+    """Histogram payload with Freedman-Diaconis bins, for artifacts.
+
+    The bin count is numpy's, ceil(ptp / width) with width 2 IQR n^(-1/3)
+    (1 when the width is 0), capped at the n samples: an atom that fills
+    the interquartile range shrinks the width to roundoff.
+    """
     values = cov._numbers(values, "values")
     if not np.isfinite(values).all():
         raise BadParameter("values must be finite")
-    counts, edges = np.histogram(values, bins="fd")
+    n, width = values.size, 0.0
+    if n:
+        width = 2.0 * np.subtract(*np.percentile(values, [75, 25])) * n ** (-1.0 / 3.0)
+    bins = int(min(np.ceil(np.ptp(values) / width), n)) if width else 1
+    counts, edges = np.histogram(values, bins=bins)
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

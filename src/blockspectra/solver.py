@@ -18,11 +18,12 @@ the batched engine stores G as its m values on the pattern, in the
 pattern's layout, and inverts block by block, 1x1 and 2x2 blocks in closed
 form. Identical blocks are stored once, so the engine solves the quotient
 map (m = 6, not 11, for ISI K = L = 4; m = d^2 for a dense map); residual
-norms weight each stored value by the entries it stands for. Only the
-routes that return d x d matrices expand; a density reads its transform
-off the stored diagonal. A Gram law's map is bipartite: it sends side a
-of the pattern only into side b and back (``pattern.sides``), and the
-smaller side is stored first, so each side is a slice. There Newton
+norms weight each stored value by the entries it stands for. Internal
+routes pass the compressed batch on, and each public route that returns
+d x d matrices expands it once; a density and ``moment_check`` read the
+transform off the stored diagonal. A Gram law's map is bipartite: it
+sends side a of the pattern only into side b and back (``pattern.sides``),
+and the smaller side is stored first, so each side is a slice. There Newton
 eliminates the larger side, whose block of the Jacobian is blockwise
 w - eta(G), and solves the m_A x m_A complement on the smaller one; any
 other map solves the full m x m system. Each Newton step forms that
@@ -448,6 +449,22 @@ def _tangent_start(pat, w0, G0, w1):
     return G0 + (w1 - w0)[:, None] * t
 
 
+def _check_newton_budget(pat, P):
+    """BadParameter if a Newton step at P points would form an array above cov.MAX_MAP_BYTES.
+
+    The largest array a step forms is the (P, m, m) Jacobian on a pattern
+    without sides, else a side's (P, m_A, m_B) coupling block; the system
+    it solves has m, or m_A, unknowns.
+    """
+    m = len(pat.eye)
+    mA = m if pat.sides is None else pat.sides[0].span.stop
+    size = 16 * P * mA * (m if pat.sides is None else m - mA)
+    if size > cov.MAX_MAP_BYTES:
+        raise BadParameter(f"a Newton step at P = {P} points on m = {m} stored values "
+                           f"(m_A = {mA} unknowns) forms a {size}-byte array, above the "
+                           f"{cov.MAX_MAP_BYTES}-byte limit")
+
+
 def _solve_continuation(law, xs, offsets, config):
     """Solve a law's batch along z = x + i*eps at each of ``offsets``, largest first.
 
@@ -471,12 +488,15 @@ def _solve_continuation(law, xs, offsets, config):
 
     Returns one batch per offset: G compressed to (P, m), g the law's
     transform read off its diagonal with the trace weights, and ``iters``
-    counting the ladder down to that offset.
+    counting the ladder down to that offset. A batch whose Newton step
+    would pass the byte budget is refused before the first level
+    (:func:`_check_newton_budget`).
     """
     config = config or DEFAULT_CONFIG
     pat = law.eta.pattern
     xs = np.asarray(xs, dtype=float)
     P = len(xs)
+    _check_newton_budget(pat, P)
     G_prev = np.tile(-1j * pat.eye, (P, 1))
     levels, loose = set(offsets), max(config.tol, PREDICTION_TOL)
     e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
@@ -519,13 +539,17 @@ def _solve_continuation(law, xs, offsets, config):
 
 
 def _solve_point(law, z, config):
-    """One point through the ladder: (G, residual, iterations, converged); a Gram law refuses 0."""
+    """One point through the ladder: its batch of one, still compressed; a Gram law refuses 0."""
     z = _upper_half(z)
     if law.gram and z == 0:
         raise BadParameter("z = 0 is a pole of a Gram law's transform G(sqrt z)/sqrt z")
-    (out,) = _solve_continuation(law, [z.real], (z.imag,), config)
-    G = law.eta.pattern.expand(out.G[0])
-    return G, float(out.res[0]), int(out.iters[0]), bool(out.converged[0])
+    return _solve_continuation(law, [z.real], (z.imag,), config)[0]
+
+
+def _solutions(law, zs, out) -> list[CauchySolution]:
+    """A batch's public solutions at the points ``zs``: the one place the ladder's G expands."""
+    return [CauchySolution(complex(z), G, float(r), int(k), bool(c)) for z, G, r, k, c
+            in zip(zs, law.eta.pattern.expand(out.G), out.res, out.iters, out.converged)]
 
 
 def _solve_converged(law, xs, offsets, config):
@@ -572,7 +596,8 @@ def solve_fixed_point(eta, z, config=None) -> CauchySolution:
     best iterate is returned, with ``converged=False``, when the ladder's
     caps run out before the residual target.
     """
-    return CauchySolution(_upper_half(z), *_solve_point(cov._map_law(eta), z, config))
+    law = cov._map_law(eta)
+    return _solutions(law, [_upper_half(z)], _solve_point(law, z, config))[0]
 
 
 def newton_refine(eta, z, G0, config=None) -> CauchySolution:
@@ -631,29 +656,28 @@ def solve_grid(eta, xs, epsilon, config=None):
     and Im-margin of the first few, if any point misses the residual target
     or the negative-imaginary-part invariant.
     """
-    return _solve_law_grid(cov._map_law(eta), xs, epsilon, config)[0]
+    law = cov._map_law(eta)
+    return _solutions(law, *_solve_law_grid(law, xs, epsilon, config))
 
 
 def _solve_law_grid(law, xs, epsilon, config):
-    """A law's grid solve: (solutions, the transform read with the law's weights)."""
+    """A law's grid solve: (the points z = x + i*epsilon, their converged batch)."""
     xs = _check_grid(xs)
     if not MIN_GRID_EPSILON <= cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
     (out,) = _solve_converged(law, xs, (float(epsilon),), config)
-    sols = [CauchySolution(complex(x, epsilon), G, float(r), int(k), True)
-            for x, G, r, k in zip(xs, law.eta.pattern.expand(out.G), out.res, out.iters)]
-    return sols, out.g
+    return np.array([complex(x, epsilon) for x in xs]), out
 
 
-def _hh_star_solutions(law, a, sols) -> list[HHStarSolution]:
-    """Each H split into its blocks; the split residuals are the a and b blocks of the residual."""
-    pat, zs = law.eta.pattern, np.array([s.z for s in sols])
-    H = pat.compress([s.G for s in sols])
-    R = pat.expand(_residual(pat, zs, H, zs[:, None] * _eta_batch(pat, H)))  # z H - I - z eta(H) H
-    r1, r2 = (np.linalg.norm(R[:, X, X], axis=(1, 2)) for X in (slice(a), slice(a, None)))
-    return [HHStarSolution(s.z, s.G[:a, :a], s.G[a:, a:], complex(np.trace(s.G[:a, :a]) / a),
-                           s.residual, (float(x), float(y)), s.iterations, s.converged)
-            for s, x, y in zip(sols, r1, r2)]
+def _hh_star_solutions(law, a, zs, out) -> list[HHStarSolution]:
+    """Each H split into its blocks; a split residual weighs each value by its entries there."""
+    pat, zs = law.eta.pattern, np.asarray(zs)
+    R = _residual(pat, zs, out.G, zs[:, None] * _eta_batch(pat, out.G))  # z H - I - z eta(H) H
+    in_a = np.add.reduceat(pat.flat < a * pat.d, np.cumsum(pat.counts) - pat.counts)
+    r1, r2 = (np.sqrt(np.abs(R) ** 2 @ n) for n in (in_a, pat.counts - in_a))
+    return [HHStarSolution(s.z, s.G[:a, :a], s.G[a:, a:], complex(g), s.residual,
+                           (float(x), float(y)), s.iterations, s.converged)
+            for s, g, x, y in zip(_solutions(law, zs, out), out.g, r1, r2)]
 
 
 def solve_hh_star(spec, z, config=None) -> HHStarSolution:
@@ -667,14 +691,13 @@ def solve_hh_star(spec, z, config=None) -> HHStarSolution:
     the pole of H, raises BadParameter.
     """
     law = cov._hh_star_law(spec)
-    sol = CauchySolution(_upper_half(z), *_solve_point(law, z, config))
-    return _hh_star_solutions(law, spec.a, [sol])[0]
+    return _hh_star_solutions(law, spec.a, [_upper_half(z)], _solve_point(law, z, config))[0]
 
 
 def solve_hh_star_grid(spec, xs, epsilon, config=None):
     """Gram-law solutions along z = x + i*epsilon, solved by continuation."""
     law = cov._hh_star_law(spec)
-    return _hh_star_solutions(law, spec.a, _solve_law_grid(law, xs, epsilon, config)[0])
+    return _hh_star_solutions(law, spec.a, *_solve_law_grid(law, xs, epsilon, config))
 
 
 def solve_gram_grid(eta, side, xs, epsilon, config=None):
@@ -684,7 +707,9 @@ def solve_gram_grid(eta, side, xs, epsilon, config=None):
     normalized trace of the leading ``side`` x ``side`` block at grid point k;
     ``side`` must lie in 1..d-1.
     """
-    return _solve_law_grid(cov._gram_law(eta, side), xs, epsilon, config)
+    law = cov._gram_law(eta, side)
+    zs, out = _solve_law_grid(law, xs, epsilon, config)
+    return _solutions(law, zs, out), out.g
 
 
 def _solve_eliminated(outer, inner, z, config):
@@ -754,14 +779,14 @@ def moment_check(eta, config=None) -> MomentEstimates:
     expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
     """
     config = config or DEFAULT_CONFIG
-    law, d = cov._map_law(eta), eta.dim_out
+    law = cov._map_law(eta)
     radii = max(_edge_estimate(eta), 1.0) * np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     tight = replace(config, tol=min(config.tol, 1e-12))
     w = []
     for R in radii:  # cold: a warm walk through the radii moves m4 by ~3e-9
-        G, _, _, converged = _solve_point(law, 1j * R, tight)
-        if not converged:
+        out = _solve_point(law, 1j * R, tight)
+        if not out.converged[0]:
             raise NoConvergence(f"moment probe at z = {1j * R} did not converge")
-        w.append(float((1j * R * np.trace(G) / d).real))
+        w.append(float((1j * R * out.g[0]).real))
     coeff = np.linalg.solve(np.vander(1.0 / radii**2, increasing=True), np.asarray(w))
     return MomentEstimates(m0=float(coeff[0]), m2=float(-coeff[1]), m4=float(coeff[2]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockspectra as bs
-from blockspectra import cli, errors
+from blockspectra import cli, covariance as cov, errors
 
 from conftest import random_complex_selfadjoint_spec
 
@@ -581,6 +581,32 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError" and "block dimension 100" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_nonsep_family_too_large_exit_two(self, tmp_path, capsys):
+        # lcm(7, 8) = 56 blocks a side: refused before the spec's table is built
+        payload = {"model": "nonsep", "psi": [np.eye(7).tolist()], "psi_hat": [np.eye(8).tolist()]}
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError" and "block dimension 112" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_newton_step_over_budget_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a 2-block Gram law: its spec needs 256 bytes, its Newton step on the
+        # 512-point default grid 16 * 512 * 1 * 1
+        monkeypatch.setattr(cov, "MAX_MAP_BYTES", 4096)
+        payload = {"model": "hh_star", "a": 1, "b": 1, "entries": [[1, 1, 1, 1, 1]]}
+        code = cli.main([
+            "--config", str(_write(tmp_path, payload)), "--command", "density",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadParameter"
+        assert "P = 512 points on m = 2" in err["message"] and "8192-byte" in err["message"]
 
     @pytest.mark.parametrize("payload, field", NON_FINITE.values(), ids=NON_FINITE.keys())
     def test_non_finite_number_exit_two(self, payload, field, tmp_path, capsys):

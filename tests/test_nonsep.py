@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -252,3 +253,16 @@ class TestFadingDensity:
 
         mask = dens.xs >= 0.05
         assert np.abs(dens.ps[mask] - mp1_pdf(dens.xs[mask])).max() <= 2e-3
+
+
+def test_family_too_large_to_build_is_refused_before_its_table():
+    # lcm(7, 8) = 56 blocks a side: a dimension-112 map of 2.5 GB
+    fam = bs.CorrelationFamily(psi=(np.eye(7),), psi_hat=(np.eye(8),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.BadParameter, match="block dimension 112 needs a"):
+            fam.spec
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

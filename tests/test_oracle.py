@@ -421,3 +421,22 @@ def test_histogram_payload():
 def test_histogram_refuses_non_finite_values(bad):
     with pytest.raises(errors.BadParameter, match="finite"):
         bs.histogram([1.0, bad])
+
+
+def test_histogram_of_an_atom_has_at_most_one_bin_per_sample():
+    # HH* of a 5N x N channel: 4N of its 5N eigenvalues are 0, so the IQR is
+    # roundoff and numpy's own Freedman-Diaconis count would be ~1e16 bins
+    spec = bs.hh_star_covariance(5, 1, [(i, 1, i, 1, 1.0) for i in range(1, 6)])
+    values = np.concatenate([bs.sample_block_gaussian(spec, 40, s).eigenvalues for s in range(5)])
+    assert np.subtract(*np.percentile(values, [75, 25])) < 1e-12
+    h = bs.histogram(values)
+    assert sum(h["counts"]) == values.size
+    assert len(h["counts"]) <= values.size
+
+
+def test_histogram_bins_are_numpys_below_the_cap():
+    values = np.random.default_rng(4).gamma(2.0, size=40_000)
+    counts, edges = np.histogram(values, bins="fd")
+    h = bs.histogram(values)
+    assert h == {"bin_edges": edges.tolist(), "counts": counts.tolist()}
+    assert len(counts) < values.size

@@ -137,3 +137,61 @@ def test_split_residuals_do_not_read_the_dense_tensor(monkeypatch):
         assert np.isfinite(g.split_residuals).all()
         assert g.split_residuals == w.split_residuals
         assert np.array_equal(g.G1, w.G1) and np.array_equal(g.G2, w.G2)
+
+
+def _mirrored_spec(rng):
+    """3x3 hh_star whose two components mirror each other: each class holds an a and a b block."""
+    M = [[1.0, 0.5], [0.5, 1.0]]
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    return bs.hh_star_covariance(3, 3, [(i + 1, 1, j + 1, 1, M[i][j]) for i, j in pairs]
+                                 + [(3, k + 2, 3, l + 2, M[k][l]) for k, l in pairs])
+
+
+SPLIT_SPECS = {
+    "real-2x3": lambda rng: random_hh_star_spec(2, 3, rng),
+    "complex-2x3": lambda rng: random_hh_star_spec(2, 3, rng, complex_=True),
+    "real-3x2": lambda rng: random_hh_star_spec(3, 2, rng),
+    "complex-3x2": lambda rng: random_hh_star_spec(3, 2, rng, complex_=True),
+    "isi-palindromic": SPECS["isi-palindromic"],
+    "mirrored-3x3": _mirrored_spec,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("name", SPLIT_SPECS)
+def test_split_residuals_are_the_dense_split_equations(name, tol):
+    # ||z G1 - I - z eta1(G2) G1|| and ||z G2 - I - z eta2(G1) G2|| from the
+    # returned blocks; the loose target leaves residuals near 1e-4 to compare
+    spec = SPLIT_SPECS[name](np.random.default_rng(sorted(SPLIT_SPECS).index(name) + 47))
+    pat = cov._hh_star_law(spec).eta.pattern
+    assert (name == "mirrored-3x3") == any(len({b[0] < spec.a for b in c}) > 1 for c in pat.classes)
+    config, e1, e2 = bs.SolverConfig(tol=tol), bs.eta1_map(spec), bs.eta2_map(spec)
+    sols = bs.solve_hh_star_grid(spec, np.linspace(0.05, 3.0, 12), 1e-2, config)
+    for s in sols + [bs.solve_hh_star(spec, 0.7 + 0.05j, config)]:
+        want = (np.linalg.norm(s.z * s.G1 - np.eye(spec.a) - s.z * bs.eta_apply(e1, s.G2) @ s.G1),
+                np.linalg.norm(s.z * s.G2 - np.eye(spec.b) - s.z * bs.eta_apply(e2, s.G1) @ s.G2))
+        assert np.abs(np.subtract(s.split_residuals, want)).max() <= 1e-13
+
+
+def test_results_expand_once_and_are_never_compressed(monkeypatch):
+    # the engine hands its compressed batch on: a public result expands it
+    # once, and moment_check reads g off the batch without expanding
+    spec = cli.parse_config(CONFIGS / "isi_k4_l4.json").built
+    eta = bs.eta_map(bs.hermitize_covariance(spec))
+    expand, calls = cov.InvariantPattern.expand, []
+
+    def refused(self, G):
+        raise AssertionError("compressed a result the engine held compressed")
+
+    def counted(self, Gc):
+        calls.append(Gc.shape)
+        return expand(self, Gc)
+
+    monkeypatch.setattr(cov.InvariantPattern, "compress", refused)
+    monkeypatch.setattr(cov.InvariantPattern, "expand", counted)
+    assert bs.solve_hh_star(spec, 0.7 + 0.01j).converged and len(calls) <= 1
+    calls.clear()
+    assert len(bs.solve_hh_star_grid(spec, np.linspace(0.1, 1.4, 7), 1e-3)) == 7
+    assert len(calls) <= 1
+    calls.clear()
+    assert bs.moment_check(eta).m0 == pytest.approx(1.0, abs=1e-6) and calls == []

@@ -564,6 +564,60 @@ def test_each_prediction_counts_one_iteration(monkeypatch, semicircle_eta):
     assert sol.iterations == counts["steps"] + counts["tangents"]
 
 
+def _random_family_eta(p):
+    """The hermitized map of a random complex nonsep family, t = 2, p = q."""
+    rng = np.random.default_rng(1)
+
+    def herm():
+        A = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        return A @ A.conj().T / (2 * p)
+
+    return cov._law(bs.CorrelationFamily(psi=(herm(), herm()), psi_hat=(herm(), herm())).spec).eta
+
+
+BUDGET_LAWS = {  # each law's builder and its pattern's m and m_A (None: no sides)
+    "nonsep-p12": (lambda: _random_family_eta(12), 288, 144),
+    "nonsep-p16": (lambda: _random_family_eta(16), 512, 256),
+    "dense-d10": (lambda: bs.eta_map(random_selfadjoint_spec(10, np.random.default_rng(0))),
+                  100, None),
+    "isi-k32": (lambda: cov._law(bs.isi_covariance(32, 4)).eta, 34, 16),
+    "nonsep-p24": (lambda: _random_family_eta(24), 1152, 576),
+}
+
+
+@pytest.mark.parametrize("name, P, admitted", [
+    ("nonsep-p12", 512, True),   # 170 MB
+    ("nonsep-p16", 512, True),   # exactly 2**29 B
+    ("nonsep-p16", 513, False),
+    ("dense-d10", 512, True),    # 82 MB
+    ("isi-k32", 512, True),
+    ("nonsep-p24", 512, False),  # 2.7 GB
+])
+def test_newton_budget_rule(name, P, admitted):
+    # the rule alone, on each pattern as built: nothing is solved
+    build, m, mA = BUDGET_LAWS[name]
+    pat = build().pattern
+    assert len(pat.eye) == m and (pat.sides and pat.sides[0].span.stop) == mA
+    if admitted:
+        slv._check_newton_budget(pat, P)
+    else:
+        with pytest.raises(errors.BadParameter, match=rf"P = {P} points on m = {m} .*m_A = {mA}"):
+            slv._check_newton_budget(pat, P)
+
+
+def test_newton_budget_refuses_before_any_newton_step(monkeypatch):
+    spec = random_hh_star_spec(2, 3, np.random.default_rng(5))
+    eta = bs.eta_map(bs.hermitize_covariance(spec))
+
+    def refused(*args):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(slv, "_newton_step", refused)
+    monkeypatch.setattr(cov, "MAX_MAP_BYTES", 1000)
+    with pytest.raises(errors.BadParameter, match="Newton step at P = 64 points"):
+        solve_gram_grid(eta, spec.a, np.linspace(0.1, 2.0, 64), 1e-3)
+
+
 class TestHHStar:
     def test_marchenko_pastur_point(self, mp_spec):
         sol = bs.solve_hh_star(mp_spec, 5.0 + 0.0j, bs.SolverConfig(tol=1e-13))
@@ -606,9 +660,9 @@ class TestHHStar:
         from blockspectra import solver as slv
 
         law = cov._gram_law(bs.eta_map(bs.hermitize_covariance(isi44)), isi44.a)
-        G, _, _, converged = slv._solve_point(law, 1.5 + 0.05j, NEWTON)
-        a = isi44.a
-        assert converged
+        out = slv._solve_point(law, 1.5 + 0.05j, NEWTON)
+        G, a = law.eta.pattern.expand(out.G[0]), isi44.a
+        assert out.converged[0]
         assert np.abs(G[:a, a:]).max() == 0.0
         assert np.abs(G[a:, :a]).max() == 0.0
 
