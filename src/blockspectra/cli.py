@@ -401,7 +401,7 @@ def _density_diagnostics(density: spc.SpectralDensity) -> dict:
         raise InvariantViolation(
             f"density mass {m:.6f} violates 1 +/- {spc.MASS_TOL}"
         )
-    if density.clip_excursion > spc.CLIP_WARN:
+    if spc._dips_too_far(density.ps, density.clip_excursion):
         raise InvariantViolation(
             f"density dipped {density.clip_excursion:.2e} below zero before "
             f"clipping; the transform did not converge cleanly"

@@ -62,9 +62,11 @@ from .errors import (
 
 KINDS = ("selfadjoint", "hh_star", "rectangular")
 
-# relative to the largest entry: a difference below this counts as symmetric
+# Both floors are shares of the largest magnitude of what they judge, with
+# no absolute level, so a law and its rescaled image are judged alike.
+# a difference below this share counts as symmetric
 SYMMETRY_TOL = 1e-12
-# relative to the scale: an eigenvalue above this counts as nonnegative
+# an eigenvalue above this share counts as nonnegative
 PSD_FLOOR = -1e-10
 # a map entry counts toward the invariant pattern above this share of the largest
 PATTERN_RTOL = 1e-14
@@ -119,7 +121,7 @@ class CovarianceSpec:
         closed = tuple((i, j, k, l, v) for (i, j, k, l), v in sorted(table.items()))
         object.__setattr__(self, "entries", closed)
         min_eig = _choi_min_eig(self)
-        if min_eig < PSD_FLOOR:
+        if min_eig < PSD_FLOOR * _scale(self):
             warnings.warn(
                 f"covariance map is not positivity-preserving "
                 f"(Choi min eigenvalue {min_eig:.3e}); solving may still work, "
@@ -243,8 +245,7 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
     closed under tau(j,l;i,k) = conj tau(i,k;j,l), the Hermitian symmetry of
     the entry covariance of H.
     """
-    scale = max([1.0] + [abs(e[4]) for e in spec.entries])
-    tol = SYMMETRY_TOL * scale
+    tol = SYMMETRY_TOL * _scale(spec)
     table: dict[tuple[int, int, int, int], complex] = {}
 
     def put(idx, val):
@@ -266,6 +267,11 @@ def _close_table(spec: CovarianceSpec) -> dict[tuple[int, int, int, int], comple
             put((j, i, l, k), v.conjugate())
             put((l, k, j, i), v.conjugate())
     return table
+
+
+def _scale(spec: CovarianceSpec) -> float:
+    """The largest entry magnitude, which the symmetry and positivity floors are relative to."""
+    return max((abs(e[4]) for e in spec.entries), default=0.0)
 
 
 def _check_alpha(spec: CovarianceSpec):
@@ -639,16 +645,16 @@ def _hh_star_law(spec: CovarianceSpec) -> Law:
 
 
 def _choi_min_eig(spec: CovarianceSpec) -> float:
+    """Least eigenvalue of the Choi matrix, which the closed entries make exactly Hermitian."""
     if spec.kind == "hh_star":
         # entry covariance of the H blocks; PSD iff the hermitized Choi is
         T = _tau_array(spec)
         M = T.reshape(spec.a * spec.b, spec.a * spec.b) / (spec.a + spec.b)
     else:
-        M = choi_matrix(_weighted_map(spec))
-    H = 0.5 * (M + M.conj().T)
-    if np.abs(M - H).max() > 1e-10 * max(1.0, np.abs(M).max()):
-        raise SymmetryViolation("covariance map has a non-Hermitian Choi matrix")
-    return float(np.linalg.eigvalsh(H).min())
+        # choi_matrix(_weighted_map(spec)), formed in one pass
+        d = spec.d
+        M = np.einsum("iklj,k->kilj", _sigma_array(spec), _block_weights(spec)).reshape(d * d, d * d)
+    return float(np.linalg.eigvalsh(M).min())
 
 
 def validate_covariance(spec: CovarianceSpec) -> CovarianceSpec:

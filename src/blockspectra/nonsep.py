@@ -72,7 +72,7 @@ class CorrelationFamily:
                     raise DimensionMismatch(f"{name}[{s}] must be {dim}x{dim}")
                 if not np.isfinite(m).all():
                     raise BadParameter(f"{name}[{s}] has a non-finite entry")
-                scale = max(1.0, float(np.abs(m).max()))
+                scale = float(np.abs(m).max())
                 if np.abs(m - m.conj().T).max() > cov.SYMMETRY_TOL * scale:
                     raise BadParameter(f"{name}[{s}] is not Hermitian")
                 if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < cov.PSD_FLOOR * scale:

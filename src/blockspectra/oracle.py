@@ -55,8 +55,7 @@ def _entry_factor(C, what):
     """Factor a Hermitian PSD entry covariance as Phi Phi*."""
     H = 0.5 * (C + C.conj().T)
     w, U = np.linalg.eigh(H)
-    scale = max(1.0, float(w.max(initial=0.0)))
-    if w.min(initial=0.0) < cov.PSD_FLOOR * scale * 10:
+    if w.min(initial=0.0) < cov.PSD_FLOOR * float(np.abs(w).max(initial=0.0)) * 10:
         raise NotPSD(
             f"{what} entry covariance has eigenvalue {w.min():.3e}; "
             "sampling needs a genuinely PSD joint covariance"
@@ -71,7 +70,7 @@ def _check_draw(spec, N):
     entries, a couple of complex arrays of shape (block pairs, n^2) with n
     the largest block size, needs over 8 GB.
     """
-    if spec.choi_min_eig < cov.PSD_FLOOR:
+    if spec.choi_min_eig < cov.PSD_FLOOR * cov._scale(spec):
         raise NotPSD(
             f"spec fails sampling-grade positivity (Choi min eig "
             f"{spec.choi_min_eig:.3e})"

@@ -85,7 +85,7 @@ NEWTON_STEPS = 60          # steps of one Newton run: a ladder level's, or newto
 ELIMINATED_SWEEPS = 10_000  # averaged sweeps of the eliminated cross-check equation
 PREDICTION_TOL = 1e-3      # residual target of a level that only feeds a prediction
 LADDER_RATIO = 16.0        # each continuation level's offset over the next one's
-MIN_GRID_EPSILON = 1e-8    # smaller offsets are rejected; extrapolate instead
+MIN_GRID_EPSILON = 1e-8    # the ladder's last level above a real z (an offset of 0)
 
 
 @dataclass(frozen=True)
@@ -469,10 +469,11 @@ def _solve_continuation(law, xs, offsets, config):
     """Solve a law's batch along z = x + i*eps at each of ``offsets``, largest first.
 
     The offset walks down by factors of LADDER_RATIO from max(span, 1) / 8
-    (or the last offset, if larger) through every offset; the ladder stops
-    at MIN_GRID_EPSILON before its final level, so a last offset of 0 (a
-    real z) is reached too. Each level solves w G = I + eta(G) G at w = z,
-    or w = sqrt(z) for a Gram law, and hands the next level only its G.
+    (or the last offset, if larger) through every offset, down to the last
+    one however small; only a last offset of 0 (a real z) stops the walk at
+    MIN_GRID_EPSILON before its final level. Each level solves
+    w G = I + eta(G) G at w = z, or w = sqrt(z) for a Gram law, and hands
+    the next level only its G.
     The loose tolerance is the larger of ``config.tol`` and PREDICTION_TOL.
     A level at one of ``offsets`` is held to ``config.tol`` for its
     residual and IM_EIG_TOL for the largest eigenvalue of Im H (H = G/w
@@ -500,7 +501,7 @@ def _solve_continuation(law, xs, offsets, config):
     G_prev = np.tile(-1j * pat.eye, (P, 1))
     levels, loose = set(offsets), max(config.tol, PREDICTION_TOL)
     e = max(offsets[-1], max(float(np.ptp(xs)), 1.0) / 8.0)
-    while e > max(offsets[-1], MIN_GRID_EPSILON) * (1 + 1e-9):
+    while e > (offsets[-1] or MIN_GRID_EPSILON) * (1 + 1e-9):
         levels.add(e)
         e /= LADDER_RATIO
     levels = sorted(levels, reverse=True)
@@ -648,9 +649,9 @@ def solve_grid(eta, xs, epsilon, config=None):
     """Solve along z = x + i*epsilon for every x in a monotone grid.
 
     All points are solved simultaneously, walking the imaginary offset down
-    from a safe level so each level warm starts the next. Offsets below 1e-8
-    are rejected; recover the real-axis limit by extrapolation instead.
-    Non-finite offsets or grid points are rejected too.
+    from a safe level so each level warm starts the next. ``epsilon`` may be
+    any finite positive offset, as a density's may; zero, negative and
+    non-finite offsets, and non-finite grid points, are rejected.
 
     Raises NoConvergence naming the failing grid indices, with x, residual
     and Im-margin of the first few, if any point misses the residual target
@@ -663,8 +664,8 @@ def solve_grid(eta, xs, epsilon, config=None):
 def _solve_law_grid(law, xs, epsilon, config):
     """A law's grid solve: (the points z = x + i*epsilon, their converged batch)."""
     xs = _check_grid(xs)
-    if not MIN_GRID_EPSILON <= cov._real(epsilon, "epsilon") < np.inf:
-        raise BadParameter(f"epsilon {epsilon} is not finite or below the {MIN_GRID_EPSILON} floor")
+    if not 0 < cov._real(epsilon, "epsilon") < np.inf:
+        raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
     (out,) = _solve_converged(law, xs, (float(epsilon),), config)
     return np.array([complex(x, epsilon) for x in xs]), out
 
@@ -753,11 +754,15 @@ def solve_hh_star_direct(spec, z, config=None) -> CauchySolution:
 
 
 def _edge_estimate(eta) -> float:
-    """Support edge estimate 2 sqrt(||eta(I)||) of the law of a square map."""
+    """Support edge estimate 2 sqrt(||eta(I)||) of the law of a square map.
+
+    The largest eigenvalue of eta(I)'s Hermitian part is used at any scale;
+    1e-12 stands in only where it is not positive, as for the zero map.
+    """
     pat = eta.pattern
     iE = 1j * (pat.eye @ pat.tensor.T)  # Im(i eta(I)), read per block, is its Hermitian part
     lam = max(max_im_eigenvalue(iE[sl].reshape(n, s, s)) for s, n, sl in pat.groups)
-    return 2.0 * np.sqrt(max(lam, 1e-12))
+    return 2.0 * np.sqrt(lam if lam > 0 else 1e-12)
 
 
 @dataclass(frozen=True)
@@ -773,14 +778,15 @@ def moment_check(eta, config=None) -> MomentEstimates:
     """Extract m0, m2, m4 from the Laurent tail of G along the imaginary axis.
 
     Fits Re tr_d(z G(i R)) as a polynomial in 1/R^2 over the radii
-    R = max(e, 1) * (4, 8, 16, 32, 64), with e the support edge estimate
-    2 ||eta(I)||^(1/2): all lie at least 4e out, well outside the support.
+    R = e * (8, 16, 32, 64, 128), with e the support edge estimate
+    2 ||eta(I)||^(1/2): all lie at least 8e out, well outside the support,
+    and scale with the law.
     Each radius is one ``_solve_point`` ladder of its own. The
     expansion G(z) = I/z + M2/z^3 + M4/z^5 + ... has no odd terms.
     """
     config = config or DEFAULT_CONFIG
     law = cov._map_law(eta)
-    radii = max(_edge_estimate(eta), 1.0) * np.array([4.0, 8.0, 16.0, 32.0, 64.0])
+    radii = _edge_estimate(eta) * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
     tight = replace(config, tol=min(config.tol, 1e-12))
     w = []
     for R in radii:  # cold: a warm walk through the radii moves m4 by ~3e-9

@@ -23,8 +23,18 @@ from . import solver as slv
 from .errors import BadParameter, GridError, NegativeSupport
 
 MASS_TOL = 5e-3
-CLIP_WARN = 1e-3
+CLIP_WARN = 1e-3     # an inverted density may dip below zero by this share of its peak
+NEGATIVE_TOL = 1e-8  # a density built from samples may dip by this share of its peak
 DEFAULT_POINTS = 512
+
+
+def _dips_too_far(ps, excursion, share=CLIP_WARN) -> bool:
+    """Whether a dip of ``excursion`` below zero passes ``share`` of the density's largest value.
+
+    The rule reads no absolute level, so a law and its rescaled image are
+    judged alike; clipping ``ps`` at zero does not change its verdict.
+    """
+    return excursion > share * float(ps.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +42,9 @@ class SpectralDensity:
     """Sampled density: sorted grid xs, values ps >= 0, optional atom at 0.
 
     ``clip_excursion`` records how far below zero the raw inversion dipped
-    before clipping; anything beyond 1e-3 points at an unconverged
-    transform and is flagged by the producers.
+    before clipping; a dip beyond CLIP_WARN of the density's largest value
+    (:func:`_dips_too_far`) points at an unconverged transform and is
+    flagged by the producers.
     """
 
     xs: np.ndarray
@@ -49,7 +60,7 @@ class SpectralDensity:
             raise GridError("xs and ps must be matching 1-d arrays of length >= 2")
         if np.any(np.diff(xs) <= 0):
             raise GridError("xs must be strictly increasing")
-        if ps.min() < -1e-8:
+        if _dips_too_far(ps, -ps.min(), NEGATIVE_TOL):
             raise GridError(f"density has a negative sample {ps.min():.3e}")
         atom = cov._real(self.atom_at_zero, "atom_at_zero")
         if not 0.0 <= atom <= 1.0:
@@ -66,16 +77,16 @@ def stieltjes_invert(xs, g_wide, g_narrow, eps2) -> SpectralDensity:
 
     ``g_wide`` and ``g_narrow`` hold the traced transform at x + 2i eps2
     and x + i eps2 for every x in the strictly increasing ``xs``; ``eps2``
-    is recorded in ``epsilon_used``. Negative excursions beyond 1e-3 before
-    clipping indicate solver failure and are reported as a warning with
-    diagnostics.
+    is recorded in ``epsilon_used``. A negative excursion before clipping
+    beyond CLIP_WARN of the density's largest value (:func:`_dips_too_far`)
+    indicates solver failure and is reported as a warning with diagnostics.
     """
     xs = cov._numbers(xs, "xs")
     wide = cov._numbers(g_wide, "g_wide", complex)
     narrow = cov._numbers(g_narrow, "g_narrow", complex)
     raw = -(2.0 * narrow - wide).imag / np.pi
     worst = float(np.min(raw, initial=0.0))
-    if worst < -CLIP_WARN:
+    if _dips_too_far(raw, -worst):
         warnings.warn(
             f"density clipped from {worst:.3e} at x = {xs[int(raw.argmin())]:.6g}; "
             f"negative excursions this large indicate an unconverged transform",
@@ -184,7 +195,7 @@ def density_from_eta(eta, xs=None, npoints=DEFAULT_POINTS, epsilon=None, config=
     Catalan(k) ||eta(I)||^k, so the law lies in [-e, e] and one solve covers
     it. ``epsilon`` is the smaller inversion offset eps_2; it defaults to
     1e-3 times the grid span, and an explicit one must be finite and
-    positive (offsets below 1e-8 are raised to 1e-8). ``trace_weights``, d
+    positive; it is used as given, at any scale. ``trace_weights``, d
     nonnegative numbers summing to 1 (1/d each by default), weigh the blocks
     in the scalar transform; the ``moments`` command reads the recursion with them.
     """
@@ -212,8 +223,9 @@ def _density(law, xs, npoints, epsilon, config) -> SpectralDensity:
     """Solve a law at offsets (2*eps2, eps2), read G off with its weights, invert.
 
     The default grid and offset are the selfadjoint or Gram ones above; eps2
-    is ``epsilon`` or the default share of the grid's span, raised to the
-    solver's floor. The offset and grid are checked before anything is solved.
+    is ``epsilon`` or the default share of the grid's span, as it is: no
+    floor, so a law solves at its own scale. The offset and grid are checked
+    before anything is solved.
     """
     if epsilon is not None and not 0 < cov._real(epsilon, "epsilon") < np.inf:
         raise BadParameter(f"epsilon must be finite and positive, got {epsilon}")
@@ -228,8 +240,7 @@ def _density(law, xs, npoints, epsilon, config) -> SpectralDensity:
     xs = slv._check_grid(xs)
     if len(xs) < 2 or (np.diff(xs) <= 0).any():
         raise GridError("xs must be strictly increasing, with at least two points")
-    eps2 = epsilon if epsilon is not None else span_share * float(xs[-1] - xs[0])
-    eps2 = max(float(eps2), slv.MIN_GRID_EPSILON)
+    eps2 = float(epsilon) if epsilon is not None else span_share * float(xs[-1] - xs[0])
     wide, narrow = slv._solve_converged(law, xs, (2 * eps2, eps2), config)
     dens = stieltjes_invert(xs, wide.g, narrow.g, eps2)
     check_mass(dens)

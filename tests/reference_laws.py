@@ -76,7 +76,10 @@ def dense_nc2_moment(eta, m, weights):
 
 
 def dense_edge_estimate(eta):
-    """2 sqrt(lam), lam the largest eigenvalue of the Hermitian part of eta(I), on d x d matrices."""
+    """2 sqrt(lam), lam the largest eigenvalue of the Hermitian part of eta(I), on d x d matrices.
+
+    1e-12 stands in for lam only where lam is not positive.
+    """
     m2 = _dense_eta(eta, np.eye(eta.tensor.shape[0]))
     lam = float(np.linalg.eigvalsh((m2 + m2.conj().T) / 2).max())
-    return 2.0 * np.sqrt(max(lam, 1e-12))
+    return 2.0 * np.sqrt(lam if lam > 0 else 1e-12)

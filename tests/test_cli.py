@@ -560,6 +560,27 @@ class TestMain:
         assert err["type"] == "InvariantViolation" and "dipped 2.00e-03" in err["message"]
         assert not list(tmp_path.glob("*/density.csv"))
 
+    @pytest.mark.parametrize("tap", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_density_mass_does_not_depend_on_the_tap_size(self, tap, tmp_path, capsys):
+        # the law at taps t is the unit law's image under x -> t x: its mass is t = 1's
+        cfg = _write(tmp_path, {"model": "isi", "K": 2, "L": 2, "taps": [tap, tap]})
+        code = cli.main(["--config", str(cfg), "--command", "density",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        mass = json.loads(capsys.readouterr().out)["diagnostics"]["mass"]
+        assert abs(mass - 0.9999507254568631) <= 1e-9
+
+    def test_huge_taps_build_silently_and_sample(self, tmp_path, capsys):
+        # Choi rounding at taps 1e10 sits far below the floor read at their scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bs.isi_covariance(4, 4, [1e10] * 4)
+        cfg = _write(tmp_path, {"model": "isi", "K": 4, "L": 4, "taps": [1e10] * 4,
+                                "mc": {"N": 20, "realizations": 4, "seed": 1}})
+        code = cli.main(["--config", str(cfg), "--command", "mc-compare",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().out
+
     def test_newton_false_exit_two(self, tmp_path, capsys):
         payload = dict(ISI_CONFIG, solver={"newton": False})
         code = cli.main([

@@ -302,9 +302,21 @@ class TestGrid:
             point = bs.solve_fixed_point(semicircle_eta, complex(x, 1e-3), NEWTON)
             assert abs(point.G[0, 0] - g) <= 1e-9
 
-    def test_epsilon_floor(self, semicircle_eta):
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_tiny_offsets_match_the_closed_form(self, semicircle_eta, eps):
+        # any positive offset is solved as given; the points stay off the edges +-2
+        xs = np.concatenate([np.linspace(-3.0, -2.5, 3), np.linspace(-1.9, 1.9, 20),
+                             np.linspace(2.5, 3.0, 3)])
+        z = xs + 1j * eps
+        exact = 2.0 / (z + np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
+        sols = bs.solve_grid(semicircle_eta, xs, eps, NEWTON)
+        assert all(s.converged for s in sols)
+        assert np.abs(np.array([s.G[0, 0] for s in sols]) - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+    def test_offset_must_be_finite_and_positive(self, semicircle_eta, eps):
         with pytest.raises(errors.BadParameter):
-            bs.solve_grid(semicircle_eta, [0.0], 1e-9)
+            bs.solve_grid(semicircle_eta, [0.0], eps)
 
     def test_unsorted_grid_rejected(self, semicircle_eta):
         with pytest.raises(errors.BadParameter):
@@ -618,6 +630,22 @@ def test_newton_budget_refuses_before_any_newton_step(monkeypatch):
         solve_gram_grid(eta, spec.a, np.linspace(0.1, 2.0, 64), 1e-3)
 
 
+@pytest.mark.parametrize("name", ["isi33", "complex2x3"])
+def test_gram_grid_returns_the_hh_star_grid(name):
+    spec = (bs.isi_covariance(3, 3) if name == "isi33"
+            else random_hh_star_spec(2, 3, np.random.default_rng(5), complex_=True))
+    xs = np.linspace(0.05, 1.8 * slv._edge_estimate(cov._law(spec).eta) ** 2, 24)
+    sols, g = solve_gram_grid(cov._law(spec).eta, spec.a, xs, 1e-3)
+    ref = bs.solve_hh_star_grid(spec, xs, 1e-3)
+    assert all(s.converged for s in sols)
+    for s, r in zip(sols, ref):
+        assert np.array_equal(s.G[:spec.a, :spec.a], r.G1)
+    assert np.array_equal(g, [r.g for r in ref])
+    # the map of the hermitized spec, assembled the other way, gives the same transform
+    _, g_sa = solve_gram_grid(bs.eta_map(bs.hermitize_covariance(spec)), spec.a, xs, 1e-3)
+    assert np.abs(g_sa - g).max() <= 1e-13
+
+
 class TestHHStar:
     def test_marchenko_pastur_point(self, mp_spec):
         sol = bs.solve_hh_star(mp_spec, 5.0 + 0.0j, bs.SolverConfig(tol=1e-13))
@@ -789,8 +817,8 @@ class TestMomentCheck:
         assert m.m0 == pytest.approx(1.0, abs=1e-6)
         assert m.m2 == pytest.approx(1.0, abs=1e-3)
         assert m.m4 == pytest.approx(2.0, abs=1e-3)
-        # the first level's sweeps hand over at PREDICTION_TOL and Newton
-        # finishes: m4 is good to 1.5e-6 (3.3e-6 with a 1e-6 hand-over)
+        # radii 8e..128e: the fit's own truncation is -3.9e-8 and m4 reads
+        # -4.7e-7 (radii 4e..64e truncate at -3.3e-6)
         assert abs(m.m4 - 2.0) <= 2e-6
 
     def test_isi_second_moment_matches_recursion(self, isi44):
