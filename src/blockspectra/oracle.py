@@ -13,7 +13,10 @@ the tests keep the dense recursion on the d^4 tensor as the independent check.
 
 Every ensemble is drawn by one function, :func:`_draw_blocks`: a block
 matrix whose N x N blocks mix iid circular normals with a factor of the
-entry covariance. The Gram channel H is that draw Y; the selfadjoint X is
+entry covariance. The factor spans the covariance's rank only: an
+eigenvalue within -PSD_FLOOR of the largest magnitude is roundoff and
+mixes nothing (ISI K = L = 4 mixes 4 of its 28 components). The Gram
+channel H is that draw Y; the selfadjoint X is
 (Y + Y*)/sqrt(2), its Hermitian part scaled to keep the entry variances.
 """
 
@@ -52,15 +55,21 @@ class EnsembleSample:
 
 
 def _entry_factor(C, what):
-    """Factor a Hermitian PSD entry covariance as Phi Phi*."""
+    """Factor a Hermitian PSD entry covariance as Phi Phi*, over its rank only.
+
+    An eigenvalue within -PSD_FLOOR of the largest magnitude is roundoff:
+    its column of Phi is exactly zero, so a draw mixes only the rank's
+    eigencomponents.
+    """
     H = 0.5 * (C + C.conj().T)
     w, U = np.linalg.eigh(H)
-    if w.min(initial=0.0) < cov.PSD_FLOOR * float(np.abs(w).max(initial=0.0)) * 10:
+    top = float(np.abs(w).max(initial=0.0))
+    if w.min(initial=0.0) < cov.PSD_FLOOR * top * 10:
         raise NotPSD(
             f"{what} entry covariance has eigenvalue {w.min():.3e}; "
             "sampling needs a genuinely PSD joint covariance"
         )
-    return U * np.sqrt(np.clip(w, 0.0, None))
+    return U * np.sqrt(np.where(w > -cov.PSD_FLOOR * top, w, 0.0))
 
 
 def _check_draw(spec, N):

@@ -30,8 +30,10 @@ other map solves the full m x m system. Each Newton step forms that
 blockwise inverse, the fixed-point map's resolvent, once over the whole
 pattern, and each side reads its slice. When both sides are all 1x1 (ISI
 and every diagonal Gram law), the complement comes from one product with
-the pattern's coupling product. A 1x1 or 2x2 system, full or complement,
-is solved in closed form, and so is the Im G check of a 2x2 block.
+the pattern's coupling product. A 1x1, 2x2 or 3x3 system, full or
+complement, is solved in closed form, and so is the Im G check of a 2x2
+block; a system of 4x4 and up goes to ``np.linalg.solve``. At the small
+sizes a stacked LAPACK call costs more in dispatch than its arithmetic.
 
 Every solve, one point or a grid, of any law, starts from G = -i*I and walks
 the imaginary offset down a continuation ladder (``_solve_continuation``),
@@ -331,14 +333,27 @@ def _coupled_side(pat, side, other, W, G, rhs):
 
 
 def _solve_linear(S, y):
-    """x solving each Newton system S x = y, 1x1 and 2x2 in closed form; LinAlgError if singular."""
-    if y.shape[1] == 1:
+    """x solving each Newton system S x = y; LinAlgError if some S is singular.
+
+    A 1x1, 2x2 or 3x3 system is solved in closed form, as its adjugate
+    times y over its determinant; 4x4 and larger go to ``np.linalg.solve``.
+    """
+    n = y.shape[1]
+    if n == 1:
         return y / _pivots(S[:, 0])
-    if y.shape[1] != 2:
+    if n > 3:
         return np.linalg.solve(S, y[:, :, None])[..., 0]
-    (a, b), (c, d) = S.transpose(1, 2, 0)
-    r = 1.0 / _pivots(a * d - b * c)
-    return np.stack([(d * y[:, 0] - b * y[:, 1]) * r, (a * y[:, 1] - c * y[:, 0]) * r], axis=1)
+    if n == 2:
+        (a, b), (c, d) = S.transpose(1, 2, 0)
+        r = 1.0 / _pivots(a * d - b * c)
+        return np.stack([(d * y[:, 0] - b * y[:, 1]) * r, (a * y[:, 1] - c * y[:, 0]) * r], axis=1)
+    (a, b, c), (d, e, f), (g, h, i) = S.transpose(1, 2, 0)
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g  # cofactors of the first row
+    r = 1.0 / _pivots(a * A + b * B + c * C)
+    y0, y1, y2 = y.T
+    return np.stack([(A * y0 + (c * h - b * i) * y1 + (b * f - c * e) * y2) * r,
+                     (B * y0 + (a * i - c * g) * y1 + (c * d - a * f) * y2) * r,
+                     (C * y0 + (b * g - a * h) * y1 + (a * e - b * d) * y2) * r], axis=1)
 
 
 def _newton_step(pat, ws, G, EG, rhs):

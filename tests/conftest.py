@@ -73,6 +73,16 @@ def random_hh_star_spec(a, b, rng, scale=1.0, complex_=False):
     return bs.hh_star_covariance(a, b, entries)
 
 
+def random_nonsep_spec(p, rng):
+    """The spec of a random complex nonsep family, t = 2, p = q."""
+
+    def herm():
+        A = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        return A @ A.conj().T / (2 * p)
+
+    return bs.CorrelationFamily(psi=(herm(), herm()), psi_hat=(herm(), herm())).spec
+
+
 @pytest.fixture(scope="session")
 def semicircle_eta():
     return bs.eta_map(bs.selfadjoint_covariance(1, [(1, 1, 1, 1, 1.0)]))

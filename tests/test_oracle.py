@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
-from blockspectra import covariance as cov, errors
+from blockspectra import covariance as cov, errors, oracle as orc
 from blockspectra.oracle import EnsembleSample
 
 from conftest import random_hh_star_spec, random_selfadjoint_spec
@@ -213,6 +213,16 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < ((spec.a + spec.b) * N) ** 2 * 16
+
+    @pytest.mark.parametrize("K, L, rank", [(4, 4, 4), (3, 2, 2)])
+    def test_entry_factor_mixes_only_the_rank(self, K, L, rank):
+        # the covariance's other eigenvalues are roundoff: their columns are zero
+        spec = bs.isi_covariance(K, L)
+        a, b = spec.a, spec.b
+        C = cov._tau_array(spec).reshape(a * b, a * b) / ((a + b) * 10)
+        Phi = orc._entry_factor(C, "hh_star")
+        assert np.count_nonzero(Phi.any(axis=0)) == rank == np.linalg.matrix_rank(C)
+        assert np.abs(Phi @ Phi.conj().T - C).max() <= 1e-14 * np.abs(C).max()
 
     def test_not_psd_rejected(self):
         with pytest.warns(RuntimeWarning, match="positivity"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import blockspectra as bs
 from blockspectra import cli, covariance as cov, nonsep as ns, solver as slv
 
-from conftest import random_hh_star_spec, random_selfadjoint_spec
+from conftest import random_hh_star_spec, random_nonsep_spec, random_selfadjoint_spec
 
 TIGHT = bs.SolverConfig(tol=1e-12)
 NEWTON = bs.SolverConfig(tol=1e-12, newton=True)
@@ -407,6 +407,10 @@ def test_newton_step_eliminates_one_side_of_block_laws():
     _assert_step_is_the_full_solve(_law_of("nonsep_t2"), 3)
     _assert_step_is_the_full_solve(cov._law(_rotated_hh_star(bs.isi_covariance(3, 2), 11)), 4)
     _assert_step_is_the_full_solve(cov._law(bs.isi_covariance(4, 4)), 5)
+    _assert_step_is_the_full_solve(cov._law(bs.isi_covariance(5, 4)), 7)  # 3x3 complement
+    law = cov._law(random_nonsep_spec(4, np.random.default_rng(1)))
+    assert law.eta.pattern.sides[0].span.stop == 16  # a 16x16 complement, solved by LAPACK
+    _assert_step_is_the_full_solve(law, 7)
 
 
 def test_block_helpers_match_dense_algebra():
@@ -451,15 +455,32 @@ def test_2x2_im_check_in_closed_form_matches_eigvalsh(n):
     assert (np.abs(slv._block_im_max(pat, G) - want) <= 1e-15 * np.maximum(np.abs(want), 1)).all()
 
 
-@pytest.mark.parametrize("m", [1, 2])
+SINGULAR = {1: [[0.0]], 2: [[1.0, 2.0], [2.0, 4.0]],
+            3: [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_small_complements_match_numpy(m):
     rng = np.random.default_rng(50 + m)
     S = rng.standard_normal((64, m, m)) + 1j * rng.standard_normal((64, m, m))
     y = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
     want = np.linalg.solve(S, y[:, :, None])[..., 0]
     assert np.abs(slv._solve_linear(S, y) - want).max() <= 1e-13 * np.abs(want).max()
-    S[7] = [[0.0]] if m == 1 else [[1.0, 2.0], [2.0, 4.0]]  # singular at point 7
+    S[7] = SINGULAR[m]  # determinant exactly 0 at point 7
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # raised before any division by zero
         with pytest.raises(np.linalg.LinAlgError):
             slv._solve_linear(S, y)
+
+
+def test_3x3_closed_form_keeps_a_small_residual_when_ill_conditioned():
+    # condition number 1e10: the adjugate is not backward stable, but its
+    # relative residual stays near 1e-11 (LAPACK's LU reads about 1e-16)
+    rng = np.random.default_rng(54)
+    U, V = (np.linalg.qr(rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3)))[0]
+            for _ in range(2))
+    S = (U * [1.0, 1e-5, 1e-10]) @ V.conj().transpose(0, 2, 1)
+    y = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+    x = slv._solve_linear(S, y)
+    residual = np.linalg.norm((S @ x[:, :, None])[..., 0] - y, axis=1)
+    assert (residual <= 1e-10 * np.linalg.norm(S, 2, axis=(1, 2)) * np.linalg.norm(x, axis=1)).all()

@@ -11,7 +11,7 @@ from blockspectra import errors
 from blockspectra import solver as slv
 from blockspectra.solver import max_im_eigenvalue, solve_gram_grid
 
-from conftest import random_hh_star_spec, random_selfadjoint_spec
+from conftest import random_hh_star_spec, random_nonsep_spec, random_selfadjoint_spec
 from reference_laws import mp1_cauchy, semicircle_cauchy
 
 TIGHT = bs.SolverConfig(tol=1e-12)
@@ -553,6 +553,20 @@ def test_each_newton_step_solves_one_linear_system(monkeypatch, tmp_path, config
     assert per_step and set(per_step) == {1}
 
 
+def test_isi_k5_density_makes_no_stacked_solve(monkeypatch):
+    # its complement is 3x3, solved in closed form: LAPACK is never called
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    config = cli.parse_config('{"model": "isi", "K": 5, "L": 4, "grid": {"points": 512, '
+                              '"epsilon": 0.0001}, "solver": {"tol": 1e-12}}')
+    law = cov._law(config.built)
+    assert law.eta.pattern.sides[0].span.stop == 3
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    density = cli._solve_density(config, law)
+    assert abs(bs.mass(density) - 1.0) <= 5e-3
+
+
 def test_each_prediction_counts_one_iteration(monkeypatch, semicircle_eta):
     tangent, newton, sweeps = slv._tangent_start, slv._newton_batch, slv._fixed_point_batch
     counts = {"tangents": 0, "steps": 0}
@@ -578,13 +592,7 @@ def test_each_prediction_counts_one_iteration(monkeypatch, semicircle_eta):
 
 def _random_family_eta(p):
     """The hermitized map of a random complex nonsep family, t = 2, p = q."""
-    rng = np.random.default_rng(1)
-
-    def herm():
-        A = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        return A @ A.conj().T / (2 * p)
-
-    return cov._law(bs.CorrelationFamily(psi=(herm(), herm()), psi_hat=(herm(), herm())).spec).eta
+    return cov._law(random_nonsep_spec(p, np.random.default_rng(1))).eta
 
 
 BUDGET_LAWS = {  # each law's builder and its pattern's m and m_A (None: no sides)
