@@ -11,19 +11,20 @@ Complex numbers in configs are [re, im] pairs. Unknown keys are rejected.
 Exit codes: 0 ok, 1 numerical failure, 2 usage error; failures print a
 machine-readable error JSON to stdout.
 
-Every run is one pipeline: parse the config, check the command against
-it, build the law once, solve and check the density once, then write the
-command's artifacts. Every usage error is raised by the first two steps,
-before an output directory is made or a solve starts; that includes a
-Monte Carlo draw the sampler would refuse.
+Every run is one pipeline: parse the config, build the law once, check
+the command against both, solve and check the density once, then write
+the command's artifacts. Every usage error is raised before an output
+directory is made or a solve starts; that includes a Monte Carlo draw the
+sampler would refuse.
 
 Parsing reads every JSON object (the top level, ``grid``, ``solver``,
 ``mc``) through one function and a table of ``_Key`` rows. A model is
-one row of ``_MODELS``: its config keys and how to parse them, and a
-build that makes its covariance spec (a ``nonsep`` family builds its
-hh_star spec). A :class:`ProblemConfig` builds its spec when it is made,
-so an invalid model never gets past parsing. Every command then reads
-the spec's law (``covariance._law``): the map it is solved with, the
+one row of ``_MODELS``: its config keys, a build that makes its spec (a
+``nonsep`` config its correlation family), the law it is solved with
+(``covariance._law``; a family's own law on p + q blocks) and the spec
+it is sampled from (a family's hh_star spec on lcm(p, q) blocks). A
+:class:`ProblemConfig` builds its model when it is made, so an invalid
+model never gets past parsing. Every command reads the law: the map, the
 trace weights that read G, and whether it is a Gram law.
 """
 
@@ -83,9 +84,9 @@ class McConfig:
 class ProblemConfig:
     """One fully validated problem: model, grid, solver, optional snr/mc.
 
-    The constructor builds the model's covariance spec into ``built``,
-    which takes no part in equality; a model the package rejects raises
-    ValidationError.
+    The constructor builds the model's covariance spec, or its correlation
+    family, into ``built``, which takes no part in equality; a model the
+    package rejects raises ValidationError.
     """
 
     model: str
@@ -103,7 +104,7 @@ class ProblemConfig:
     solver: slv.SolverConfig = slv.DEFAULT_CONFIG
     snr: tuple[float, ...] | None = None
     mc: McConfig | None = None
-    built: cov.CovarianceSpec = field(init=False, repr=False, compare=False)
+    built: cov.CovarianceSpec | ns.CorrelationFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -268,27 +269,22 @@ _SECTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# the per-model table: a row is the model's config keys and the build of its
-# covariance spec. Builds look package functions up as module attributes
-# when called, so wrappers installed on those modules see every call.
+# the per-model table: a row is the model's config keys, its build, and how
+# it is solved and sampled. Rows look package functions up as module
+# attributes when called, so wrappers installed on those modules see them.
 # ---------------------------------------------------------------------------
 
 class _Model(NamedTuple):
     keys: dict[str, _Key]
-    build: Callable     # ProblemConfig -> CovarianceSpec
+    build: Callable     # ProblemConfig -> CovarianceSpec or CorrelationFamily
+    law: Callable = lambda built: cov._law(built)   # built -> the Law it is solved with
+    sample: Callable = lambda built: built          # built -> the spec its draws are made of
 
 
 _COUNT = _Key(_count)
 _FLOATS = _Key(lambda raw, key: _list(raw, key, _float_value))
 _ENTRIES = _Key(_parse_entries)
 _MATRICES = _Key(_parse_matrix_list)
-
-
-def _family_spec(config):
-    return ns.CorrelationFamily(
-        psi=tuple(np.array(m, dtype=complex) for m in config.psi),
-        psi_hat=tuple(np.array(m, dtype=complex) for m in config.psi_hat),
-    ).spec
 
 
 _MODELS = {
@@ -300,7 +296,9 @@ _MODELS = {
                   lambda c: cov.isi_covariance(c.K, c.L, tap_var=c.taps)),
     "rectangular": _Model({"alpha": _FLOATS, "entries": _ENTRIES},
                           lambda c: cov.rectangular_covariance(c.alpha, c.entries)),
-    "nonsep": _Model({"psi": _MATRICES, "psi_hat": _MATRICES}, _family_spec),
+    "nonsep": _Model({"psi": _MATRICES, "psi_hat": _MATRICES},
+                     lambda c: ns.CorrelationFamily(c.psi, c.psi_hat),
+                     lambda family: ns._law(family), lambda family: family.spec),
 }
 MODELS = tuple(_MODELS)
 
@@ -381,8 +379,8 @@ def _solve_density(config: ProblemConfig, law: cov.Law) -> spc.SpectralDensity:
     g = config.grid
     kwargs = dict(xs=None if g.xmin is None else np.linspace(g.xmin, g.xmax, g.points),
                   npoints=g.points, epsilon=g.epsilon, config=config.solver)
-    if law.gram:
-        return spc.density_gram(law.eta, config.built.a, **kwargs)
+    if law.gram:  # read on the leading blocks that carry its weights
+        return spc.density_gram(law.eta, int(np.count_nonzero(law.weights)), **kwargs)
     return spc.density_from_eta(law.eta, trace_weights=law.weights, **kwargs)
 
 
@@ -411,11 +409,12 @@ def _density_diagnostics(density: spc.SpectralDensity) -> dict:
 
 def _sample_eigenvalues(config, N, threads, seed):
     """Eigenvalues of each seeded realization; the sampled matrices are dropped."""
+    spec = _MODELS[config.model].sample(config.built)
     seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(N, i))
              for i in range(config.mc.realizations)]
 
     def draw(s):
-        return orc.sample_block_gaussian(config.built, N, s).eigenvalues
+        return orc.sample_block_gaussian(spec, N, s).eigenvalues
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # a one-thread run skips its import
@@ -519,13 +518,13 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-def _check_command(command, config, seed, threads):
-    """Every usage error of a command on a config; returns (seed, threads) to run with."""
+def _check_command(command, config, law, seed, threads):
+    """Every usage error of a command on a config and its law; returns (seed, threads)."""
     if command not in _COMMANDS:
         raise ValidationError("command", f"unknown command {command!r}")
     if command == "capacity" and config.snr is None:
         raise ValidationError("snr", "capacity command needs an snr list")
-    if command == "capacity" and config.built.kind != "hh_star":
+    if command == "capacity" and not law.gram:
         raise ValidationError("model", "capacity is defined for the nonnegative Gram laws only")
     if command == "mc-compare" and config.mc is None:
         raise ValidationError("mc", "mc-compare command needs an mc block")
@@ -534,7 +533,7 @@ def _check_command(command, config, seed, threads):
     if command in ("mc-compare", "capacity") and config.mc is not None:
         for N in config.mc.N:
             try:
-                orc._check_draw(config.built, N)
+                orc._check_draw(_MODELS[config.model].sample(config.built), N)
             except BlockspectraError as exc:
                 raise ValidationError("mc", f"{command}: {exc}") from exc
     seed = seed if seed is not None else (config.mc.seed if config.mc else 0)
@@ -552,8 +551,8 @@ def run(command, config, out_dir=".", seed=None, threads=None) -> dict:
     density is solved. All artifact writes are atomic and
     byte-deterministic for a fixed config and seed.
     """
-    seed, threads = _check_command(command, config, seed, threads)
-    law = cov._law(config.built)
+    law = _MODELS[config.model].law(config.built)
+    seed, threads = _check_command(command, config, law, seed, threads)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -623,17 +623,23 @@ def _gram_law(eta: EtaMap, side) -> Law:
 def _law(spec: CovarianceSpec) -> Law:
     """The law of a spec's ensemble; an hh_star spec gives the Gram law of HH*.
 
-    Its map is that of the hermitization [[0, H], [H*, 0]] on a + b blocks:
-    [[D1, D3], [D4, D2]] -> [[eta1(D2), 0], [0, eta2(D1)]]. The corners are
-    annihilated, so block-diagonal iterates stay block-diagonal. Any other
-    spec gives its weighted map, read with its block weights.
+    Any other spec gives its weighted map, read with its block weights.
     """
     if spec.kind != "hh_star":
         return _map_law(_weighted_map(spec), _block_weights(spec))
-    a = spec.a
-    T = np.zeros((spec.dim,) * 4, dtype=complex)
-    T[:a, :a, a:, a:] = eta1_map(spec).tensor
-    T[a:, a:, :a, :a] = eta2_map(spec).tensor
+    return _hermitized_law(eta1_map(spec), eta2_map(spec))
+
+
+def _hermitized_law(eta1: EtaMap, eta2: EtaMap) -> Law:
+    """The Gram law of the pair eta1: M_b -> M_a and eta2: M_a -> M_b, read on side a.
+
+    Its map is the hermitization's on a + b blocks, [[D1, D3], [D4, D2]] ->
+    [[eta1(D2), 0], [0, eta2(D1)]]: block-diagonal iterates stay block-diagonal.
+    """
+    a = eta1.dim_out
+    T = np.zeros((a + eta1.dim_in,) * 4, dtype=complex)
+    T[:a, :a, a:, a:] = eta1.tensor
+    T[a:, a:, :a, :a] = eta2.tensor
     return _gram_law(EtaMap(T), a)
 
 

@@ -18,11 +18,11 @@ stays in the algebra generated by the Psi family, and the solution depends
 only on the separate joint distributions of the two families, never on
 mixed moments.
 
-The channel is block Gaussian, so a family is solved and sampled as its
-square hh_star spec on lcm(p, q) blocks a side (``CorrelationFamily.spec``).
-:func:`solve_fading` is the independent cross-check: the solver's
-eliminated Gram routine, with the two maps swapped, on the pair that
-:func:`build_nonsep_eta` builds on the p- and q-dimensional algebras.
+Every route solves the pair that :func:`build_nonsep_eta` builds on the
+p- and q-dimensional algebras: the engine as the corners of a Gram law on
+p + q blocks (:func:`hermitized_eta`), and the independent cross-check
+:func:`solve_fading` by the eliminated Gram routine with the maps swapped.
+Only sampling reads the lcm(p, q)-block hh_star spec (``CorrelationFamily.spec``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class CorrelationFamily:
     """t Hermitian PSD correlation matrices per side, with trace states.
 
     The constructor (and so also ``dataclasses.replace``) checks the term
-    count, shapes, finiteness, Hermiticity and positive semidefiniteness,
-    raising BadParameter or DimensionMismatch: every family in existence is
-    valid.
+    count, shapes, finiteness, Hermiticity, positive semidefiniteness and
+    the size of the law's map on p + q blocks, raising BadParameter or
+    DimensionMismatch: every family in existence is valid.
     """
 
     psi: tuple[np.ndarray, ...]
@@ -77,6 +77,7 @@ class CorrelationFamily:
                     raise BadParameter(f"{name}[{s}] is not Hermitian")
                 if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < cov.PSD_FLOOR * scale:
                     raise BadParameter(f"{name}[{s}] is not positive semidefinite")
+        cov._check_map_size(self.p + self.q)
 
     @property
     def t(self) -> int:
@@ -94,11 +95,11 @@ class CorrelationFamily:
     def spec(self) -> cov.CovarianceSpec:
         """The channel's hh_star spec on n = lcm(p, q) blocks a side, built on first use.
 
-        tau(i,k;j,l) = 2 sum_s Psi_s[i,j] PsiHat_s[l,k], with Psi_s (x) I_{n/p}
-        and I_{n/q} (x) PsiHat_s: identical copies of each family, which leave
-        its law unchanged. The nonzero entries with (i,k) <= (j,l) are given;
-        the spec's closure adds their conjugate partners. A family whose spec
-        would be refused for its size is refused before the table is built.
+        Only sampling reads it. tau(i,k;j,l) = 2 sum_s Psi_s[i,j] PsiHat_s[l,k],
+        with Psi_s (x) I_{n/p} and I_{n/q} (x) PsiHat_s: identical copies of
+        each family, which leave its law unchanged. The nonzero entries with
+        (i,k) <= (j,l) are given; the spec's closure adds their conjugate
+        partners. A spec too large for its 2 n blocks is refused first.
         """
         n = math.lcm(self.p, self.q)
         cov._check_map_size(2 * n)
@@ -139,9 +140,15 @@ def build_nonsep_eta(family: CorrelationFamily):
     return cov.EtaMap(T1), cov.EtaMap(T2)
 
 
+def _law(family: CorrelationFamily) -> cov.Law:
+    """The family's Gram law: eta2 and eta1 as corners of a map on p + q blocks, read on side p."""
+    e1, e2 = build_nonsep_eta(family)
+    return cov._hermitized_law(e2, e1)
+
+
 def hermitized_eta(family: CorrelationFamily) -> cov.EtaMap:
-    """Covariance map of the hermitization of the channel: that of ``family.spec``."""
-    return cov._law(family.spec).eta
+    """Covariance map of the hermitization of the channel, on p + q blocks."""
+    return _law(family).eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,19 +179,16 @@ def solve_fading(family: CorrelationFamily, z, config=None) -> FadingSolution:
 
 
 def solve_fading_block(family: CorrelationFamily, z, config=None) -> FadingSolution:
-    """Cross-check route: solve the Gram equations of ``family.spec`` instead.
+    """Cross-check route: solve the family's law on the engine instead.
 
-    Runs :func:`solver.solve_hh_star` on the spec and reads G1 back from
-    its leading block, which repeats it n/p times: G1 = G1_spec[::n/p, ::n/p].
-    Must agree with :func:`solve_fading`.
+    Solves the map on p + q blocks as :func:`solver.solve_hh_star` does;
+    G1 = H[:p, :p] must agree with :func:`solve_fading`'s eliminated sweeps.
     """
-    sol = slv.solve_hh_star(family.spec, z, config)
-    step = family.spec.a // family.p
-    G1 = sol.G1[::step, ::step]
-    return FadingSolution(sol.z, G1, complex(np.trace(G1) / family.p), sol.residual,
-                          sol.iterations, sol.converged)
+    law, z = _law(family), slv._upper_half(z)
+    sol = slv._hh_star_solutions(law, family.p, [z], slv._solve_point(law, z, config))[0]
+    return FadingSolution(sol.z, sol.G1, sol.g, sol.residual, sol.iterations, sol.converged)
 
 
 def fading_density(family: CorrelationFamily, **kwargs) -> spc.SpectralDensity:
-    """Gram-law density of the fading channel: that of ``family.spec``."""
-    return spc.density_hh_star(family.spec, **kwargs)
+    """Gram-law density of the fading channel, on the map of :func:`hermitized_eta`."""
+    return spc.density_gram(hermitized_eta(family), family.p, **kwargs)

@@ -160,19 +160,19 @@ def _gram_lower(H, live, N):
 
     Block (i,j), i >= j, is H[i, S] H[j, S]* over the column blocks S from
     the first to the last that is nonzero in both block rows (a block between
-    them is zero in one row and adds exact zeros); the upper block triangle
-    stays zero, so read the result with ``UPLO="L"``.
+    them is zero in one row and adds exact zeros); only those columns of
+    H[j] are conjugated. The upper block triangle stays zero, so read the
+    result with ``UPLO="L"``.
     """
     a = live.shape[0]
     G = np.zeros((a * N, a * N), dtype=complex)
     for j in range(a):
-        Hj = H[j * N:(j + 1) * N].conj()
         for i in range(j, a):
             ks = np.flatnonzero(live[i] & live[j])
             if ks.size:
                 cols = slice(ks[0] * N, (ks[-1] + 1) * N)
                 G[i * N:(i + 1) * N, j * N:(j + 1) * N] = (
-                    H[i * N:(i + 1) * N, cols] @ Hj[:, cols].T
+                    H[i * N:(i + 1) * N, cols] @ H[j * N:(j + 1) * N, cols].conj().T
                 )
     return G
 

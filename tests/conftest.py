@@ -73,14 +73,14 @@ def random_hh_star_spec(a, b, rng, scale=1.0, complex_=False):
     return bs.hh_star_covariance(a, b, entries)
 
 
-def random_nonsep_spec(p, rng):
-    """The spec of a random complex nonsep family, t = 2, p = q."""
+def random_nonsep_family(p, rng):
+    """A random complex nonsep family, t = 2, p = q."""
 
     def herm():
         A = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
         return A @ A.conj().T / (2 * p)
 
-    return bs.CorrelationFamily(psi=(herm(), herm()), psi_hat=(herm(), herm())).spec
+    return bs.CorrelationFamily(psi=(herm(), herm()), psi_hat=(herm(), herm()))
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,10 @@ class TestParse:
             "psi": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]],
             "psi_hat": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
         }))
-        spec = cfg.built
+        model, family = cli._MODELS["nonsep"], cfg.built
+        assert family.p == family.q == 2
+        assert model.law(family).gram and model.law(family).eta.dim_in == 4
+        spec = model.sample(family)
         assert spec.kind == "hh_star" and spec.a == spec.b == 2
 
     def test_snr_and_mc_validation(self):
@@ -604,12 +607,16 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_nonsep_family_too_large_exit_two(self, tmp_path, capsys):
-        # lcm(7, 8) = 56 blocks a side: refused before the spec's table is built
-        payload = {"model": "nonsep", "psi": [np.eye(7).tolist()], "psi_hat": [np.eye(8).tolist()]}
-        code = cli.main([
-            "--config", str(_write(tmp_path, payload)), "--command", "density",
-            "--out", str(tmp_path / "out"),
-        ])
+        # the law of p=7, q=8 is a map on 15 blocks; the sampled spec's
+        # lcm(7, 8) = 56 blocks a side are refused before its table is built
+        payload = {"model": "nonsep", "psi": [np.eye(7).tolist()], "psi_hat": [np.eye(8).tolist()],
+                   "mc": {"N": 10, "realizations": 1, "seed": 0}}
+        path = _write(tmp_path, payload)
+        assert cli.main(["--config", str(path), "--command", "density",
+                         "--out", str(tmp_path / "density")]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["diagnostics"]["mass"] - 1.0) <= 5e-3
+        code = cli.main(["--config", str(path), "--command", "mc-compare",
+                         "--out", str(tmp_path / "out")])
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError" and "block dimension 112" in err["message"]

@@ -5,13 +5,16 @@ a name that is missing makes a traced benchmark run fail. The first check
 runs the same lookup, so removing a traced name fails here first. The
 second runs the set-up of every workload in ``perfbench/workloads.py``,
 which calls the package outside that table. The third runs the tracer's
-reads of the results it records. All load the harness files by path and
+reads of the results it records. The last checks the harness's moment
+reference on a family with p != q. All load the harness files by path and
 only read them.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import blockspectra as bs
 from blockspectra import cli
@@ -21,11 +24,15 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def test_every_traced_function_exists():
@@ -47,9 +54,7 @@ def test_harness_set_up_runs_on_the_package(tmp_path):
     writes ``"newton": true`` into the configs it generates. A reduced-size
     set-up of every workload runs all of them.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load("perfbench_workloads", WORKLOADS)
     for name in workloads.WORKLOADS:
         out = tmp_path / name
         out.mkdir()
@@ -75,3 +80,24 @@ def test_tracer_reads_the_results_it_records(tmp_path):
     assert attrs("solver.solve_hh_star", sol) == {
         "iterations": sol.iterations, "converged": sol.converged
     }
+
+
+def test_harness_moments_of_a_family_are_the_cli_recursion():
+    """``_gram_moments`` weighs a p != q family's p + q blocks as the CLI's law does.
+
+    The reference is the ``moments`` command's recursion column,
+    ``nc2_moment`` on the family's law, not a CLI run: a random family can
+    miss the density's mass pin.
+    """
+    rng = np.random.default_rng(5)
+
+    def herm(n):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return A @ A.conj().T / (2 * n)
+
+    family = bs.CorrelationFamily(psi=(herm(2), herm(2)), psi_hat=(herm(3), herm(3)))
+    law = cli._MODELS["nonsep"].law(family)
+    want = [bs.nc2_moment(law.eta, 2 * k, trace_weights=law.weights)[1].real for k in (1, 2)]
+    got = _load("perfbench_workloads", WORKLOADS)._gram_moments(
+        family, bs.hermitized_eta(family), True)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

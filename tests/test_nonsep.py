@@ -1,17 +1,19 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockspectra as bs
-from blockspectra import covariance as cov, errors
+from blockspectra import cli, covariance as cov, errors
 
 from reference_laws import mp1_cauchy
 
 TIGHT = bs.SolverConfig(tol=1e-12)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _rand_real_psd(p, rng, scale=1.0):
@@ -244,6 +246,58 @@ def test_lcm_copies_fold_into_one_stored_block_a_side():
         assert abs(block.g - ref.g) <= 1e-10
 
 
+def _exact_herm_psd(p, rng):
+    """A complex PSD matrix that equals its conjugate transpose bit for bit."""
+    M = _rand_herm_psd(p, rng)
+    return (M + M.conj().T) / 2
+
+
+@pytest.mark.parametrize("p, exact", [(None, True), (4, True), (8, True), (3, False), (5, False)])
+def test_family_law_is_the_lcm_spec_law_when_p_equals_q(p, exact):
+    # both routes scale by 1/p: exact for a power of two, one rounding otherwise
+    if p is None:
+        fam = cli.parse_config(CONFIGS / "nonsep_t2.json").built
+    else:
+        rng = np.random.default_rng(40 + p)
+        fam = bs.CorrelationFamily(psi=tuple(_exact_herm_psd(p, rng) for _ in range(2)),
+                                   psi_hat=tuple(_exact_herm_psd(p, rng) for _ in range(2)))
+    got = bs.hermitized_eta(fam).tensor
+    want = cov._law(fam.spec).eta.tensor
+    assert got.shape == (fam.p + fam.q,) * 4
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (4, 5), (7, 8)])
+def test_block_route_matches_fading_on_unequal_sides(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    fam = bs.CorrelationFamily(psi=tuple(_rand_herm_psd(p, rng) for _ in range(2)),
+                               psi_hat=tuple(_rand_herm_psd(q, rng) for _ in range(2)))
+    assert bs.hermitized_eta(fam).dim_in == p + q
+    for z in (0.5 + 0.1j, 2.0 + 0.3j):
+        direct = bs.solve_fading(fam, z, TIGHT)
+        block = bs.solve_fading_block(fam, z, TIGHT)
+        assert direct.converged and block.converged
+        assert abs(direct.g - block.g) <= 1e-10
+        assert np.abs(direct.G1 - block.G1).max() <= 1e-10
+
+
+def test_p2_q3_law_is_the_sampled_spec_law():
+    # the spec that samples the channel has the law that is solved
+    rng = np.random.default_rng(23)
+    fam = bs.CorrelationFamily(psi=tuple(_rand_herm_psd(2, rng) for _ in range(2)),
+                               psi_hat=tuple(_rand_herm_psd(3, rng) for _ in range(2)))
+    pat = bs.hermitized_eta(fam).pattern
+    assert len(pat.eye) == len(cov._law(fam.spec).eta.pattern.eye) == 13
+    for z in (0.4 + 0.05j, 1.5 + 0.1j, 4.0 + 0.3j):
+        family = bs.solve_fading_block(fam, z, TIGHT)
+        spec = bs.solve_hh_star(fam.spec, z, TIGHT)
+        assert family.converged and spec.converged
+        assert abs(family.g - spec.g) <= 1e-12
+
+
 class TestFadingDensity:
     def test_identity_family_density_is_mp(self):
         fam = bs.CorrelationFamily(psi=(np.eye(2),), psi_hat=(np.eye(2),))
@@ -255,8 +309,15 @@ class TestFadingDensity:
         assert np.abs(dens.ps[mask] - mp1_pdf(dens.xs[mask])).max() <= 2e-3
 
 
+def test_family_whose_law_is_too_large_is_refused_when_made():
+    # its law's map on p + q = 78 blocks would take 592 MB
+    with pytest.raises(errors.BadParameter, match="block dimension 78 needs a"):
+        bs.CorrelationFamily(psi=(np.eye(39),), psi_hat=(np.eye(39),))
+
+
 def test_family_too_large_to_build_is_refused_before_its_table():
-    # lcm(7, 8) = 56 blocks a side: a dimension-112 map of 2.5 GB
+    # lcm(7, 8) = 56 blocks a side: a dimension-112 map of 2.5 GB; the law
+    # itself is a map on 15 blocks
     fam = bs.CorrelationFamily(psi=(np.eye(7),), psi_hat=(np.eye(8),))
     tracemalloc.start()
     try:

@@ -214,6 +214,24 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < ((spec.a + spec.b) * N) ** 2 * 16
 
+    def test_gram_lower_conjugates_only_the_columns_it_reads(self):
+        # ISI K = L = 2, N = 200: conjugating each whole 200 x 600 block row
+        # took 6.40 MB next to the 2.56 MB Gram matrix; the products' own
+        # column slices take 4.48 MB
+        spec, N = bs.isi_covariance(2, 2), 200
+        a, b = spec.a, spec.b
+        C = cov._tau_array(spec).reshape(a * b, a * b) / ((a + b) * N)
+        H, live = orc._draw_blocks(C, a, b, N, np.random.default_rng(1), "hh_star")
+        tracemalloc.start()
+        try:
+            G = orc._gram_lower(H, live, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * G.nbytes
+        want = H @ H.conj().T
+        assert np.abs(np.tril(G) - np.tril(want)).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("K, L, rank", [(4, 4, 4), (3, 2, 2)])
     def test_entry_factor_mixes_only_the_rank(self, K, L, rank):
         # the covariance's other eigenvalues are roundoff: their columns are zero

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import blockspectra as bs
 from blockspectra import cli, covariance as cov, nonsep as ns, solver as slv
 
-from conftest import random_hh_star_spec, random_nonsep_spec, random_selfadjoint_spec
+from conftest import random_hh_star_spec, random_nonsep_family, random_selfadjoint_spec
 
 TIGHT = bs.SolverConfig(tol=1e-12)
 NEWTON = bs.SolverConfig(tol=1e-12, newton=True)
@@ -176,7 +176,8 @@ def test_basis_rotation_dense_blocks_same_law():
 # --- the bipartition of a Gram law's pattern and the Newton step on it ----
 
 def _law_of(config):
-    return cov._law(cli.parse_config(CONFIGS / f"{config}.json").built)
+    parsed = cli.parse_config(CONFIGS / f"{config}.json")
+    return cli._MODELS[parsed.model].law(parsed.built)
 
 
 def _assert_sides(pat, blocks_a, blocks_b):
@@ -408,7 +409,7 @@ def test_newton_step_eliminates_one_side_of_block_laws():
     _assert_step_is_the_full_solve(cov._law(_rotated_hh_star(bs.isi_covariance(3, 2), 11)), 4)
     _assert_step_is_the_full_solve(cov._law(bs.isi_covariance(4, 4)), 5)
     _assert_step_is_the_full_solve(cov._law(bs.isi_covariance(5, 4)), 7)  # 3x3 complement
-    law = cov._law(random_nonsep_spec(4, np.random.default_rng(1)))
+    law = ns._law(random_nonsep_family(4, np.random.default_rng(1)))
     assert law.eta.pattern.sides[0].span.stop == 16  # a 16x16 complement, solved by LAPACK
     _assert_step_is_the_full_solve(law, 7)
 

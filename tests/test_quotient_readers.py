@@ -88,7 +88,8 @@ def test_nc2_moment_matches_the_dense_recursion(name):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_edge_estimate_is_the_dense_formula_on_shipped_configs(path):
     # every default grid hangs on this value, bit for bit
-    law = cov._law(cli.parse_config(path).built)
+    parsed = cli.parse_config(path)
+    law = cli._MODELS[parsed.model].law(parsed.built)
     assert slv._edge_estimate(law.eta) == dense_edge_estimate(law.eta)
 
 

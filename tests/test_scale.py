@@ -32,7 +32,7 @@ LAWS = {
                                                        complex_=True),
     "isi_k4_l4": lambda: bs.isi_covariance(4, 4),
     "isi_k2_l2": lambda: bs.isi_covariance(2, 2),
-    "nonsep_t2": lambda: cli.parse_config(CONFIGS / "nonsep_t2.json").built,
+    "nonsep_t2": lambda: cli.parse_config(CONFIGS / "nonsep_t2.json").built.spec,
 }
 
 

@@ -11,7 +11,7 @@ from blockspectra import errors
 from blockspectra import solver as slv
 from blockspectra.solver import max_im_eigenvalue, solve_gram_grid
 
-from conftest import random_hh_star_spec, random_nonsep_spec, random_selfadjoint_spec
+from conftest import random_hh_star_spec, random_nonsep_family, random_selfadjoint_spec
 from reference_laws import mp1_cauchy, semicircle_cauchy
 
 TIGHT = bs.SolverConfig(tol=1e-12)
@@ -592,7 +592,7 @@ def test_each_prediction_counts_one_iteration(monkeypatch, semicircle_eta):
 
 def _random_family_eta(p):
     """The hermitized map of a random complex nonsep family, t = 2, p = q."""
-    return cov._law(random_nonsep_spec(p, np.random.default_rng(1))).eta
+    return bs.hermitized_eta(random_nonsep_family(p, np.random.default_rng(1)))
 
 
 BUDGET_LAWS = {  # each law's builder and its pattern's m and m_A (None: no sides)
