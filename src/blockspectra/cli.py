@@ -590,8 +590,9 @@ def main(argv=None) -> int:
         summary = run(
             args.command, config, out_dir=args.out, seed=args.seed, threads=args.threads
         )
-    except BlockspectraError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+    except (BlockspectraError, MemoryError) as exc:  # MemoryError: an allocation no budget refused
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}))
         return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

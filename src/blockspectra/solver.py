@@ -56,7 +56,10 @@ is judged; z = 0, the pole of H, is refused. A ``cov.Law`` carries the Gram
 flag, and ``cov._law`` builds a spec's law once per call.
 
 One loop (``_sweep_loop``) runs every fixed-point iteration, each step
-replacing G by the caller's map, with no damping. The engine's sweeps pass
+replacing G by the caller's map, with no damping. A point whose residual
+reaches its target stops moving: sweeps and Newton compute only the points
+above it, and Newton's trial k = 0..8 moves the points still pending by
+0.5**k of their step. The engine's sweeps pass
 the plain map G -> (z I - eta(G))^{-1}. The eliminated one-sided equation
 z G = I + outer((I - inner(G))^{-1}) G behind the cross-check routes
 ``solve_hh_star_direct`` and ``nonsep.solve_fading`` passes the averaged
@@ -243,41 +246,43 @@ def _residual(pat, zs, G, EG):
 
 
 def _sweep_loop(G, residual, step, target, limit):
-    """Fixed-point iteration G <- step(G) over a batch of points.
+    """Fixed-point iteration G <- step(G), in place, over a batch of points.
 
-    ``residual(G)`` returns the per-point residuals and a value that
-    ``step(G, aux)`` reuses to form the map; points whose residual reaches
-    ``target`` stop moving, and the loop stops after ``limit`` steps.
+    ``residual(ii, Gi)`` returns the residuals of the points ``ii`` at their
+    rows ``Gi`` of G and a value per point that ``step(ii, Gi, aux)`` reuses.
+    A point whose residual reaches ``target`` stops moving: each sweep steps
+    and re-evaluates only the points above it, for at most ``limit`` sweeps.
     """
-    shape = (len(G),) + (1,) * (G.ndim - 1)
-    res, aux = residual(G)
+    ii = np.arange(len(G))
+    res, aux = residual(ii, G)
     iters = np.zeros(len(G), dtype=int)
     for _ in range(limit):
-        active = res > target
-        if not active.any():
+        moving = res[ii] > target
+        ii, aux = ii[moving], aux[moving]
+        if not ii.size:
             break
         try:
-            F = step(G, aux)
+            Gi = step(ii, G[ii], aux)
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
                 "z*id - eta(G) not invertible at an iterate; "
                 "check the covariance map or move z away from the real axis"
             ) from exc
-        G = np.where(active.reshape(shape), F, G)
-        res, aux = residual(G)
-        iters[active] += 1
+        G[ii] = Gi
+        res[ii], aux = residual(ii, Gi)
+        iters[ii] += 1
     return G, res, iters
 
 
 def _fixed_point_batch(pat, zs, G, target, limit):
-    """The sweep loop on the pattern with the plain map G -> (z I - eta(G))^{-1}."""
+    """The sweep loop, in place on G, with the plain map G -> (z I - eta(G))^{-1}."""
 
-    def residual(G):
+    def residual(ii, G):
         EG = _eta_batch(pat, G)
-        return pat.norm(_residual(pat, zs, G, EG)), EG
+        return pat.norm(_residual(pat, zs[ii], G, EG)), EG
 
-    def step(G, EG):
-        return _block_inv(pat, zs[:, None] * pat.eye - EG)
+    def step(ii, G, EG):
+        return _block_inv(pat, zs[ii, None] * pat.eye - EG)
 
     return _sweep_loop(G, residual, step, target, limit)
 
@@ -400,53 +405,46 @@ def _newton_step(pat, ws, G, EG, rhs):
 def _newton_batch(pat, zs, G, target, limit):
     """Newton on the linearization in the pattern's coordinates.
 
-    Each step solves one linear system per point (:func:`_newton_step`).
-    Where the batch's step fails on a singular matrix, every point takes
-    the same step on its own, and a point whose step is singular stops.
-    Steps backtrack per point. A point takes at most ``limit`` steps.
+    Each step solves one linear system per point above ``target``
+    (:func:`_newton_step`). Where the batch's step fails on a singular
+    matrix, every point takes the same step on its own, and a point whose
+    step is singular stops. Trial k = 0..8 moves the points still pending
+    by 0.5**k of their step: a point takes the first trial that lowers its
+    residual, and one that none lowers stops. At most ``limit`` steps.
     """
     G = G.copy()
-    P, m = G.shape
     EG = _eta_batch(pat, G)
     R = _residual(pat, zs, G, EG)  # kept for the accepted iterate: the next step's rhs
     res = pat.norm(R)
-    iters = np.zeros(P, dtype=int)
-    stuck = np.zeros(P, dtype=bool)
+    iters, stuck = np.zeros(len(G), dtype=int), np.zeros(len(G), dtype=bool)
     for _ in range(limit):
-        active = (res > target) & ~stuck
-        if not active.any():
+        ii = np.flatnonzero((res > target) & ~stuck)
+        if not ii.size:
             break
-        ii = np.flatnonzero(active)
-        # every point active: Gi and EGi are G and EG, not copies. Backtracking
-        # writes a row of G only as that point leaves `pending`, and reads only
-        # pending rows of Gi, so the aliasing changes no value.
-        Gi, zi, EGi, rhs = (G, zs, EG, -R) if len(ii) == P else (G[ii], zs[ii], EG[ii], -R[ii])
+        Gi, zi, EGi, rhs = G[ii], zs[ii], EG[ii], -R[ii]
         try:
             step = _newton_step(pat, zi, Gi, EGi, rhs)
         except np.linalg.LinAlgError:
-            step = np.zeros((len(ii), m), dtype=complex)
+            step = np.zeros_like(Gi)
             for k in range(len(ii)):
                 try:
                     step[k] = _newton_step(pat, *(v[k:k + 1] for v in (zi, Gi, EGi, rhs)))[0]
                 except np.linalg.LinAlgError:
                     stuck[ii[k]] = True
-        factor = np.ones(len(ii))
-        improved = np.zeros(len(ii), dtype=bool)
-        for _bt in range(9):
-            pending = ~improved
-            if not pending.any():
-                break
-            trial = Gi + factor[:, None] * step
+        for k in range(9):
+            trial = Gi + 0.5**k * step
             EGt = _eta_batch(pat, trial)
             Rt = _residual(pat, zi, trial, EGt)
             rtrial = pat.norm(Rt)
-            good = pending & (rtrial < res[ii])
+            good = rtrial < res[ii]
             at = ii[good]
             G[at], EG[at], R[at], res[at] = trial[good], EGt[good], Rt[good], rtrial[good]
-            improved |= good
-            factor[pending] /= 2
-        stuck[ii[~improved]] = True
-        iters[ii[improved]] += 1
+            iters[at] += 1
+            keep = ~good
+            ii, Gi, zi, step = ii[keep], Gi[keep], zi[keep], step[keep]
+            if not ii.size:
+                break
+        stuck[ii] = True
     return G, res, iters, stuck
 
 
@@ -739,11 +737,11 @@ def _solve_eliminated(outer, inner, z, config):
     """
     eye_out, eye_in = np.eye(outer.dim_out), np.eye(inner.dim_out)
 
-    def residual(G):
+    def residual(ii, G):
         W = cov.eta_apply(outer, np.linalg.inv(eye_in - cov.eta_apply(inner, G[0])))
-        return np.array([np.linalg.norm(z * G[0] - eye_out - W @ G[0])]), W
+        return np.array([np.linalg.norm(z * G[0] - eye_out - W @ G[0])]), W[None]
 
-    def step(G, W):
+    def step(ii, G, W):
         return (G + np.linalg.inv(z * eye_out - W)) / 2
 
     G, res, its = _sweep_loop(

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -739,6 +740,45 @@ def test_artifacts_match_checked_in_digests():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == (ROOT / "scripts" / "artifact_digests.txt").read_text()
+
+
+def _out_of_memory_json(out):
+    error = json.loads(out)["error"]
+    assert error["type"] == "MemoryError"
+    return error["message"]
+
+
+def test_memory_error_is_a_typed_json_error(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    code = cli.main(["--config", str(_write(tmp_path, ISI_CONFIG)), "--command", "density",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert _out_of_memory_json(capsys.readouterr().out) == "Unable to allocate 1.00 TiB"
+
+
+def test_child_out_of_address_space_exits_one_with_json(tmp_path):
+    """3e7 grid points pass every budget, then an allocation fails under the child's rlimit.
+
+    The limit is set only on the child. 1 GiB is enough to import numpy and
+    small enough that the child's peak stays under about 0.8 GB.
+    """
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    config = {"model": "selfadjoint", "d": 1, "entries": [[1, 1, 1, 1, 1.0]],
+              "grid": {"xmin": -2.2, "xmax": 2.2, "points": 30_000_000, "epsilon": 2e-05}}
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockspectra.cli", "--config", str(_write(tmp_path, config)),
+         "--command", "density", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Unable to allocate" in _out_of_memory_json(proc.stdout)
+    assert proc.stderr == ""
 
 
 def test_artifact_diff_bounds_each_artifact(tmp_path, capsys):

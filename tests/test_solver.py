@@ -277,6 +277,107 @@ def test_newton_batch_falls_back_to_each_point_on_a_bipartite_law():
     assert np.abs(G[1] - exact).max() <= 1e-10
 
 
+def _whole_batch_sweeps(pat, zs, G, target, limit):
+    """Reference: every sweep steps the whole batch and keeps the moving rows by a mask."""
+    EG = slv._eta_batch(pat, G)
+    res, iters, moving = pat.norm(slv._residual(pat, zs, G, EG)), np.zeros(len(G), int), []
+    for _ in range(limit):
+        active = res > target
+        if not active.any():
+            break
+        G = np.where(active[:, None], slv._block_inv(pat, zs[:, None] * pat.eye - EG), G)
+        EG = slv._eta_batch(pat, G)
+        res = pat.norm(slv._residual(pat, zs, G, EG))
+        iters[active] += 1
+        moving.append(int(active.sum()))
+    return G, res, iters, moving
+
+
+def _whole_batch_newton(pat, zs, G, target, limit):
+    """Reference: each backtracking round re-evaluates every active point with its own factor."""
+    G, P = G.copy(), len(G)
+    EG = slv._eta_batch(pat, G)
+    R = slv._residual(pat, zs, G, EG)
+    res, iters, stuck = pat.norm(R), np.zeros(P, int), np.zeros(P, bool)
+    for _ in range(limit):
+        ii = np.flatnonzero((res > target) & ~stuck)
+        if not ii.size:
+            break
+        Gi, zi = G[ii], zs[ii]
+        step = slv._newton_step(pat, zi, Gi, EG[ii], -R[ii])
+        factor, improved = np.ones(len(ii)), np.zeros(len(ii), bool)
+        for _bt in range(9):
+            pending = ~improved
+            if not pending.any():
+                break
+            trial = Gi + factor[:, None] * step
+            EGt = slv._eta_batch(pat, trial)
+            Rt = slv._residual(pat, zi, trial, EGt)
+            rtrial = pat.norm(Rt)
+            good = pending & (rtrial < res[ii])
+            at = ii[good]
+            G[at], EG[at], R[at], res[at] = trial[good], EGt[good], Rt[good], rtrial[good]
+            improved |= good
+            factor[pending] /= 2
+        stuck[ii[~improved]] = True
+        iters[ii[improved]] += 1
+    return G, res, iters, stuck
+
+
+def test_sweeps_step_only_the_points_above_their_target(monkeypatch):
+    # far points reach the loose target in a few sweeps, points near the
+    # support take many; a point at its target is neither stepped nor re-evaluated
+    pat = cov._law(bs.isi_covariance(4, 4)).eta.pattern
+    ws = np.sqrt(np.concatenate([np.linspace(0.2, 3.0, 6), [20.0, 60.0, 200.0, 900.0]]) + 0.05j)
+    G0 = np.tile(-1j * pat.eye, (len(ws), 1))
+    want = _whole_batch_sweeps(pat, ws, G0, slv.PREDICTION_TOL, slv.SWEEPS)
+    block_inv, residual, inverted, evaluated = slv._block_inv, slv._residual, [], []
+
+    def recorded_inv(pat, A):
+        inverted.append(len(A))
+        return block_inv(pat, A)
+
+    def recorded_residual(pat, zs, G, EG):
+        evaluated.append(len(zs))
+        return residual(pat, zs, G, EG)
+
+    monkeypatch.setattr(slv, "_block_inv", recorded_inv)
+    monkeypatch.setattr(slv, "_residual", recorded_residual)
+    G, res, iters = slv._fixed_point_batch(pat, ws, G0.copy(), slv.PREDICTION_TOL, slv.SWEEPS)
+    assert inverted == want[3] and evaluated == [len(ws)] + want[3]
+    assert inverted[0] == len(ws) and inverted[-1] < len(ws) / 2
+    assert np.array_equal(G, want[0]) and np.array_equal(res, want[1])
+    assert np.array_equal(iters, want[2])
+
+
+def test_backtracking_rounds_evaluate_only_the_pending_points(monkeypatch):
+    # one point's step is four times too long, so it alone backtracks
+    eta = cov._law(bs.isi_covariance(2, 2)).eta
+    pat, xs = eta.pattern, np.linspace(0.5, 3.0, 6)
+    ws = np.sqrt(xs + 0.1j)
+    exact = np.array([pat.compress(bs.solve_fixed_point(eta, w, TIGHT).G[None])[0] for w in ws])
+    G0 = exact * (1 + 1e-2)
+    newton_step, residual, evaluated = slv._newton_step, slv._residual, []
+
+    def long_step(pat, ws_, G, EG, rhs):
+        x = newton_step(pat, ws_, G, EG, rhs)
+        x[ws_ == ws[2]] *= 4
+        return x
+
+    def recorded_residual(pat, zs, G, EG):
+        evaluated.append(len(zs))
+        return residual(pat, zs, G, EG)
+
+    monkeypatch.setattr(slv, "_newton_step", long_step)
+    want = _whole_batch_newton(pat, ws, G0, 1e-12, 60)
+    monkeypatch.setattr(slv, "_residual", recorded_residual)
+    G, res, iters, stuck = slv._newton_batch(pat, ws, G0, 1e-12, 60)
+    assert evaluated[:3] == [len(ws), len(ws), 1]
+    assert not stuck.any() and (res <= 1e-12).all()
+    for got, ref in zip((G, res, iters, stuck), want):
+        assert np.array_equal(got, ref)
+
+
 class TestGrid:
     def test_density_normalization_at_zero(self, semicircle_eta):
         sols = bs.solve_grid(semicircle_eta, [0.0], 1e-4, NEWTON)
